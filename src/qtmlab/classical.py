@@ -9,29 +9,29 @@ configurations.
 
 Lifting assigns every effective rule amplitude 1.  The result preserves
 norm automatically; it is an isometry on running configurations exactly
-when the classical transition function is injective there, which
-``check_reversible`` decides.  Collisions between a newly-halting image and
-the drift of an already-halted configuration are inherent to the halting
-scheme (see ``wellformed``) and are not counted against reversibility.
+when the classical transition function is injective there.
+``check_reversible`` decides that with ``wellformed``'s pattern sweep, run
+on the running rows of the amplitude-1 lift before the lift is checked.
+Collisions between a newly-halting image and the drift of an
+already-halted configuration are inherent to the halting scheme (see
+``wellformed``) and are not counted against reversibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
 
 from .errors import NotReversibleError
 from .machine import (
     BLANK,
     Configuration,
+    DEFAULT_TOL,
     MachineSpec,
     MOVE_DELTA,
-    MOVES,
     RuleTarget,
     Tape,
 )
-from .wellformed import HEAD_POSITIONS, WINDOW, _canonical_pair, _cells
+from .wellformed import _failing_windows
 
 
 @dataclass(frozen=True)
@@ -128,79 +128,28 @@ def _image(tm: ClassicalTM, cfg: Configuration) -> Configuration:
     )
 
 
-def _running_keys(tm: ClassicalTM) -> list[tuple[str, str]]:
-    return [
-        (q, s) for q in tm.states if q != tm.halt for s in tm.alphabet
-    ]
-
-
-def _window_cfg(tm, state, cell_pairs, head) -> Configuration:
-    return tm.config(state, Tape(_cells(cell_pairs)), head)
-
-
-def _expand_same_head(tm, k1, k2) -> set:
-    (q1, s1), (q2, s2) = k1, k2
-    pairs = set()
-    for x in HEAD_POSITIONS:
-        rest = [c for c in WINDOW if c != x]
-        for assign in product(tm.alphabet, repeat=len(rest)):
-            base = list(zip(rest, assign))
-            c1 = _window_cfg(tm, q1, base + [(x, s1)], x)
-            c2 = _window_cfg(tm, q2, base + [(x, s2)], x)
-            pairs.add(_canonical_pair(c1, c2))
-    return pairs
-
-
-def _expand_apart(tm, d, k1, a, k2, b) -> set:
-    (q1, s1), (q2, s2) = k1, k2
-    pairs = set()
-    for x1 in range(-2, 3 - d):
-        x2 = x1 + d
-        rest = [c for c in WINDOW if c != x1 and c != x2]
-        for assign in product(tm.alphabet, repeat=len(rest)):
-            base = list(zip(rest, assign))
-            c1 = _window_cfg(tm, q1, base + [(x1, s1), (x2, a)], x1)
-            c2 = _window_cfg(tm, q2, base + [(x1, b), (x2, s2)], x2)
-            pairs.add(_canonical_pair(c1, c2))
-    return pairs
+def _lifted_rules(tm: ClassicalTM) -> dict:
+    """The effective rule table, every rule a single amplitude-1 target."""
+    return {
+        (q, s): (RuleTarget(complex(1), *tm.rule(q, s)),)
+        for q in tm.states
+        for s in tm.alphabet
+    }
 
 
 def check_reversible(tm: ClassicalTM) -> ReversibilityReport:
     """Decide injectivity of the effective transition on running
-    configurations.
-
-    Only pairs with both members running are considered: halted
-    configurations drift injectively among themselves, and a running
-    configuration colliding with a halted one is the unavoidable signature
-    of the halting scheme, not of the machine under test.  The sweep runs
-    over local rule patterns exactly as in ``wellformed``; witnesses are
-    materialized for the failing patterns only.
+    configurations: ``wellformed``'s pattern sweep over the running rows of
+    the unchecked amplitude-1 lift, whose images fail orthogonality exactly
+    when they coincide.  Pairs with a halted member are left out: halted
+    configurations drift injectively, and a running one colliding with a
+    halted one is the signature of the halting scheme, not of the machine.
     """
-    keys = _running_keys(tm)
-    effective = {k: tm.rule(*k) for k in keys}
-    failing_pairs = set()
-    for i in range(len(keys)):
-        p1, w1, m1 = effective[keys[i]]
-        for j in range(i + 1, len(keys)):
-            if effective[keys[j]] == (p1, w1, m1):
-                failing_pairs |= _expand_same_head(tm, keys[i], keys[j])
-    for d in (1, 2):
-        for k1 in keys:
-            p1, w1, m1 = effective[k1]
-            for k2 in keys:
-                p2, w2, m2 = effective[k2]
-                if (
-                    p1 == p2
-                    and MOVE_DELTA[m1] - MOVE_DELTA[m2] == d
-                ):
-                    # member 1 must see w2 at the far cell and member 2
-                    # must see w1 under member 1's head
-                    failing_pairs |= _expand_apart(tm, d, k1, w2, k2, w1)
+    rules = _lifted_rules(tm)
+    running = [k for k in rules if k[0] != tm.halt]
     witnesses = tuple(
         InjectivityWitness(c1, c2, _image(tm, c1))
-        for c1, c2 in sorted(
-            failing_pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key())
-        )
+        for c1, c2 in _failing_windows(tm, running, rules, DEFAULT_TOL)
     )
     return ReversibilityReport(not witnesses, witnesses)
 
@@ -214,18 +163,10 @@ def lift_to_qtm(tm: ClassicalTM) -> MachineSpec:
     report = check_reversible(tm)
     if not report.reversible:
         raise NotReversibleError(report.witnesses)
-    rules = {}
-    for q in tm.states:
-        for s in tm.alphabet:
-            if q == tm.halt:
-                state, write, move = tm.halt, s, "R"
-            else:
-                state, write, move = tm.rule(q, s)
-            rules[(q, s)] = (RuleTarget(complex(1), state, write, move),)
     return MachineSpec(
         states=tm.states,
         initial=tm.initial,
         halt=tm.halt,
         alphabet=tm.alphabet,
-        rules=rules,
+        rules=_lifted_rules(tm),
     )

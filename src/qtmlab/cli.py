@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -43,7 +44,19 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 is reserved for findings
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"qtmlab: error: {message}\n")
+
+
+def _nonnegative(convert):
+    # argument type; NaN fails every comparison, so it is rejected with inf
+    def parse(text):
+        value = convert(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # keeps "invalid float value: ..."
+    return parse
 
 
 def _ser_complex(z: complex) -> dict:
@@ -406,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="well-formedness verdict with witnesses")
     p.add_argument("machine")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-witnesses", type=int, default=WITNESS_CAP)
+    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
+    p.add_argument("--max-witnesses", type=_nonnegative(int), default=WITNESS_CAP)
     p.add_argument("--json", metavar="PATH", help="write the report here")
     p.set_defaults(func=_cmd_check)
 
@@ -418,8 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--schedule", default="end", help="every | end | end:N | at:N,N,..."
     )
-    p.add_argument("--prune", type=float, default=0.0, help="drop amplitudes below this modulus")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument(
+        "--prune", type=_nonnegative(float), default=0.0,
+        help="drop amplitudes below this modulus",
+    )
+    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
     p.add_argument("--json", metavar="PATH", help="write the report here")
     p.set_defaults(func=_cmd_run)
 
@@ -430,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default="end")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--prune", type=float, default=0.0)
+    p.add_argument("--prune", type=_nonnegative(float), default=0.0)
     p.add_argument("--json", metavar="PATH", help="write the report here")
     p.set_defaults(func=_cmd_sample)
 
@@ -441,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--schedules", required=True, metavar="A,B", help="e.g. every,end"
     )
-    p.add_argument("--prune", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--prune", type=_nonnegative(float), default=0.0)
+    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
     p.add_argument("--json", metavar="PATH", help="write the report here")
     p.set_defaults(func=_cmd_compare)
 
@@ -450,14 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     p.add_argument("--input", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--prune", type=float, default=0.0)
+    p.add_argument("--prune", type=_nonnegative(float), default=0.0)
     p.add_argument("--csv", metavar="PATH", help="write the CSV here")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("lift", help="lift a reversible classical machine")
     p.add_argument("machine")
     p.add_argument("-o", "--output", help="write the lifted machine here")
-    p.add_argument("--max-witnesses", type=int, default=WITNESS_CAP)
+    p.add_argument("--max-witnesses", type=_nonnegative(int), default=WITNESS_CAP)
     p.add_argument("--json", metavar="PATH", help="write a failure report here")
     p.set_defaults(func=_cmd_lift)
 
@@ -468,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-a", required=True)
     p.add_argument("--input-b", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
     p.add_argument("--json", metavar="PATH", help="write the report here")
     p.set_defaults(func=_cmd_myers)
 
@@ -478,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine")
     p.add_argument("--input", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
     p.add_argument("--json", metavar="PATH", help="write the report here")
     p.set_defaults(func=_cmd_subspace)
 

@@ -52,11 +52,6 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     )
 
 
-def halted_mass(state: QuantumState) -> float:
-    """Total squared amplitude sitting on halted configurations."""
-    return state.halted_mass()
-
-
 @dataclass(frozen=True, slots=True)
 class TraceRow:
     step: int

@@ -43,7 +43,7 @@ TM_HEADER = "tm-spec v1"
 
 def _parse_int(text: str, i: int) -> tuple[int, int]:
     start = i
-    while i < len(text) and text[i].isdigit():
+    while i < len(text) and text[i].isdecimal():
         i += 1
     if i == start:
         raise ParseError("expected an integer", offset=start)
@@ -51,29 +51,33 @@ def _parse_int(text: str, i: int) -> tuple[int, int]:
 
 
 def _parse_part(text: str, i: int) -> tuple[float, int]:
+    start = i
     sign = 1.0
     if i < len(text) and text[i] == "-":
         sign = -1.0
         i += 1
-    num, i = _parse_int(text, i)
-    if i < len(text) and text[i] == "/":
-        if text[i + 1 : i + 6] == "sqrt(":
-            i += 6
-            radicand, i = _parse_int(text, i)
-            if i >= len(text) or text[i] != ")":
-                raise ParseError("expected ')'", offset=i)
+    try:
+        num, i = _parse_int(text, i)
+        if i < len(text) and text[i] == "/":
+            if text[i + 1 : i + 6] == "sqrt(":
+                i += 6
+                radicand, i = _parse_int(text, i)
+                if i >= len(text) or text[i] != ")":
+                    raise ParseError("expected ')'", offset=i)
+                i += 1
+                if radicand < 1:
+                    raise ParseError("sqrt argument must be >= 1", offset=i)
+                return sign * num / math.sqrt(radicand), i
             i += 1
-            if radicand < 1:
-                raise ParseError("sqrt argument must be >= 1", offset=i)
-            return sign * num / math.sqrt(radicand), i
-        i += 1
-        den, i = _parse_int(text, i)
-        if den == 0:
-            raise ParseError("division by zero", offset=i)
-        # Fraction instead of int division: correctly rounded even when the
-        # denominator alone is too large for a float (subnormal values).
-        return sign * float(Fraction(num, den)), i
-    return sign * num, i
+            den, i = _parse_int(text, i)
+            if den == 0:
+                raise ParseError("division by zero", offset=i)
+            # Fraction instead of int division: correctly rounded even when
+            # the denominator alone is too large for a float (subnormals).
+            return sign * float(Fraction(num, den)), i
+        return sign * num, i
+    except (OverflowError, ValueError):  # ValueError: int() digit limit
+        raise ParseError("number too large to evaluate", offset=start) from None
 
 
 def _skip_ws(text: str, i: int) -> int:

@@ -205,21 +205,23 @@ def _inner_same_head(rules1, rules2) -> complex:
     return total
 
 
-def _inner_apart(rules1, rules2, d: int, a: str, b: str) -> complex:
+def _inner_apart(rules1, rules2, d: int) -> dict:
     """Member 1 at head 0 seeing ``a`` at cell d; member 2 at head d seeing
     ``b`` at cell 0.  Images coincide only where member 1 writes ``b``,
-    member 2 writes ``a``, and the moves close the head gap."""
-    total = 0j
+    member 2 writes ``a``, and the moves close the head gap, so one pass over
+    the target pairs yields the inner product of every ``(a, b)`` that can
+    be nonzero, each accumulated in target order."""
+    totals: dict = {}
     for t1 in rules1:
         for t2 in rules2:
             if (
                 t1.state == t2.state
                 and MOVE_DELTA[t1.move] - MOVE_DELTA[t2.move] == d
-                and t1.write == b
-                and t2.write == a
             ):
-                total += t1.amplitude.conjugate() * t2.amplitude
-    return total
+                ab = (t2.write, t1.write)
+                term = t1.amplitude.conjugate() * t2.amplitude
+                totals[ab] = totals.get(ab, 0j) + term
+    return totals
 
 
 def _expand_same_head(spec, k1, k2):
@@ -249,6 +251,24 @@ def _expand_apart(spec, d, k1, a, k2, b):
     return pairs
 
 
+def _failing_windows(machine, keys, rules, tol: float) -> list:
+    """Canonical window pairs, in canonical order, of every pattern over
+    ``keys`` whose images have inner product of modulus above ``tol``.
+    ``machine`` supplies only ``alphabet`` and ``config``."""
+    pairs = set()
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            if abs(_inner_same_head(rules[keys[i]], rules[keys[j]])) > tol:
+                pairs |= _expand_same_head(machine, keys[i], keys[j])
+    for d in (1, 2):
+        for k1 in keys:
+            for k2 in keys:
+                for (a, b), ip in _inner_apart(rules[k1], rules[k2], d).items():
+                    if abs(ip) > tol:
+                        pairs |= _expand_apart(machine, d, k1, a, k2, b)
+    return sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+
+
 def check_wellformed(
     spec: MachineSpec, tol: float = DEFAULT_TOL
 ) -> WellformednessReport:
@@ -274,28 +294,9 @@ def check_wellformed(
         if abs(norm2 - 1.0) > tol:
             norm_violations.append((key, norm2))
 
-    witness_pairs = set()
-    for i in range(len(have)):
-        for j in range(i + 1, len(have)):
-            ip = _inner_same_head(spec.rules[have[i]], spec.rules[have[j]])
-            if abs(ip) > tol:
-                witness_pairs |= _expand_same_head(spec, have[i], have[j])
-    for d in (1, 2):
-        for k1 in have:
-            for k2 in have:
-                for a in spec.alphabet:
-                    for b in spec.alphabet:
-                        ip = _inner_apart(
-                            spec.rules[k1], spec.rules[k2], d, a, b
-                        )
-                        if abs(ip) > tol:
-                            witness_pairs |= _expand_apart(spec, d, k1, a, k2, b)
-
     witnesses = tuple(
         CollisionWitness(c1, c2, pair_image_inner(spec, c1, c2))
-        for c1, c2 in sorted(
-            witness_pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key())
-        )
+        for c1, c2 in _failing_windows(spec, have, spec.rules, tol)
     )
     verdict = (
         "well_formed" if not norm_violations and not witnesses else "violation"

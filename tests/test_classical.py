@@ -4,7 +4,9 @@ import pytest
 
 from conftest import MACHINES, load_tm
 from qtmlab import (
+    MachineSpec,
     NotReversibleError,
+    RuleTarget,
     Tape,
     check_reversible,
     check_wellformed,
@@ -140,6 +142,21 @@ class TestCheckReversible:
         for w in check_reversible(collide).witnesses[:100]:
             assert not w.c1.halted
             assert not w.c2.halted
+
+    @pytest.mark.parametrize("name", REVERSIBLE + ("collide",))
+    def test_witnesses_are_core_witnesses_of_unchecked_lift(self, request, name):
+        # amplitude-1 lift written out here, independent of lift_to_qtm
+        tm = request.getfixturevalue(name)
+        rules = {}
+        for q in tm.states:
+            for s in tm.alphabet:
+                target = tm.rules.get((q, s), (tm.halt, s, "R"))
+                if q == tm.halt:
+                    target = (q, s, "R")
+                rules[(q, s)] = (RuleTarget(1 + 0j, *target),)
+        lift = MachineSpec(tm.states, tm.initial, tm.halt, tm.alphabet, rules)
+        core = [(w.c1, w.c2) for w in check_wellformed(lift).core_witnesses]
+        assert [(w.c1, w.c2) for w in check_reversible(tm).witnesses] == core
 
 
 class TestLift:

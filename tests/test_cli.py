@@ -1,5 +1,6 @@
 """End-to-end command line tests; goldens are byte-exact stdout captures."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -427,6 +428,19 @@ class TestExitCodes:
              "--schedule", "at:9"),
             ("frobnicate",),
             (),
+            ("run", "machines/hadamard_halt.qtm", "--input", "0", "--steps", "3",
+             "--tol", "nan"),
+            ("run", "machines/hadamard_halt.qtm", "--input", "0", "--steps", "3",
+             "--tol", "-0.001"),
+            ("run", "machines/hadamard_halt.qtm", "--input", "0", "--steps", "3",
+             "--prune", "nan"),
+            ("compare", "machines/hadamard_halt.qtm", "--input", "0", "--steps", "3",
+             "--schedules", "every,end", "--prune", "-0.5"),
+            ("trace", "machines/hadamard_halt.qtm", "--input", "0", "--steps", "3",
+             "--prune", "inf"),
+            ("check", "machines/hadamard_halt.qtm", "--tol", "inf"),
+            ("run", "machines/hadamard_halt.qtm", "--steps", "2",
+             "--input", "1" + "0" * 400 + "e0:0"),
         ],
     )
     def test_usage_and_runtime_errors_exit_one(self, args):
@@ -434,6 +448,19 @@ class TestExitCodes:
         assert p.returncode == 1
         assert p.stdout == ""
         assert "error" in p.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("check", "machines/hadamard_halt.qtm"),
+            ("lift", "machines/collide.tm"),
+        ],
+    )
+    def test_negative_witness_cap_rejected(self, args):
+        p = qtmlab(*args, "--max-witnesses", "-1")
+        assert p.returncode == 1
+        assert p.stdout == ""
+        assert "qtmlab: error: argument --max-witnesses" in p.stderr
 
     def test_error_messages_are_prefixed(self):
         p = qtmlab("check", "machines/does_not_exist.qtm")
@@ -443,3 +470,43 @@ class TestExitCodes:
         p = qtmlab("--version")
         assert p.returncode == 0
         assert p.stdout == "qtmlab 0.1.0\n"
+
+
+# sha256 of stdout and the exit status of every corpus machine's analysis,
+# recorded before the reversibility check moved onto the shared window sweep;
+# the outputs must stay byte-identical across refactors.
+CORPUS_OUTPUT_SHA256 = {
+    ("check", "delayed_hadamard.qtm"): (
+        2, "0f6de7abc30846c0bbbba607684c807bc293f3bfee89c4358af054b32c6d32c2"),
+    ("check", "hadamard_halt.qtm"): (
+        2, "98e988d61639424ddc4ad88594d2d4a2adb8a9179264b175c22885c41546b9cb"),
+    ("check", "hadamard_halt_naive.qtm"): (
+        2, "945bdb9531a52f2bdfc78c62a64811d8e876bcb8eb8b5ef402b445ed2616bf2a"),
+    ("check", "right_shift.qtm"): (
+        0, "dd288d2a75bbbd34dd70b67c6d74f95aa2690f99d140714e31719f1bc251b3f0"),
+    ("check", "seek_right_lifted.qtm"): (
+        2, "166617354aff2bacf4bc7b483f71dc679fe5576ea13f74bda1694f62b7a6af11"),
+    ("lift", "collide.tm"): (
+        2, "12711571dd8c3752df2748603a93f3d802a68cb1a446fb646857e878a9470873"),
+    ("lift", "flip_bits.tm"): (
+        0, "db8e1cc88be3a89f72932810ecb9eaf62e5965d21ca44b0c9804a0983061b1d4"),
+    ("lift", "parity_mark.tm"): (
+        0, "43b746cdb2cd8834ef25e7f17a7cadf3f3edd2913ccfaf205cb3f8c9c86776c7"),
+    ("lift", "seek_right.tm"): (
+        0, "db24bf503ec9eab0241f922c89df04fad4d8d9d9169ae006460616131d57db01"),
+    ("lift", "unary_inc.tm"): (
+        0, "bda2d2f74f3dba3649bc88b1496ed0a131dd2005daf19d49ae80711a5552e3fa"),
+}
+
+
+class TestCorpusOutputsFrozen:
+    def test_every_corpus_machine_is_pinned(self):
+        files = {p.name for p in MACHINES.glob("*.*tm")}
+        assert {name for _, name in CORPUS_OUTPUT_SHA256} == files
+
+    @pytest.mark.parametrize("command, name", sorted(CORPUS_OUTPUT_SHA256))
+    def test_output_is_byte_identical(self, command, name):
+        # every witness is shown, so the whole report is pinned
+        p = qtmlab(command, f"machines/{name}", "--max-witnesses", "100000")
+        digest = hashlib.sha256(p.stdout.encode("utf-8")).hexdigest()
+        assert (p.returncode, digest) == CORPUS_OUTPUT_SHA256[command, name]

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import MACHINES, load_qtm
@@ -76,6 +76,25 @@ class TestParseAmplitude:
             parse_amplitude("1/x")
         assert err.value.offset == 2
         assert "offset 2" in str(err.value)
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789-+/ isqrt()", max_size=30),
+            st.integers(0, 10**450).map(str),
+        )
+    )
+    @example("1" + "0" * 400)
+    @example("1" + "0" * 400 + "e0")
+    @example("1/sqrt(1" + "0" * 400 + ")")
+    @example("1 + " + "9" * 5000 + "i")
+    @example("\u00b2")  # a digit to str.isdigit, not a decimal to int()
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            value = parse_amplitude(text)
+        except ParseError:
+            return
+        assert isinstance(value, complex)
 
 
 class TestRenderAmplitude:
