@@ -11,7 +11,8 @@ Lifting assigns every effective rule amplitude 1.  The result preserves
 norm automatically; it is an isometry on running configurations exactly
 when the classical transition function is injective there.
 ``check_reversible`` decides that with ``wellformed``'s pattern sweep, run
-on the running rows of the amplitude-1 lift before the lift is checked.
+on the running rows of the amplitude-1 lift before the lift is checked; a
+witness computes the successor its two members share only when read.
 Collisions between a newly-halting image and the drift of an
 already-halted configuration are inherent to the halting scheme (see
 ``wellformed``) and are not counted against reversibility.
@@ -19,7 +20,7 @@ already-halted configuration are inherent to the halting scheme (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotReversibleError
 from .machine import (
@@ -72,7 +73,12 @@ class InjectivityWitness:
 
     c1: Configuration
     c2: Configuration
-    image: Configuration
+    tm: ClassicalTM = field(repr=False, compare=False)
+
+    @property
+    def image(self) -> Configuration:
+        """The shared successor; computed per read."""
+        return _image(self.tm, self.c1)
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,7 @@ def check_reversible(tm: ClassicalTM) -> ReversibilityReport:
     rules = _lifted_rules(tm)
     running = [k for k in rules if k[0] != tm.halt]
     witnesses = tuple(
-        InjectivityWitness(c1, c2, _image(tm, c1))
+        InjectivityWitness(c1, c2, tm)
         for c1, c2 in _failing_windows(tm, running, rules, DEFAULT_TOL)
     )
     return ReversibilityReport(not witnesses, witnesses)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from .errors import ParseError
+from .errors import ParseError, QtmError
 from .evolution import step
 from .machine import (
     DEFAULT_TOL,
@@ -218,7 +218,8 @@ def run_schedule(
         state = step(spec, state, prune)
         nu = state.norm2()
         if nu <= 0.0:
-            break
+            cause = f"pruning below {prune!r}" if prune else "cancellation"
+            raise QtmError(f"{cause} removed all amplitude at step {t}")
         max_drift = max(max_drift, abs(nu - 1.0))
         if t in points:
             halted = state.component(True)

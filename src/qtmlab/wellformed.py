@@ -14,8 +14,13 @@ The checker exploits one more reduction: the inner product of two images
 depends only on the head offset, the two (state, read symbol) rule rows,
 and -- for offset >= 1 -- the two cells the members see under each other's
 head.  All window pairs sharing this local pattern have the same inner
-product, so the verdict needs only a sweep over patterns; the full window
-enumeration is used to materialize witnesses for the patterns that fail.
+product, so the verdict needs only a sweep over patterns.  Each failing
+pattern is expanded into its canonical window pairs as plain tuple keys
+laid out like ``Configuration.sort_key()``; only after sorting does each
+distinct key become one ``Configuration`` (and each distinct cell tuple one
+``Tape``), shared by every witness that mentions it.  A witness computes its
+image inner product, through ``pair_image_inner``, only when it is read, so
+a report that shows a few witnesses steps only those.
 
 A note on machines that can halt: a rule sending a running state into the
 halt state produces images identical to the drift of some already-halted
@@ -29,8 +34,9 @@ scheme itself while the latter indicate a genuinely broken rule table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, product
 from typing import Iterator
 
 from .evolution import step
@@ -44,9 +50,6 @@ from .machine import (
     Tape,
 )
 
-WINDOW = tuple(range(-3, 4))
-HEAD_POSITIONS = tuple(range(-2, 3))
-
 
 @dataclass(frozen=True, slots=True)
 class CollisionCandidatePair:
@@ -58,15 +61,16 @@ class CollisionCandidatePair:
 
 @dataclass(frozen=True, slots=True)
 class CollisionWitness:
-    """A candidate pair whose images failed orthogonality.
-
-    ``inner`` is the inner product of the one-step images, conjugate-linear
-    in the image of ``c1``.
-    """
+    """A candidate pair whose images failed orthogonality."""
 
     c1: Configuration
     c2: Configuration
-    inner: complex
+    spec: MachineSpec = field(repr=False, compare=False)
+
+    @property
+    def inner(self) -> complex:
+        """<U c1, U c2>, conjugate-linear in c1's image; computed per read."""
+        return pair_image_inner(self.spec, self.c1, self.c2)
 
     @property
     def drift_collision(self) -> bool:
@@ -113,24 +117,64 @@ def pair_image_inner(
 
 
 # ---------------------------------------------------------------------------
-# window machinery
+# window machinery: a window configuration is its key (halted, state, head,
+# cells), laid out like ``Configuration.sort_key()``; a pair is canonical when
+# its lower head is at cell 0 and its members are in key order.
 
-def _cells(pairs) -> tuple:
-    """Sorted (pos, symbol) pairs with blanks removed."""
-    return tuple(sorted((p, s) for p, s in pairs if s != BLANK))
+@lru_cache(maxsize=256)
+def _sides(alphabet: tuple, lo: int, hi: int) -> tuple:
+    """Every assignment of ``alphabet`` to cells lo..hi, as sorted
+    (pos, symbol) tuples with blanks left out."""
+    cells = range(lo, hi + 1)
+    return tuple(
+        tuple((p, s) for p, s in zip(cells, symbols) if s != BLANK)
+        for symbols in product(alphabet, repeat=len(cells))
+    )
 
 
-def _window_config(spec, state, cell_pairs, head) -> Configuration:
-    return spec.config(state, Tape(_cells(cell_pairs)), head)
+def _cell(pos: int, symbol) -> tuple:
+    return () if symbol in (BLANK, None) else ((pos, symbol),)
 
 
-def _canonical_pair(c1: Configuration, c2: Configuration):
-    shift = -min(c1.head, c2.head)
-    a = c1.shifted(shift) if shift else c1
-    b = c2.shifted(shift) if shift else c2
-    if b.sort_key() < a.sort_key():
-        a, b = b, a
-    return a, b
+def _expand(machine, pattern, intern: dict) -> set:
+    """Canonical key pairs of one pattern ``(d, (q1, s1), a, (q2, s2), b)``:
+    q1 reads s1 under a head at cell 0 and sees ``a`` at cell d, q2 reads
+    s2 under a head at cell d and sees ``b`` at cell 0 (``a`` and ``b`` are
+    None when d is 0), and every other window cell is shared.  Keys are
+    interned in ``intern``."""
+    d, (q1, s1), a, (q2, s2), b = pattern
+    h1, h2 = q1 == machine.halt, q2 == machine.halt
+    m1, ma, mb, m2 = _cell(0, s1), _cell(d, a), _cell(0, b), _cell(d, s2)
+    pairs = set()
+    for x1 in range(-2, 3 - d):
+        rights = _sides(machine.alphabet, d + 1, 3 - x1)
+        for left in _sides(machine.alphabet, -3 - x1, -1):
+            for mid in _sides(machine.alphabet, 1, d - 1):
+                l1 = left + m1 + mid + ma
+                l2 = left + mb + mid + m2
+                for right in rights:
+                    c1 = (h1, q1, 0, l1 + right)
+                    c2 = (h2, q2, d, l2 + right)
+                    c1 = intern.setdefault(c1, c1)
+                    c2 = intern.setdefault(c2, c2)
+                    pairs.add((c1, c2) if c1 < c2 else (c2, c1))
+    return pairs
+
+
+class _Configurations(dict):
+    """Key -> Configuration, built on first lookup, one Tape per distinct
+    cell tuple."""
+
+    def __init__(self):
+        self.tapes: dict = {}
+
+    def __missing__(self, key) -> Configuration:
+        halted, state, head, cells = key
+        tape = self.tapes.get(cells)
+        if tape is None:
+            tape = self.tapes[cells] = Tape(cells)
+        self[key] = config = Configuration(halted, state, tape, head)
+        return config
 
 
 def collision_candidates(spec: MachineSpec) -> Iterator[CollisionCandidatePair]:
@@ -139,54 +183,20 @@ def collision_candidates(spec: MachineSpec) -> Iterator[CollisionCandidatePair]:
 
     Symbols are assigned to cells -3..3, heads range over -2..2, and pairs
     related by translating both members together are emitted once, in a
-    deterministic order.  This enumeration is exhaustive but large; the
-    checker itself uses the pattern reduction and only expands window pairs
-    for failing patterns.
+    deterministic order: pattern by pattern (each canonical pair has exactly
+    one), each pattern's pairs in canonical order.  The checker itself only
+    expands the patterns that fail.
     """
     alphabet = spec.alphabet
     keys = [(q, s) for q in spec.states for s in alphabet]
-    seen = set()
-
-    def emit(c1, c2):
-        a, b = _canonical_pair(c1, c2)
-        key = (a.sort_key(), b.sort_key())
-        if key not in seen:
-            seen.add(key)
-            return CollisionCandidatePair(a, b)
-        return None
-
-    for x in HEAD_POSITIONS:
-        rest = [c for c in WINDOW if c != x]
-        for assign in product(alphabet, repeat=len(rest)):
-            base = list(zip(rest, assign))
-            for i in range(len(keys)):
-                q1, s1 = keys[i]
-                c1 = _window_config(spec, q1, base + [(x, s1)], x)
-                for j in range(i + 1, len(keys)):
-                    q2, s2 = keys[j]
-                    c2 = _window_config(spec, q2, base + [(x, s2)], x)
-                    pair = emit(c1, c2)
-                    if pair is not None:
-                        yield pair
-    for d in (1, 2):
-        for x1 in range(-2, 3 - d):
-            x2 = x1 + d
-            rest = [c for c in WINDOW if c != x1 and c != x2]
-            for assign in product(alphabet, repeat=len(rest)):
-                base = list(zip(rest, assign))
-                for q1, s1 in keys:
-                    for a in alphabet:
-                        c1 = _window_config(
-                            spec, q1, base + [(x1, s1), (x2, a)], x1
-                        )
-                        for q2, s2 in keys:
-                            for b in alphabet:
-                                c2 = _window_config(
-                                    spec, q2, base + [(x1, b), (x2, s2)], x2
-                                )
-                                pair = emit(c1, c2)
-                                if pair is not None:
-                                    yield pair
+    same_head = (
+        (0, k1, None, k2, None) for i, k1 in enumerate(keys) for k2 in keys[i + 1 :]
+    )
+    apart = product((1, 2), keys, alphabet, keys, alphabet)
+    config = _Configurations()
+    for pattern in chain(same_head, apart):
+        for c1, c2 in sorted(_expand(spec, pattern, {})):
+            yield CollisionCandidatePair(config[c1], config[c2])
 
 
 # ---------------------------------------------------------------------------
@@ -224,49 +234,27 @@ def _inner_apart(rules1, rules2, d: int) -> dict:
     return totals
 
 
-def _expand_same_head(spec, k1, k2):
-    (q1, s1), (q2, s2) = k1, k2
-    pairs = set()
-    for x in HEAD_POSITIONS:
-        rest = [c for c in WINDOW if c != x]
-        for assign in product(spec.alphabet, repeat=len(rest)):
-            base = list(zip(rest, assign))
-            c1 = _window_config(spec, q1, base + [(x, s1)], x)
-            c2 = _window_config(spec, q2, base + [(x, s2)], x)
-            pairs.add(_canonical_pair(c1, c2))
-    return pairs
-
-
-def _expand_apart(spec, d, k1, a, k2, b):
-    (q1, s1), (q2, s2) = k1, k2
-    pairs = set()
-    for x1 in range(-2, 3 - d):
-        x2 = x1 + d
-        rest = [c for c in WINDOW if c != x1 and c != x2]
-        for assign in product(spec.alphabet, repeat=len(rest)):
-            base = list(zip(rest, assign))
-            c1 = _window_config(spec, q1, base + [(x1, s1), (x2, a)], x1)
-            c2 = _window_config(spec, q2, base + [(x1, b), (x2, s2)], x2)
-            pairs.add(_canonical_pair(c1, c2))
-    return pairs
-
-
 def _failing_windows(machine, keys, rules, tol: float) -> list:
     """Canonical window pairs, in canonical order, of every pattern over
-    ``keys`` whose images have inner product of modulus above ``tol``.
-    ``machine`` supplies only ``alphabet`` and ``config``."""
+    ``keys`` whose images have inner product of modulus above ``tol``, as
+    (Configuration, Configuration) sharing one object per distinct key.
+    ``machine`` supplies only ``alphabet`` and ``halt``."""
+    failing = [
+        (0, k1, None, k2, None)
+        for i, k1 in enumerate(keys)
+        for k2 in keys[i + 1 :]
+        if abs(_inner_same_head(rules[k1], rules[k2])) > tol
+    ]
+    for d, k1, k2 in product((1, 2), keys, keys):
+        for (a, b), ip in _inner_apart(rules[k1], rules[k2], d).items():
+            if abs(ip) > tol:
+                failing.append((d, k1, a, k2, b))
+    intern: dict = {}
     pairs = set()
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if abs(_inner_same_head(rules[keys[i]], rules[keys[j]])) > tol:
-                pairs |= _expand_same_head(machine, keys[i], keys[j])
-    for d in (1, 2):
-        for k1 in keys:
-            for k2 in keys:
-                for (a, b), ip in _inner_apart(rules[k1], rules[k2], d).items():
-                    if abs(ip) > tol:
-                        pairs |= _expand_apart(machine, d, k1, a, k2, b)
-    return sorted(pairs, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    for pattern in failing:
+        pairs |= _expand(machine, pattern, intern)
+    config = _Configurations()
+    return [(config[c1], config[c2]) for c1, c2 in sorted(pairs)]
 
 
 def check_wellformed(
@@ -280,8 +268,8 @@ def check_wellformed(
 
     Keys without rules are skipped and listed in ``missing_rule_keys``; the
     verdict covers the part of the operator the rule table defines.
-    Witnesses are reported in canonical configuration order with their
-    exact image inner products.
+    Witnesses are reported in canonical configuration order; each computes
+    its exact image inner product when read.
     """
     all_keys = [(q, s) for q in spec.states for s in spec.alphabet]
     have = [k for k in all_keys if k in spec.rules]
@@ -289,13 +277,13 @@ def check_wellformed(
 
     norm_violations = []
     for key in have:
-        rep = _window_config(spec, key[0], [(0, key[1])], 0)
+        rep = spec.config(key[0], Tape(_cell(0, key[1])), 0)
         norm2 = basis_image(spec, rep).norm2()
         if abs(norm2 - 1.0) > tol:
             norm_violations.append((key, norm2))
 
     witnesses = tuple(
-        CollisionWitness(c1, c2, pair_image_inner(spec, c1, c2))
+        CollisionWitness(c1, c2, spec)
         for c1, c2 in _failing_windows(spec, have, spec.rules, tol)
     )
     verdict = (

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from conftest import MACHINES, ROOT
+from qtmlab import classical, cli, wellformed
 
 CHECK_RIGHT_SHIFT = """\
 {
@@ -253,6 +254,16 @@ class TestGoldens:
         assert p.returncode == 0
         assert p.stdout == CHECK_RIGHT_SHIFT
 
+    def test_package_runs_as_module(self):
+        p = subprocess.run(
+            [sys.executable, "-m", "qtmlab", "check", "machines/right_shift.qtm"],
+            capture_output=True,
+            text=True,
+            cwd=str(ROOT),
+        )
+        assert p.returncode == 0
+        assert p.stdout == CHECK_RIGHT_SHIFT
+
     def test_run_end_schedule(self):
         p = qtmlab("run", "machines/hadamard_halt.qtm", "--input", "0", "--steps", "5")
         assert p.returncode == 0
@@ -462,6 +473,25 @@ class TestExitCodes:
         assert p.stdout == ""
         assert "qtmlab: error: argument --max-witnesses" in p.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("run",),
+            ("compare", "--schedules", "every,end"),
+            ("sample", "--samples", "5", "--seed", "1"),
+        ],
+    )
+    def test_state_emptied_by_pruning_is_an_error(self, args):
+        p = qtmlab(
+            args[0], "machines/hadamard_halt.qtm", "--input", "0", "--steps", "3",
+            "--prune", "0.8", *args[1:],
+        )
+        assert p.returncode == 1
+        assert p.stdout == ""
+        assert p.stderr == (
+            "qtmlab: error: pruning below 0.8 removed all amplitude at step 1\n"
+        )
+
     def test_error_messages_are_prefixed(self):
         p = qtmlab("check", "machines/does_not_exist.qtm")
         assert p.stderr.startswith("qtmlab: error:")
@@ -499,10 +529,60 @@ CORPUS_OUTPUT_SHA256 = {
 }
 
 
+# The same at the default witness cap (None) and at --max-witnesses 3, where
+# only the first witnesses are shown; recorded before witnesses computed
+# their inner products and images lazily.
+TRUNCATED_OUTPUT_SHA256 = {
+    ("check", "delayed_hadamard.qtm", None): (
+        2, "a21c9506ce451bc55564c720e22e83352c5f5cee1e2ca8e682faa4a7d31782c8"),
+    ("check", "delayed_hadamard.qtm", 3): (
+        2, "dfa84e909b7f77cc516b9ff61916dd359d7339a8671adf884cfb9a86717e263d"),
+    ("check", "hadamard_halt.qtm", None): (
+        2, "58c56d4859479f39dcfb7d2e9baf8616ad73d1e37a71a0d9a34e7b3a0d80eda6"),
+    ("check", "hadamard_halt.qtm", 3): (
+        2, "40a504591b005edf584c3416b05989b5ebff56e3bd71ab94d4dd66ce8dc5782a"),
+    ("check", "hadamard_halt_naive.qtm", None): (
+        2, "187a63f271deafe9e7856e39d3d043f8e9ae92b622cda3ed40fdec30bf8dc31c"),
+    ("check", "hadamard_halt_naive.qtm", 3): (
+        2, "838c934876766845ad79cc9f6d50af85eb35456fc5f6d5168ec1553899ebf27b"),
+    ("check", "right_shift.qtm", None): (
+        0, "5ce8ea6502fb04f09f72c33817b17607a87a53c81a19a4e564701d56029e7d5b"),
+    ("check", "right_shift.qtm", 3): (
+        0, "0f878e6d148f06480af25454c5e161d5219d1efe75aaf8ac7602e97e66d4b7cd"),
+    ("check", "seek_right_lifted.qtm", None): (
+        2, "3ed2e943e28c8298aee2842364512747a9e5195188040e2a18e28730e23d8ec4"),
+    ("check", "seek_right_lifted.qtm", 3): (
+        2, "5733c54d3693c61a51c9eecacc26f5e1caa811ade1c6589e05adae51c4db7b2c"),
+    ("lift", "collide.tm", None): (
+        2, "09270a605e10be310eb629ac96f760cacbcd2af32ee453255e9df5a4540f803a"),
+    ("lift", "collide.tm", 3): (
+        2, "8abea617e98351e034ee03d73e0398f40ef98104a7ae6be688be7692b21d3192"),
+    ("lift", "flip_bits.tm", None): (
+        0, "db8e1cc88be3a89f72932810ecb9eaf62e5965d21ca44b0c9804a0983061b1d4"),
+    ("lift", "flip_bits.tm", 3): (
+        0, "db8e1cc88be3a89f72932810ecb9eaf62e5965d21ca44b0c9804a0983061b1d4"),
+    ("lift", "parity_mark.tm", None): (
+        0, "43b746cdb2cd8834ef25e7f17a7cadf3f3edd2913ccfaf205cb3f8c9c86776c7"),
+    ("lift", "parity_mark.tm", 3): (
+        0, "43b746cdb2cd8834ef25e7f17a7cadf3f3edd2913ccfaf205cb3f8c9c86776c7"),
+    ("lift", "seek_right.tm", None): (
+        0, "db24bf503ec9eab0241f922c89df04fad4d8d9d9169ae006460616131d57db01"),
+    ("lift", "seek_right.tm", 3): (
+        0, "db24bf503ec9eab0241f922c89df04fad4d8d9d9169ae006460616131d57db01"),
+    ("lift", "unary_inc.tm", None): (
+        0, "bda2d2f74f3dba3649bc88b1496ed0a131dd2005daf19d49ae80711a5552e3fa"),
+    ("lift", "unary_inc.tm", 3): (
+        0, "bda2d2f74f3dba3649bc88b1496ed0a131dd2005daf19d49ae80711a5552e3fa"),
+}
+
+
 class TestCorpusOutputsFrozen:
     def test_every_corpus_machine_is_pinned(self):
         files = {p.name for p in MACHINES.glob("*.*tm")}
         assert {name for _, name in CORPUS_OUTPUT_SHA256} == files
+        for cap in (None, 3):
+            pinned = {name for _, name, c in TRUNCATED_OUTPUT_SHA256 if c == cap}
+            assert pinned == files
 
     @pytest.mark.parametrize("command, name", sorted(CORPUS_OUTPUT_SHA256))
     def test_output_is_byte_identical(self, command, name):
@@ -510,3 +590,43 @@ class TestCorpusOutputsFrozen:
         p = qtmlab(command, f"machines/{name}", "--max-witnesses", "100000")
         digest = hashlib.sha256(p.stdout.encode("utf-8")).hexdigest()
         assert (p.returncode, digest) == CORPUS_OUTPUT_SHA256[command, name]
+
+    @pytest.mark.parametrize(
+        "command, name, cap", sorted(TRUNCATED_OUTPUT_SHA256, key=str)
+    )
+    def test_truncated_output_is_byte_identical(self, command, name, cap):
+        flags = () if cap is None else ("--max-witnesses", str(cap))
+        p = qtmlab(command, f"machines/{name}", *flags)
+        digest = hashlib.sha256(p.stdout.encode("utf-8")).hexdigest()
+        assert (p.returncode, digest) == TRUNCATED_OUTPUT_SHA256[command, name, cap]
+
+
+class TestWitnessesAreLazy:
+    """Only the witnesses a report shows compute their image data."""
+
+    @pytest.mark.parametrize(
+        "module, attr, command, name, listed",
+        [
+            (wellformed, "pair_image_inner", "check", "hadamard_halt_naive.qtm",
+             "orthogonalityWitnesses"),
+            (classical, "_image", "lift", "collide.tm", "witnesses"),
+        ],
+        ids=["check", "lift"],
+    )
+    def test_shown_witnesses_only(
+        self, monkeypatch, capsys, module, attr, command, name, listed
+    ):
+        original = getattr(module, attr)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, attr, counting)
+        code = cli.main([command, str(MACHINES / name), "--max-witnesses", "3"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 2
+        assert result["witnessTotal"] > 3
+        assert len(result[listed]) == 3
+        assert len(calls) == 3
