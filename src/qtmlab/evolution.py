@@ -4,13 +4,18 @@ One step maps every support configuration through its rule row and sums
 amplitudes of coinciding targets.  Sources are visited in canonical
 configuration order and targets in rule order, so accumulation -- and with
 it every floating-point rounding -- is reproducible across runs.
+
+``trajectory`` is the one loop over ``step`` that every run, trace and
+experiment evolves through, and it owns the error raised when pruning or
+cancellation empties the state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .errors import MissingRuleError
+from .errors import MissingRuleError, QtmError
 from .machine import (
     Configuration,
     InputSpec,
@@ -52,6 +57,22 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     )
 
 
+def trajectory(
+    spec: MachineSpec, state: QuantumState, start: int, stop: int, prune: float = 0.0
+) -> Iterator[tuple[int, QuantumState]]:
+    """Yield ``(t, S_t)`` for t = start+1 .. stop, S_start being ``state``.
+
+    Raises QtmError naming the step once pruning or cancellation leaves no
+    amplitude: the zero state has no halt-flag distribution to report.
+    """
+    for t in range(start + 1, stop + 1):
+        state = step(spec, state, prune)
+        if state.norm2() <= 0.0:
+            cause = f"pruning below {prune!r}" if prune else "cancellation"
+            raise QtmError(f"{cause} removed all amplitude at step {t}")
+        yield t, state
+
+
 @dataclass(frozen=True, slots=True)
 class TraceRow:
     step: int
@@ -86,8 +107,7 @@ def evolve(
         raise ValueError("step count must be non-negative")
     state = initial_state(spec, inp)
     rows = [TraceRow(0, state.support_size(), state.norm2(), state.halted_mass())]
-    for n in range(1, steps + 1):
-        state = step(spec, state, prune=prune)
+    for n, state in trajectory(spec, state, 0, steps, prune):
         rows.append(
             TraceRow(n, state.support_size(), state.norm2(), state.halted_mass())
         )
@@ -99,8 +119,4 @@ def states_through(
 ) -> list[QuantumState]:
     """All unmeasured states S_0..S_steps; S_0 is the input superposition."""
     state = initial_state(spec, inp)
-    out = [state]
-    for _ in range(steps):
-        state = step(spec, state)
-        out.append(state)
-    return out
+    return [state] + [s for _, s in trajectory(spec, state, 0, steps)]

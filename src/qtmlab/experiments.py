@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
-from .evolution import states_through, step
+# step is not called here; it stays a name because perfbench traces it
+from .evolution import states_through, step, trajectory  # noqa: F401
 from .machine import (
     Configuration,
     DEFAULT_TOL,
@@ -48,11 +50,8 @@ class SuperpositionReport:
 def _halt_step(spec: MachineSpec, text: str, budget: int, tol: float):
     """First step at which a single input's halted mass reaches one."""
     state = initial_state(spec, InputSpec(((complex(1), text),)))
-    for t in range(budget + 1):
-        if t:
-            state = step(spec, state)
-        nu = state.norm2()
-        if nu > 0.0 and state.halted_mass() / nu >= 1.0 - tol:
+    for t, state in chain([(0, state)], trajectory(spec, state, 0, budget)):
+        if state.halted_mass() / state.norm2() >= 1.0 - tol:
             return t
     return None
 
@@ -74,10 +73,8 @@ def superposition_window(
     validate_input(spec, inp)
     state = initial_state(spec, inp)
     masses = [state.halted_mass()]
-    for _ in range(budget):
-        state = step(spec, state)
-        nu = state.norm2()
-        masses.append(state.halted_mass() / nu if nu > 0.0 else 0.0)
+    for _, state in trajectory(spec, state, 0, budget):
+        masses.append(state.halted_mass() / state.norm2())
     ambiguous = [
         t for t, m in enumerate(masses) if tol < m < 1.0 - tol
     ]
@@ -130,21 +127,16 @@ def analyze_halting_subspace(
 ) -> SubspaceReport:
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    trajectory = states_through(spec, inp, steps)
+    states = states_through(spec, inp, steps)
 
-    halted_basis: set = set()
-    for state in trajectory:
-        for cfg in state.configurations():
-            if cfg.halted:
-                halted_basis.add(cfg)
-    halted_sorted = sorted(halted_basis, key=lambda c: c.sort_key())
-
-    running: set = set()
-    for state in trajectory[:-1]:
-        for cfg in state.configurations():
-            if not cfg.halted:
-                running.add(cfg)
-    running_sorted = sorted(running, key=lambda c: c.sort_key())
+    halted_sorted = sorted(
+        {c for s in states for c in s.configurations() if c.halted},
+        key=Configuration.sort_key,
+    )
+    running_sorted = sorted(
+        {c for s in states[:-1] for c in s.configurations() if not c.halted},
+        key=Configuration.sort_key,
+    )
 
     images = [basis_image(spec, h) for h in halted_sorted]
     gram_deviation = 0.0

@@ -232,9 +232,6 @@ class QuantumState:
             raise ValueError("cannot normalize the zero state")
         return QuantumState({c: a / n for c, a in self._amps.items()})
 
-    def scaled(self, factor: complex) -> "QuantumState":
-        return QuantumState({c: a * factor for c, a in self._amps.items()})
-
     def inner(self, other: "QuantumState") -> complex:
         """<self|other>, conjugate-linear in ``self``."""
         if other.support_size() < self.support_size():

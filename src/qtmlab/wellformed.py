@@ -35,7 +35,7 @@ scheme itself while the latter indicate a genuinely broken rule table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, product
 from typing import Iterator
 
@@ -85,13 +85,16 @@ class WellformednessReport:
     witnesses: tuple[CollisionWitness, ...]
     missing_rule_keys: tuple[tuple[str, str], ...]
 
-    @property
-    def drift_witnesses(self) -> tuple[CollisionWitness, ...]:
-        return tuple(w for w in self.witnesses if w.drift_collision)
+    @cached_property
+    def _partition(self) -> tuple[tuple[CollisionWitness, ...], ...]:
+        """(core, drift) witnesses, split in one pass and kept."""
+        parts: tuple[list, list] = ([], [])
+        for w in self.witnesses:
+            parts[w.drift_collision].append(w)
+        return tuple(parts[0]), tuple(parts[1])
 
-    @property
-    def core_witnesses(self) -> tuple[CollisionWitness, ...]:
-        return tuple(w for w in self.witnesses if not w.drift_collision)
+    core_witnesses = property(lambda self: self._partition[0])
+    drift_witnesses = property(lambda self: self._partition[1])
 
 
 def core_well_formed(report: WellformednessReport) -> bool:

@@ -239,6 +239,19 @@ SUBSPACE_GAP = """\
 """
 
 
+CANCELLING_MACHINE = """\
+qtm-spec v1
+states: q0 q1 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 0 -> 1 : q1 0 R
+rule: q0 1 -> -1 : q1 0 R
+rule: q1 * -> 1 : qH * R
+rule: qH * -> 1 : qH * R
+"""
+
+
 def qtmlab(*args):
     return subprocess.run(
         [sys.executable, "-m", "qtmlab.cli", *args],
@@ -479,6 +492,7 @@ class TestExitCodes:
             ("run",),
             ("compare", "--schedules", "every,end"),
             ("sample", "--samples", "5", "--seed", "1"),
+            ("trace",),
         ],
     )
     def test_state_emptied_by_pruning_is_an_error(self, args):
@@ -490,6 +504,27 @@ class TestExitCodes:
         assert p.stdout == ""
         assert p.stderr == (
             "qtmlab: error: pruning below 0.8 removed all amplitude at step 1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("myers", "--input-a", "0", "--input-b", "1"),
+            ("subspace", "--input", "1/sqrt(2):0 + 1/sqrt(2):1"),
+            ("trace", "--input", "1/sqrt(2):0 + 1/sqrt(2):1"),
+            ("run", "--input", "1/sqrt(2):0 + 1/sqrt(2):1"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_state_emptied_by_cancellation_is_an_error(self, tmp_path, args):
+        # the two input branches meet in one configuration with opposite signs
+        machine = tmp_path / "cancel.qtm"
+        machine.write_text(CANCELLING_MACHINE)
+        p = qtmlab(args[0], str(machine), *args[1:], "--steps", "3")
+        assert p.returncode == 1
+        assert p.stdout == ""
+        assert p.stderr == (
+            "qtmlab: error: cancellation removed all amplitude at step 1\n"
         )
 
     def test_error_messages_are_prefixed(self):
@@ -576,6 +611,151 @@ TRUNCATED_OUTPUT_SHA256 = {
 }
 
 
+# Every command that evolves a state, on every corpus .qtm machine, with a
+# superposed input whose branches halt at different steps; sha256 of stdout
+# and the exit status, recorded before the commands shared one stepping loop.
+STEPPING_INPUT = "1/sqrt(2):01 + 1/sqrt(2):1100"
+# --prune 0.5 drops the coin-flip images of the 3/5 branch (modulus 0.42)
+# and keeps those of the 4/5 branch on the three Hadamard machines; on
+# delayed_hadamard the coin comes at step 2, the second --schedule every
+# segment, so pruning must carry over into a resumed evolution
+PRUNE_INPUT = "3/5:01 + 4/5:1100"
+PRUNED_MACHINES = (
+    "delayed_hadamard.qtm", "hadamard_halt.qtm", "hadamard_halt_naive.qtm")
+STEPPING_COMMANDS = {
+    **{
+        f"run-{schedule}": (
+            "run", "--input", STEPPING_INPUT, "--steps", "9", "--schedule", schedule)
+        for schedule in ("every", "end", "end:3", "at:1,3,5")
+    },
+    "run-prune": (
+        "run", "--input", PRUNE_INPUT, "--steps", "9", "--schedule", "every",
+        "--prune", "0.5"),
+    "trace-prune": ("trace", "--input", PRUNE_INPUT, "--steps", "12", "--prune", "0.5"),
+    "sample": (
+        "sample", "--input", STEPPING_INPUT, "--steps", "9", "--seed", "3",
+        "--samples", "50"),
+    "compare": (
+        "compare", "--input", STEPPING_INPUT, "--steps", "9",
+        "--schedules", "every,end"),
+    "trace": ("trace", "--input", STEPPING_INPUT, "--steps", "12"),
+    "myers": ("myers", "--input-a", "01", "--input-b", "1100", "--steps", "7"),
+    "subspace": ("subspace", "--input", STEPPING_INPUT, "--steps", "8"),
+}
+STEPPING_OUTPUT_SHA256 = {
+    ("run-every", "delayed_hadamard.qtm"): (
+        0, "441f3376bd2239bfb5657940456b97234691849ef5a7961644b433fe74c18d24"),
+    ("run-every", "hadamard_halt.qtm"): (
+        0, "b9a9382f6acfb1f27b3fb7a0eb0ece5d2aac3af19815734be8e0c4ef619a19f2"),
+    ("run-every", "hadamard_halt_naive.qtm"): (
+        0, "239aca3363bf5e2bf24d34f9901f0768444eb7eb95ac939b7e4842fbec825716"),
+    ("run-every", "right_shift.qtm"): (
+        0, "e3e06e186fd77ec8ded220a711f4687e405612a408476c406e3b76ebe36cd5ed"),
+    ("run-every", "seek_right_lifted.qtm"): (
+        0, "4e02e894541d6bb48a7240b7e0913b43810ff97018a1f7f6782f7ae205e2addc"),
+    ("run-end", "delayed_hadamard.qtm"): (
+        0, "a2f6a85aa05e20c554fbc72fc35e12d83dfb37b53421011d40e631548a637ea8"),
+    ("run-end", "hadamard_halt.qtm"): (
+        0, "5f85ba29eff22d3087d7ac79e3d6c27b6fe9aa9400fcee2598d8f609a7625c57"),
+    ("run-end", "hadamard_halt_naive.qtm"): (
+        0, "3bf847c859727a5b50d39e85acfd1910a47f8b3b4b7ba548b0a0e4b0f5528f74"),
+    ("run-end", "right_shift.qtm"): (
+        0, "4ad85aca74f5b88ff2f7f4aaf223815a53679c9b6fea9dedf63d13595d634fd8"),
+    ("run-end", "seek_right_lifted.qtm"): (
+        0, "695223b23e020646ab0e6144262a56bf218efffd7f3876fc3e5f18bdd9e5d56a"),
+    ("run-end:3", "delayed_hadamard.qtm"): (
+        0, "80db65807cf2e383273a45b3a699b1a13babc3c9316ad2a51b66b6547eab33b5"),
+    ("run-end:3", "hadamard_halt.qtm"): (
+        0, "c37edaad8f7547b7e9d6cb138a99e16e35c791d3537b69b6f12e631387c7cd38"),
+    ("run-end:3", "hadamard_halt_naive.qtm"): (
+        0, "480724908c0e8940acb5840d19bc3b96c51f274143c766dc5320377b8abc9845"),
+    ("run-end:3", "right_shift.qtm"): (
+        0, "2f990c009baa89ba5997de475d3cb9bfa1d6f31a5a71bfcb115e66d3c70394f3"),
+    ("run-end:3", "seek_right_lifted.qtm"): (
+        0, "8bc4d973f744c3c03f488e66fa9bba374e335dc8319881bb215e848daa0c3a0c"),
+    ("run-at:1,3,5", "delayed_hadamard.qtm"): (
+        0, "dda2d347199c28c93f91c80c987ea2223b9acbe7df92e1e850811610ba206a26"),
+    ("run-at:1,3,5", "hadamard_halt.qtm"): (
+        0, "d687d509d7168a4c9fe584df610e7e0172c7db345436cfd397bbfb8eb8b952da"),
+    ("run-at:1,3,5", "hadamard_halt_naive.qtm"): (
+        0, "d3112801bac561c45a01bb5006b1c20578866ebbfaa32d2eb483ff73885974cd"),
+    ("run-at:1,3,5", "right_shift.qtm"): (
+        0, "4c89719c752fd1c3643064c4819752c04a2a84ed7c2e6710c71c0d1a326e0054"),
+    ("run-at:1,3,5", "seek_right_lifted.qtm"): (
+        0, "3cc75307d71de22bded2a475aa90fa4c970acc649658ccd21e0d9019e2c1247e"),
+    ("run-prune", "delayed_hadamard.qtm"): (
+        0, "3278516fe6bb7cd28e426067d0f34461ee2918dc40ffe33a26c1cd3c0480963f"),
+    ("run-prune", "hadamard_halt.qtm"): (
+        0, "1f8410f6c364037049f0ce317af07a3bbc306c9b47e245c6d63e30b83ce618c4"),
+    ("run-prune", "hadamard_halt_naive.qtm"): (
+        0, "dc22b9a1bb058e53c767007fc47f7563d17dff10bc042912e89e280bd9e470d8"),
+    ("run-prune", "right_shift.qtm"): (
+        0, "eaff902df459d58564cb298fa79849eb1682d47d5ce834e38f521a34f9b122d8"),
+    ("run-prune", "seek_right_lifted.qtm"): (
+        0, "0c70fcd210b658d83a4f8778c9aecb245d7a62f2e4f6dd3e41cd3671c3d7daf7"),
+    ("trace-prune", "delayed_hadamard.qtm"): (
+        0, "5bb1b311449c60c8a0f04a176a3337f474cbb320e327407b3c8532108030ff55"),
+    ("trace-prune", "hadamard_halt.qtm"): (
+        0, "47b66f7241ce0ea6669e91d976024aac0227e1a3b6777b6a6a536a0470862c3e"),
+    ("trace-prune", "hadamard_halt_naive.qtm"): (
+        0, "18e3f65ec16d19b5be257ac1ec430203e754a7fd5a40bceec3cbe291e0ea472c"),
+    ("trace-prune", "right_shift.qtm"): (
+        0, "1764498c1c9f1c6760b570afdc62a59c3816e4a7ff8880b7463485e588080b47"),
+    ("trace-prune", "seek_right_lifted.qtm"): (
+        0, "8628c95485166342094f86dc1402309e3739c3fc127e26a09bee9e4ad5253427"),
+    ("sample", "delayed_hadamard.qtm"): (
+        0, "3aeb4fa27230360b0b6ebd9dae89ce4bfb739848e8d35db6d1626267c28b8c6c"),
+    ("sample", "hadamard_halt.qtm"): (
+        0, "8a35321867931dcb0312bad540b4e5c46ca148718eaabf1d467b306ab46720d2"),
+    ("sample", "hadamard_halt_naive.qtm"): (
+        0, "a7b89316d3d643f0df077200f3a3397e97eac07472a4e2564eb7071e6dc230ac"),
+    ("sample", "right_shift.qtm"): (
+        0, "fe274184b48dd67e3702b7ae9c0bf62574647becbacdc6b00294083367f385bd"),
+    ("sample", "seek_right_lifted.qtm"): (
+        0, "7b17b60a8d1492c1c0c462babfc57008efe13feb51dd09fbb6b22fff56db53fb"),
+    ("compare", "delayed_hadamard.qtm"): (
+        0, "02eba52d15ccdb4fec370685db656c6c2e4494d8b42908a1a6ce317631966ef5"),
+    ("compare", "hadamard_halt.qtm"): (
+        0, "94b2afe1440d945e20d792f4edec66c746cacc8efe6b2c53b34910f8ec349954"),
+    ("compare", "hadamard_halt_naive.qtm"): (
+        0, "0cf15efe1c5e99e5f77ba91b4f3f9fbd180b33a27ccea991ed872676045a0899"),
+    ("compare", "right_shift.qtm"): (
+        0, "bad7b26f02b470ce22486b8f7ac7c201200b7352346217bdc0ea93c630368573"),
+    ("compare", "seek_right_lifted.qtm"): (
+        0, "d8ab307e45e16aa5fc955eb6d24333db4f2bed87f0a40cc907a9cd6fb7702299"),
+    ("trace", "delayed_hadamard.qtm"): (
+        0, "53718eef4b5fe39ea45bcb808a8b10d4067358cca03ae09e7e05784ab1b93ca2"),
+    ("trace", "hadamard_halt.qtm"): (
+        0, "0bf169e46043d32961557735a8515d52315c559b12e92094a2a3e95b81e628c7"),
+    ("trace", "hadamard_halt_naive.qtm"): (
+        0, "5e8f7496ae4797ea9fe740ab560ca761a19175f8a5bfe7ed4ace0ac92d97bef6"),
+    ("trace", "right_shift.qtm"): (
+        0, "0fb9bc04795a51c49cb10482688b13b5eccc23046cbaa3c9bff3c0c62c01c449"),
+    ("trace", "seek_right_lifted.qtm"): (
+        0, "6c012b567ced9d11112c911007417bb3128cdb596ff606a817997f4fe6b3be74"),
+    ("myers", "delayed_hadamard.qtm"): (
+        0, "a3dee5d41ef621ff097bf6b8a42a157e32936eeb2287ea05e87cb0c6dae19ac2"),
+    ("myers", "hadamard_halt.qtm"): (
+        0, "c0d51b9fd41c1fc5e4961c9607b954f1f2738c7819f3d811f035690b7ad92bd0"),
+    ("myers", "hadamard_halt_naive.qtm"): (
+        0, "e62e99a79479f4ddcd3227670682c825e65ec98b609b92150a74c26385843ee8"),
+    ("myers", "right_shift.qtm"): (
+        0, "7daee8de467dd34759a7522986d55b5dbb70bc4fd6daf8b6c84bae686d0b278f"),
+    ("myers", "seek_right_lifted.qtm"): (
+        0, "016206b5289e950bf2facf9132132b35158f9dc48de2f45f4a01313d050962c1"),
+    ("subspace", "delayed_hadamard.qtm"): (
+        2, "e7fe47207a45749c365639f915b4193f5bbcd39aa6724edd15c6e9114e935912"),
+    ("subspace", "hadamard_halt.qtm"): (
+        2, "93eb6a212888fde654c8f3ee5de4aca533b0c5b73be18629d65ca591b1e7862d"),
+    ("subspace", "hadamard_halt_naive.qtm"): (
+        2, "59d651bb499321ac03138483c43e3a7f63cc5f29da35aa3db8c459559f0f671d"),
+    ("subspace", "right_shift.qtm"): (
+        0, "096e75fea5579957f3dd9fa17b95724cc7254662b58eca160440645d18b34137"),
+    ("subspace", "seek_right_lifted.qtm"): (
+        2, "5c22a3bb828e208e72eb1ec9467b42d373821f55fcb997a4784f49adba4178ac"),
+}
+
+
 class TestCorpusOutputsFrozen:
     def test_every_corpus_machine_is_pinned(self):
         files = {p.name for p in MACHINES.glob("*.*tm")}
@@ -583,6 +763,10 @@ class TestCorpusOutputsFrozen:
         for cap in (None, 3):
             pinned = {name for _, name, c in TRUNCATED_OUTPUT_SHA256 if c == cap}
             assert pinned == files
+        qtm_files = {name for name in files if name.endswith(".qtm")}
+        for command in STEPPING_COMMANDS:
+            pinned = {name for c, name in STEPPING_OUTPUT_SHA256 if c == command}
+            assert pinned == qtm_files
 
     @pytest.mark.parametrize("command, name", sorted(CORPUS_OUTPUT_SHA256))
     def test_output_is_byte_identical(self, command, name):
@@ -599,6 +783,31 @@ class TestCorpusOutputsFrozen:
         p = qtmlab(command, f"machines/{name}", *flags)
         digest = hashlib.sha256(p.stdout.encode("utf-8")).hexdigest()
         assert (p.returncode, digest) == TRUNCATED_OUTPUT_SHA256[command, name, cap]
+
+    @pytest.mark.parametrize("command, name", sorted(STEPPING_OUTPUT_SHA256))
+    def test_stepping_output_is_byte_identical(
+        self, monkeypatch, capsys, command, name
+    ):
+        # in-process; the JSON envelope echoes the machine path, so run from
+        # the repository root with the same relative path as the recording
+        monkeypatch.chdir(ROOT)
+        argv = STEPPING_COMMANDS[command]
+        code = cli.main([argv[0], f"machines/{name}", *argv[1:]])
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert (code, digest) == STEPPING_OUTPUT_SHA256[command, name]
+
+    @pytest.mark.parametrize("command", ["run-prune", "trace-prune"])
+    @pytest.mark.parametrize("name", PRUNED_MACHINES)
+    def test_pruned_pins_are_pruned(self, monkeypatch, capsys, command, name):
+        # the same command without --prune gives other bytes, so the pin
+        # covers states that pruning thinned but did not empty
+        monkeypatch.chdir(ROOT)
+        argv = STEPPING_COMMANDS[command]
+        assert argv[-2:] == ("--prune", "0.5")
+        code = cli.main([argv[0], f"machines/{name}", *argv[1:-2]])
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert code == 0
+        assert digest != STEPPING_OUTPUT_SHA256[command, name][1]
 
 
 class TestWitnessesAreLazy:

@@ -16,6 +16,7 @@ from qtmlab import (
     states_through,
     step,
 )
+from qtmlab.evolution import trajectory
 
 R2 = 1 / math.sqrt(2)
 
@@ -108,6 +109,12 @@ class TestEvolve:
         assert len(chain) == 5
         for n in (0, 2, 4):
             assert chain[n] == evolve(delayed_hadamard, inp, n)[0]
+
+    def test_trajectory_resumes_mid_run(self, delayed_hadamard):
+        # run_schedule resumes the evolution after each measurement
+        chain = states_through(delayed_hadamard, parse_input("10", delayed_hadamard), 4)
+        resumed = list(trajectory(delayed_hadamard, chain[2], 2, 4))
+        assert resumed == [(3, chain[3]), (4, chain[4])]
 
     def test_trace_csv_golden(self, hadamard_halt):
         _, trace = evolve(hadamard_halt, parse_input("0", hadamard_halt), 3)

@@ -171,11 +171,6 @@ class TestQuantumState:
         with pytest.raises(ValueError):
             QuantumState({}).renormalized()
 
-    def test_scaled(self):
-        c = cfg("q0", "1", 0)
-        state = QuantumState.of((c, 0.5)).scaled(2.0)
-        assert state.amplitude(c) == 1.0
-
     def test_inner_is_conjugate_linear_in_first_argument(self):
         a, b = cfg("q0", "1", 0), cfg("q0", "0", 0)
         x = QuantumState.of((a, 1j), (b, 0.5))
