@@ -2,11 +2,14 @@
 
 Commands that report an analysis print one JSON document with the fixed
 envelope {tool, version, machine, parameters, result}; ``--json PATH``
-redirects the document to a file.  Keys are emitted in a fixed order and
-floats use the shortest round-trip representation, so identical
-invocations produce byte-identical output.  ``trace`` emits CSV and
-``lift`` emits a machine file, since those are the formats their results
-feed into.
+redirects the document to a file.  ``parameters`` echoes the command
+name followed by the command's options in declaration order, camelCased
+(``--max-witnesses`` as ``maxWitnesses``), except ``--prune`` and where
+the output goes (``--json``, ``--csv``, ``--output``).  Keys are emitted
+in a fixed order and floats use the shortest round-trip representation,
+so identical invocations produce byte-identical output.  ``trace`` emits
+CSV and ``lift`` emits a machine file, since those are the formats their
+results feed into.
 
 Exit status: 0 for a clean result, 2 when the analysis itself found
 something (a well-formedness violation, schedule distributions differing
@@ -20,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .classical import lift_to_qtm
@@ -86,7 +90,32 @@ def _ser_witness(w) -> dict:
     }
 
 
-def _emit(args, parameters: dict, result: dict) -> None:
+# Options left out of the parameters echo: where the output goes is not a
+# parameter of the analysis.  --prune is not echoed because the pinned bytes
+# of every pruned run must not move; it is to be echoed together with the
+# prunedMass field that reports what pruning removed (ROADMAP item 4).
+_NOT_ECHOED = frozenset({"prune", "json", "csv", "output"})
+
+
+def _camel(dest: str) -> str:
+    head, *rest = dest.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+def _write(path, text: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(args, result: dict) -> None:
+    _, _, options = COMMANDS[args.command]
+    parameters = {"command": args.command}
+    for dest in options:
+        if dest not in _NOT_ECHOED:
+            parameters[_camel(dest)] = getattr(args, dest)
     doc = {
         "tool": "qtmlab",
         "version": __version__,
@@ -94,13 +123,7 @@ def _emit(args, parameters: dict, result: dict) -> None:
         "parameters": parameters,
         "result": result,
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    path = getattr(args, "json", None)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.json, json.dumps(doc, indent=2) + "\n")
 
 
 def _read(path: str) -> str:
@@ -139,15 +162,7 @@ def _cmd_check(args) -> int:
     result = {
         "verdict": "well_formed" if clean else "violation",
         "byConstruction": list(BY_CONSTRUCTION),
-        "structureViolations": [
-            {
-                "kind": v.kind,
-                "state": v.state,
-                "symbol": v.symbol,
-                "detail": v.detail,
-            }
-            for v in structure
-        ],
+        "structureViolations": [asdict(v) for v in structure],
         "normViolations": [
             {"state": key[0], "symbol": key[1], "norm2": norm2}
             for key, norm2 in report.norm_violations
@@ -163,11 +178,7 @@ def _cmd_check(args) -> int:
         "coreWellFormed": core_well_formed(report)
         and not any(v.kind == "row_norm" for v in structure),
     }
-    _emit(
-        args,
-        {"command": "check", "tol": args.tol, "maxWitnesses": args.max_witnesses},
-        result,
-    )
+    _emit(args, result)
     return 0 if clean else 2
 
 
@@ -202,17 +213,7 @@ def _cmd_run(args) -> int:
         "maxNormDrift": dist.max_norm_drift,
         "normFlag": dist.max_norm_drift > args.tol,
     }
-    _emit(
-        args,
-        {
-            "command": "run",
-            "input": args.input,
-            "steps": args.steps,
-            "schedule": args.schedule,
-            "tol": args.tol,
-        },
-        result,
-    )
+    _emit(args, result)
     return 0
 
 
@@ -243,18 +244,7 @@ def _cmd_sample(args) -> int:
         "samples": report.samples,
         "counts": counts,
     }
-    _emit(
-        args,
-        {
-            "command": "sample",
-            "input": args.input,
-            "steps": args.steps,
-            "schedule": args.schedule,
-            "seed": args.seed,
-            "samples": args.samples,
-        },
-        result,
-    )
+    _emit(args, result)
     return 0
 
 
@@ -293,17 +283,7 @@ def _cmd_compare(args) -> int:
         "coarsenedA": _ser_coarsened(report.dist_a.coarsened()),
         "coarsenedB": _ser_coarsened(report.dist_b.coarsened()),
     }
-    _emit(
-        args,
-        {
-            "command": "compare",
-            "input": args.input,
-            "steps": args.steps,
-            "schedules": args.schedules,
-            "tol": args.tol,
-        },
-        result,
-    )
+    _emit(args, result)
     return 0 if report.equivalent else 2
 
 
@@ -311,12 +291,7 @@ def _cmd_trace(args) -> int:
     spec = _load_qtm(args.machine)
     inp = parse_input(args.input, spec)
     _, trace = evolve(spec, inp, args.steps, args.prune)
-    text = trace.to_csv()
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.csv, trace.to_csv())
     return 0
 
 
@@ -339,16 +314,9 @@ def _cmd_lift(args) -> int:
                 for w in shown
             ],
         }
-        _emit(
-            args, {"command": "lift", "maxWitnesses": args.max_witnesses}, result
-        )
+        _emit(args, result)
         return 2
-    text = render_machine(spec)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, render_machine(spec))
     return 0
 
 
@@ -367,17 +335,7 @@ def _cmd_myers(args) -> int:
         "window": list(report.window) if report.window else None,
         "windowMasses": list(report.window_masses),
     }
-    _emit(
-        args,
-        {
-            "command": "myers",
-            "inputA": args.input_a,
-            "inputB": args.input_b,
-            "steps": args.steps,
-            "tol": args.tol,
-        },
-        result,
-    )
+    _emit(args, result)
     return 0
 
 
@@ -396,108 +354,69 @@ def _cmd_subspace(args) -> int:
         "maxResidual": report.max_residual,
         "verdict": report.verdict,
     }
-    _emit(
-        args,
-        {
-            "command": "subspace",
-            "input": args.input,
-            "steps": args.steps,
-            "tol": args.tol,
-        },
-        result,
-    )
+    _emit(args, result)
     return 2 if report.verdict == "gap_found" else 0
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
+# argparse dest -> (flags, keyword arguments); every option is declared once
+OPTIONS = {
+    "input": (("--input",), dict(required=True, help="input superposition")),
+    "input_a": (("--input-a",), dict(required=True, help="first input")),
+    "input_b": (("--input-b",), dict(required=True, help="second input")),
+    "steps": (("--steps",), dict(type=int, required=True, help="evolution step budget")),
+    "schedule": (("--schedule",), dict(default="end", help="every | end | end:N | at:N,N,...")),
+    "schedules": (("--schedules",), dict(required=True, metavar="A,B", help="e.g. every,end")),
+    "seed": (("--seed",), dict(type=int, required=True)),
+    "samples": (("--samples",), dict(type=int, default=1000)),
+    "prune": (
+        ("--prune",),
+        dict(type=_nonnegative(float), default=0.0, help="drop amplitudes below this modulus"),
+    ),
+    "tol": (("--tol",), dict(type=_nonnegative(float), default=DEFAULT_TOL)),
+    "max_witnesses": (
+        ("--max-witnesses",), dict(type=_nonnegative(int), default=WITNESS_CAP)
+    ),
+    "json": (("--json",), dict(metavar="PATH", help="write the report here")),
+    "csv": (("--csv",), dict(metavar="PATH", help="write the CSV here")),
+    "output": (("-o", "--output"), dict(help="write the lifted machine here")),
+}
+
+# command -> (handler, help, option dests in declaration order); every
+# command takes the machine file first
+COMMANDS = {
+    "check": (_cmd_check, "well-formedness verdict with witnesses",
+              ("tol", "max_witnesses", "json")),
+    "run": (_cmd_run, "exact outcome distribution for a schedule",
+            ("input", "steps", "schedule", "prune", "tol", "json")),
+    "sample": (_cmd_sample, "seeded samples from the exact distribution",
+               ("input", "steps", "schedule", "seed", "samples", "prune", "json")),
+    "compare": (_cmd_compare, "compare two measurement schedules",
+                ("input", "steps", "schedules", "prune", "tol", "json")),
+    "trace": (_cmd_trace, "step,support,norm2,halted_mass as CSV",
+              ("input", "steps", "prune", "csv")),
+    "lift": (_cmd_lift, "lift a reversible classical machine",
+             ("output", "max_witnesses", "json")),
+    "myers": (_cmd_myers, "halting window for a superposition of two inputs",
+              ("input_a", "input_b", "steps", "tol", "json")),
+    "subspace": (_cmd_subspace, "relate newly halting amplitude to drifted halted amplitude",
+                 ("input", "steps", "tol", "json")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qtmlab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qtmlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("check", help="well-formedness verdict with witnesses")
-    p.add_argument("machine")
-    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
-    p.add_argument("--max-witnesses", type=_nonnegative(int), default=WITNESS_CAP)
-    p.add_argument("--json", metavar="PATH", help="write the report here")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("run", help="exact outcome distribution for a schedule")
-    p.add_argument("machine")
-    p.add_argument("--input", required=True, help="input superposition")
-    p.add_argument("--steps", type=int, required=True, help="evolution step budget")
-    p.add_argument(
-        "--schedule", default="end", help="every | end | end:N | at:N,N,..."
-    )
-    p.add_argument(
-        "--prune", type=_nonnegative(float), default=0.0,
-        help="drop amplitudes below this modulus",
-    )
-    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
-    p.add_argument("--json", metavar="PATH", help="write the report here")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("sample", help="seeded samples from the exact distribution")
-    p.add_argument("machine")
-    p.add_argument("--input", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--schedule", default="end")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--prune", type=_nonnegative(float), default=0.0)
-    p.add_argument("--json", metavar="PATH", help="write the report here")
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("compare", help="compare two measurement schedules")
-    p.add_argument("machine")
-    p.add_argument("--input", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument(
-        "--schedules", required=True, metavar="A,B", help="e.g. every,end"
-    )
-    p.add_argument("--prune", type=_nonnegative(float), default=0.0)
-    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
-    p.add_argument("--json", metavar="PATH", help="write the report here")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("trace", help="step,support,norm2,halted_mass as CSV")
-    p.add_argument("machine")
-    p.add_argument("--input", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--prune", type=_nonnegative(float), default=0.0)
-    p.add_argument("--csv", metavar="PATH", help="write the CSV here")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("lift", help="lift a reversible classical machine")
-    p.add_argument("machine")
-    p.add_argument("-o", "--output", help="write the lifted machine here")
-    p.add_argument("--max-witnesses", type=_nonnegative(int), default=WITNESS_CAP)
-    p.add_argument("--json", metavar="PATH", help="write a failure report here")
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser(
-        "myers", help="halting window for a superposition of two inputs"
-    )
-    p.add_argument("machine")
-    p.add_argument("--input-a", required=True)
-    p.add_argument("--input-b", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
-    p.add_argument("--json", metavar="PATH", help="write the report here")
-    p.set_defaults(func=_cmd_myers)
-
-    p = sub.add_parser(
-        "subspace", help="relate newly halting amplitude to drifted halted amplitude"
-    )
-    p.add_argument("machine")
-    p.add_argument("--input", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--tol", type=_nonnegative(float), default=DEFAULT_TOL)
-    p.add_argument("--json", metavar="PATH", help="write the report here")
-    p.set_defaults(func=_cmd_subspace)
-
+    for name, (handler, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("machine")
+        for dest in options:
+            flags, kwargs = OPTIONS[dest]
+            p.add_argument(*flags, dest=dest, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -505,10 +424,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QtmError as exc:
-        print(f"qtmlab: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (QtmError, ValueError, OSError) as exc:
         print(f"qtmlab: error: {exc}", file=sys.stderr)
         return 1
 

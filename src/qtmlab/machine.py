@@ -26,19 +26,21 @@ MOVE_DELTA = {"L": -1, "N": 0, "R": 1}
 
 
 class Tape:
-    """Immutable sparse tape.  Cells not stored read as the blank symbol."""
+    """Immutable sparse tape.  Cells not stored read as the blank symbol.
+
+    ``cells`` is canonical: ``(position, symbol)`` pairs sorted by position,
+    with no blank stored.  A mapping is brought into that form.  A tuple is
+    taken as canonical as given, so only canonical tuples may be passed:
+    ``shifted`` cells, the checker's window cells, or ``()``.
+    """
 
     __slots__ = ("cells", "_hash")
 
     def __init__(self, cells: Mapping[int, str] | tuple = ()):
-        if isinstance(cells, tuple):
-            items = cells
-        else:
-            items = tuple(sorted(cells.items()))
-        # canonical form: sorted, no stored blanks
-        items = tuple((p, s) for p, s in items if s != BLANK)
-        object.__setattr__(self, "cells", items)
-        object.__setattr__(self, "_hash", hash(items))
+        if not isinstance(cells, tuple):
+            cells = tuple(sorted((p, s) for p, s in cells.items() if s != BLANK))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_hash", hash(cells))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tape is immutable")
@@ -57,12 +59,7 @@ class Tape:
         return BLANK
 
     def write(self, pos: int, symbol: str) -> "Tape":
-        items = {p: s for p, s in self.cells}
-        if symbol == BLANK:
-            items.pop(pos, None)
-        else:
-            items[pos] = symbol
-        return Tape(items)
+        return Tape({**dict(self.cells), pos: symbol})
 
     def shifted(self, offset: int) -> "Tape":
         return Tape(tuple((p + offset, s) for p, s in self.cells))

@@ -27,6 +27,7 @@ from .machine import (
     InputSpec,
     MachineSpec,
     RuleTarget,
+    validate_input,
 )
 from .classical import ClassicalTM
 
@@ -150,23 +151,22 @@ def _meaningful_lines(text: str):
 
 
 def _check_symbol(token: str, lineno: int) -> str:
-    if len(token) != 1 or token in _RESERVED_SYMBOL_CHARS and token != "_":
-        if not (len(token) == 1 and token == BLANK):
-            raise ParseError(
-                f"bad tape symbol {token!r}: symbols are single characters "
-                f"outside the reserved set",
-                line=lineno,
-            )
-    if len(token) == 1 and token in _RESERVED_SYMBOL_CHARS:
-        raise ParseError(f"reserved character {token!r} cannot be a symbol", line=lineno)
+    if len(token) != 1 or token in _RESERVED_SYMBOL_CHARS:
+        raise ParseError(
+            f"bad tape symbol {token!r}: symbols are single characters "
+            f"outside the reserved set",
+            line=lineno,
+        )
     return token
 
 
-def _parse_headers(lines, expected_header: str):
+def _parse_headers(text: str, expected_header: str):
+    """The header fields (states, initial, halt, alphabet) and the
+    ``(lineno, body)`` of every rule line."""
     headers: dict[str, tuple] = {}
     rule_lines = []
     first = True
-    for lineno, line in lines:
+    for lineno, line in _meaningful_lines(text):
         if first:
             if line != expected_header:
                 raise ParseError(
@@ -191,7 +191,7 @@ def _parse_headers(lines, expected_header: str):
     for name in ("states", "initial", "halt", "alphabet"):
         if name not in headers:
             raise ParseError(f"missing header {name!r}")
-    return headers, rule_lines
+    return _common_header_fields(headers), rule_lines
 
 
 def _common_header_fields(headers):
@@ -215,87 +215,97 @@ def _common_header_fields(headers):
     return tuple(states), initial[0], halt[0], tuple(symbols)
 
 
-def _split_rule_lhs(lhs: str, states, alphabet, lineno):
-    parts = lhs.split()
-    if len(parts) != 2:
-        raise ParseError("rule left side must be '<state> <symbol>'", line=lineno)
-    state, symbol = parts
+def _target(text: str, usage: str, machine, lineno) -> tuple[str, str, str]:
+    """``<state> <write> <move>``, checked against the declared states,
+    alphabet and moves; ``usage`` is the error for a wrong field count."""
+    states, _, _, alphabet = machine
+    fields = text.split()
+    if len(fields) != 3:
+        raise ParseError(usage, line=lineno)
+    state, write, move = fields
     if state not in states:
         raise ParseError(f"unknown state {state!r}", line=lineno)
-    if symbol != "*" and symbol not in alphabet:
-        raise ParseError(f"unknown symbol {symbol!r}", line=lineno)
-    return state, symbol
+    if write != "*" and write not in alphabet:
+        raise ParseError(f"unknown symbol {write!r}", line=lineno)
+    if move not in MOVES:
+        raise ParseError(f"move must be one of L N R, got {move!r}", line=lineno)
+    return state, write, move
 
 
-def _expand(symbol: str, alphabet) -> tuple[str, ...]:
-    return alphabet if symbol == "*" else (symbol,)
+def _rules(rule_lines, machine, right_side):
+    """Yield ``(lineno, (state, symbol), targets)`` for every rule key of
+    ``<state> <symbol> -> <right side>`` lines, the grammar both formats
+    share.  ``right_side`` parses the format's right side into
+    ``(amplitude, state, write, move)`` targets."""
+    states, _, _, alphabet = machine
+    seen = set()
+    for lineno, body in rule_lines:
+        if "->" not in body:
+            raise ParseError("rule needs '->'", line=lineno)
+        lhs, rhs = body.split("->", 1)
+        parts = lhs.split()
+        if len(parts) != 2:
+            raise ParseError("rule left side must be '<state> <symbol>'", line=lineno)
+        state, symbol = parts
+        if state not in states:
+            raise ParseError(f"unknown state {state!r}", line=lineno)
+        if symbol != "*" and symbol not in alphabet:
+            raise ParseError(f"unknown symbol {symbol!r}", line=lineno)
+        targets = right_side(rhs, state, machine, lineno)
+        for sym in alphabet if symbol == "*" else (symbol,):
+            if (state, sym) in seen:
+                raise ParseError(f"duplicate rule for ({state}, {sym})", line=lineno)
+            seen.add((state, sym))
+            yield lineno, (state, sym), [
+                (a, q, sym if w == "*" else w, m) for a, q, w, m in targets
+            ]
+
+
+def _quantum_right_side(text: str, state: str, machine, lineno) -> list:
+    """``<amplitude> : <state> <write> <move>`` targets separated by ``|``."""
+    usage = "target must be '<amplitude> : <state> <write> <move>'"
+    targets = []
+    for chunk in text.split("|"):
+        if ":" not in chunk:
+            raise ParseError(usage, line=lineno)
+        amp_text, rest = chunk.split(":", 1)
+        try:
+            amplitude = parse_amplitude(amp_text.strip())
+        except ParseError as exc:
+            raise ParseError(f"bad amplitude: {exc}", line=lineno) from None
+        targets.append((amplitude, *_target(rest, usage, machine, lineno)))
+    return targets
+
+
+def _classical_right_side(text: str, state: str, machine, lineno) -> list:
+    """One ``<state> <write> <move>`` target; the halt state has no rules."""
+    _, _, halt, _ = machine
+    if state == halt:
+        raise ParseError("classical rules may not start in the halt state", line=lineno)
+    usage = "rule right side must be '<state> <write> <move>'"
+    return [(None, *_target(text, usage, machine, lineno))]
 
 
 def parse_machine(text: str) -> MachineSpec:
     """Parse ``qtm-spec v1`` source into a MachineSpec.
 
     ``*`` read symbols expand to one rule group per alphabet symbol; a key
-    produced twice (directly or via expansion) is a duplicate-rule error.
+    produced twice (directly or via expansion) is a duplicate-rule error, as
+    is a target repeated within one rule group.
     """
-    headers, rule_lines = _parse_headers(_meaningful_lines(text), QTM_HEADER)
-    states, initial, halt, alphabet = _common_header_fields(headers)
-
+    machine, rule_lines = _parse_headers(text, QTM_HEADER)
     rules: dict = {}
-    for lineno, body in rule_lines:
-        if "->" not in body:
-            raise ParseError("rule needs '->'", line=lineno)
-        lhs, rhs = body.split("->", 1)
-        state, symbol = _split_rule_lhs(lhs.strip(), states, alphabet, lineno)
-        raw_targets = []
-        for chunk in rhs.split("|"):
-            chunk = chunk.strip()
-            if ":" not in chunk:
+    for lineno, key, targets in _rules(rule_lines, machine, _quantum_right_side):
+        seen = set()
+        for target in targets:
+            if target[1:] in seen:
                 raise ParseError(
-                    "target must be '<amplitude> : <state> <write> <move>'",
+                    f"duplicate target {target[1:]} in rule ({key[0]}, {key[1]})",
                     line=lineno,
                 )
-            amp_text, rest = chunk.split(":", 1)
-            try:
-                amplitude = parse_amplitude(amp_text.strip())
-            except ParseError as exc:
-                raise ParseError(f"bad amplitude: {exc}", line=lineno) from None
-            fields = rest.split()
-            if len(fields) != 3:
-                raise ParseError(
-                    "target must be '<amplitude> : <state> <write> <move>'",
-                    line=lineno,
-                )
-            nstate, write, move = fields
-            if nstate not in states:
-                raise ParseError(f"unknown state {nstate!r}", line=lineno)
-            if write != "*" and write not in alphabet:
-                raise ParseError(f"unknown symbol {write!r}", line=lineno)
-            if move not in MOVES:
-                raise ParseError(f"move must be one of L N R, got {move!r}", line=lineno)
-            raw_targets.append((amplitude, nstate, write, move))
-        if not raw_targets:
-            raise ParseError("rule has no targets", line=lineno)
-        for sym in _expand(symbol, alphabet):
-            key = (state, sym)
-            if key in rules:
-                raise ParseError(
-                    f"duplicate rule for ({state}, {sym})", line=lineno
-                )
-            targets = tuple(
-                RuleTarget(a, ns, sym if w == "*" else w, m)
-                for a, ns, w, m in raw_targets
-            )
-            seen = set()
-            for t in targets:
-                sig = (t.state, t.write, t.move)
-                if sig in seen:
-                    raise ParseError(
-                        f"duplicate target {sig} in rule ({state}, {sym})",
-                        line=lineno,
-                    )
-                seen.add(sig)
-            rules[key] = targets
-    return MachineSpec(states, initial, halt, alphabet, rules)
+            seen.add(target[1:])
+        rules[key] = tuple(RuleTarget(*target) for target in targets)
+    return MachineSpec(*machine, rules)
 
 
 def render_machine(spec: MachineSpec) -> str:
@@ -318,33 +328,12 @@ def render_machine(spec: MachineSpec) -> str:
 
 def parse_classical(text: str) -> ClassicalTM:
     """Parse ``tm-spec v1`` source: single-target rules, no amplitudes."""
-    headers, rule_lines = _parse_headers(_meaningful_lines(text), TM_HEADER)
-    states, initial, halt, alphabet = _common_header_fields(headers)
-
-    rules: dict = {}
-    for lineno, body in rule_lines:
-        if "->" not in body:
-            raise ParseError("rule needs '->'", line=lineno)
-        lhs, rhs = body.split("->", 1)
-        state, symbol = _split_rule_lhs(lhs.strip(), states, alphabet, lineno)
-        if state == halt:
-            raise ParseError("classical rules may not start in the halt state", line=lineno)
-        fields = rhs.split()
-        if len(fields) != 3:
-            raise ParseError("rule right side must be '<state> <write> <move>'", line=lineno)
-        nstate, write, move = fields
-        if nstate not in states:
-            raise ParseError(f"unknown state {nstate!r}", line=lineno)
-        if write != "*" and write not in alphabet:
-            raise ParseError(f"unknown symbol {write!r}", line=lineno)
-        if move not in MOVES:
-            raise ParseError(f"move must be one of L N R, got {move!r}", line=lineno)
-        for sym in _expand(symbol, alphabet):
-            key = (state, sym)
-            if key in rules:
-                raise ParseError(f"duplicate rule for ({state}, {sym})", line=lineno)
-            rules[key] = (nstate, sym if write == "*" else write, move)
-    return ClassicalTM(states, initial, halt, alphabet, rules)
+    machine, rule_lines = _parse_headers(text, TM_HEADER)
+    rules = {
+        key: targets[0][1:]
+        for _, key, targets in _rules(rule_lines, machine, _classical_right_side)
+    }
+    return ClassicalTM(*machine, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +383,5 @@ def parse_input(text: str, spec: MachineSpec) -> InputSpec:
         raise ParseError("every term of a superposed input needs an amplitude")
 
     inp = InputSpec(tuple(terms))
-    from .machine import validate_input
-
     validate_input(spec, inp)
     return inp

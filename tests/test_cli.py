@@ -251,6 +251,17 @@ rule: q1 * -> 1 : qH * R
 rule: qH * -> 1 : qH * R
 """
 
+# a row of squared norm 1/2 and a halt-state row that rewrites its symbol
+STRUCTURE_VIOLATING_MACHINE = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 0 -> 1/2 : qH 0 R | 1/2 : qH 1 R
+rule: qH 0 -> 1 : qH 1 R
+"""
+
 
 def qtmlab(*args):
     return subprocess.run(
@@ -352,6 +363,23 @@ class TestCheckViolation:
         assert len(result["orthogonalityWitnesses"]) == 3
         assert result["witnessTotal"] == 10692
         assert result["witnessesTruncated"] is True
+
+    def test_structure_violations_fields(self, tmp_path, capsys):
+        machine = tmp_path / "bad.qtm"
+        machine.write_text(STRUCTURE_VIOLATING_MACHINE)
+        code = cli.main(["check", str(machine), "--max-witnesses", "0"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert code == 2
+        assert result["structureViolations"] == [
+            {"kind": "row_norm", "state": "q0", "symbol": "0",
+             "detail": "squared row norm 0.5"},
+            {"kind": "halt_rule", "state": "qH", "symbol": "0",
+             "detail": "halt-state rule must have a single amplitude-1 target "
+                       "that stays halted and rewrites the symbol it read"},
+        ]
+        assert [list(v) for v in result["structureViolations"]] == [
+            ["kind", "state", "symbol", "detail"]] * 2
+        assert result["coreWellFormed"] is False
 
 
 class TestCompare:
@@ -839,3 +867,55 @@ class TestWitnessesAreLazy:
         assert result["witnessTotal"] > 3
         assert len(result[listed]) == 3
         assert len(calls) == 3
+
+
+# vars(build_parser().parse_args(argv)) without func, for a minimal argv of
+# every subcommand: the dests, their defaults and their order.  The order is
+# the one the parameters echo follows.
+PARSED_SURFACE = [
+    (("check", "m"),
+     [("command", "check"), ("machine", "m"), ("tol", 1e-09),
+      ("max_witnesses", 100), ("json", None)]),
+    (("run", "m", "--input", "0", "--steps", "3"),
+     [("command", "run"), ("machine", "m"), ("input", "0"), ("steps", 3),
+      ("schedule", "end"), ("prune", 0.0), ("tol", 1e-09), ("json", None)]),
+    (("sample", "m", "--input", "0", "--steps", "3", "--seed", "1"),
+     [("command", "sample"), ("machine", "m"), ("input", "0"), ("steps", 3),
+      ("schedule", "end"), ("seed", 1), ("samples", 1000), ("prune", 0.0),
+      ("json", None)]),
+    (("compare", "m", "--input", "0", "--steps", "3", "--schedules", "every,end"),
+     [("command", "compare"), ("machine", "m"), ("input", "0"), ("steps", 3),
+      ("schedules", "every,end"), ("prune", 0.0), ("tol", 1e-09),
+      ("json", None)]),
+    (("trace", "m", "--input", "0", "--steps", "3"),
+     [("command", "trace"), ("machine", "m"), ("input", "0"), ("steps", 3),
+      ("prune", 0.0), ("csv", None)]),
+    (("lift", "m"),
+     [("command", "lift"), ("machine", "m"), ("output", None),
+      ("max_witnesses", 100), ("json", None)]),
+    (("myers", "m", "--input-a", "0", "--input-b", "1", "--steps", "3"),
+     [("command", "myers"), ("machine", "m"), ("input_a", "0"), ("input_b", "1"),
+      ("steps", 3), ("tol", 1e-09), ("json", None)]),
+    (("subspace", "m", "--input", "0", "--steps", "3"),
+     [("command", "subspace"), ("machine", "m"), ("input", "0"), ("steps", 3),
+      ("tol", 1e-09), ("json", None)]),
+]
+
+
+class TestParserSurface:
+    @pytest.mark.parametrize(
+        "argv, expected", PARSED_SURFACE, ids=[a[0] for a, _ in PARSED_SURFACE]
+    )
+    def test_dests_defaults_and_order(self, argv, expected):
+        ns = cli.build_parser().parse_args(list(argv))
+        assert callable(ns.func)
+        assert [(k, v) for k, v in vars(ns).items() if k != "func"] == expected
+        assert [type(v) for _, v in expected] == [
+            type(v) for k, v in vars(ns).items() if k != "func"
+        ]
+
+    def test_every_command_is_pinned(self):
+        sub = next(
+            a for a in cli.build_parser()._actions if a.dest == "command"
+        )
+        assert sorted(sub.choices) == sorted(a[0] for a, _ in PARSED_SURFACE)

@@ -1,0 +1,30 @@
+"""The runtime stays stdlib-only: no third-party import, no dependency."""
+
+import ast
+import sys
+
+import pytest
+
+from conftest import ROOT
+
+tomllib = pytest.importorskip("tomllib")
+
+SOURCES = sorted((ROOT / "src" / "qtmlab").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_absolute_imports_are_stdlib(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    outside = {m for m in modules if m.split(".")[0] not in sys.stdlib_module_names}
+    assert not outside
+
+
+def test_no_runtime_dependencies():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["dependencies"] == []

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MACHINES, load_qtm
@@ -28,6 +28,16 @@ alphabet: 0 1 _
 
 rule: q0 0 -> 1/sqrt(2) : qH 0 R | 1/sqrt(2) : qH 1 R
 rule: qH * -> 1 : qH * R
+"""
+
+MINIMAL_TM = """\
+tm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+
+rule: q0 0 -> qH 1 R
 """
 
 
@@ -238,6 +248,29 @@ class TestParseClassical:
         with pytest.raises(ParseError, match="right side"):
             parse_classical(text)
 
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("rule: q0 1 qH 0 R", "rule needs '->'"),
+            ("rule: q0 -> qH 0 R", "rule left side must be '<state> <symbol>'"),
+            ("rule: qX 1 -> qH 0 R", "unknown state 'qX'"),
+            ("rule: q0 1 -> qX 0 R", "unknown state 'qX'"),
+            ("rule: q0 2 -> qH 0 R", "unknown symbol '2'"),
+            ("rule: q0 1 -> qH 2 R", "unknown symbol '2'"),
+            ("rule: q0 1 -> qH 0 U", "move must be one of L N R, got 'U'"),
+            ("rule: q0 0 -> qH 0 R", "duplicate rule for (q0, 0)"),
+            ("rule: q0 * -> qH * R", "duplicate rule for (q0, 0)"),
+            ("rule: q0 1 -> 1 : qH 0 R", "rule right side must be '<state> <write> <move>'"),
+            ("rule: q0 1 -> qH 0", "rule right side must be '<state> <write> <move>'"),
+            ("rule: qH 0 -> qH 0 R", "classical rules may not start in the halt state"),
+        ],
+    )
+    def test_rejections(self, rule, message):
+        with pytest.raises(ParseError) as err:
+            parse_classical(MINIMAL_TM + rule + "\n")
+        assert str(err.value) == f"{message} (line 8)"
+        assert err.value.line == 8
+
     def test_corpus_files_parse(self):
         for path in sorted(MACHINES.glob("*.tm")):
             tm = parse_classical(path.read_text())
@@ -274,3 +307,95 @@ class TestParseInput:
     def test_rejections(self, hadamard_halt, text, message):
         with pytest.raises(ParseError, match=message):
             parse_input(text, hadamard_halt)
+
+
+# Fragments of both machine grammars and of the input grammar, spliced into
+# corpus files and inputs so that most examples get past the header.
+CORPUS_TEXTS = tuple(p.read_text() for p in sorted(MACHINES.glob("*.*tm")))
+FRAGMENTS = (
+    "qtm-spec v1", "tm-spec v1", "states:", "initial:", "halt:", "alphabet:",
+    "rule:", "->", "|", ":", "*", "+", "#", " ", "\n", "q0", "q1", "qH", "qX",
+    "0", "1", "_", "2", "L", "N", "R", "U", "-1", "1/2", "1/sqrt(2)",
+    "-1/sqrt(2)", "1/2 + 1/2i", "3/5i", "1/0", "1/sqrt(0)", "9" * 400,
+)
+fragments = st.lists(
+    st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=3)), max_size=10
+).map("".join)
+# rule lines of both formats, each part well formed or not
+states = st.sampled_from(("q0", "q1", "qH", "qX"))
+symbols = st.sampled_from(("0", "1", "_", "*", "2"))
+tokens = st.lists(
+    st.one_of(states, symbols, st.sampled_from(("L", "N", "R", "U", "->", "|", ":"))),
+    max_size=4,
+).map(" ".join)
+fields = st.one_of(
+    st.tuples(states, symbols, st.sampled_from(("L", "N", "R", "U"))).map(" ".join),
+    tokens,
+)
+amplitudes = st.sampled_from(("1", "-1", "1/sqrt(2)", "-1/sqrt(2)", "1/2 + 1/2i", "1/0", ""))
+targets = st.lists(
+    st.one_of(st.tuples(amplitudes, fields).map(" : ".join), fields), min_size=1, max_size=3
+).map(" | ".join)
+rule_lines = st.tuples(
+    st.one_of(st.tuples(states, symbols).map(" ".join), tokens),
+    st.sampled_from(("->", "->", "")),
+    targets,
+).map(lambda parts: "rule: {} {} {}".format(*parts))
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text from ``texts`` with up to four lines inserted (rule lines
+    among them), replaced, spliced into or deleted."""
+    lines = draw(st.sampled_from(texts)).split("\n")
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("rule", "rule", "insert", "replace", "splice", "delete")))
+        if op == "rule":
+            lines.insert(i, draw(rule_lines))
+        elif op == "insert":
+            lines.insert(i, draw(fragments))
+        elif op == "replace":
+            lines[i] = draw(fragments)
+        elif op == "splice":
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + draw(fragments) + lines[i][j:]
+        elif len(lines) > 1:
+            del lines[i]
+    return "\n".join(lines)
+
+
+INPUTS = ("0", "1", "01", "1100", "1/sqrt(2):0 + 1/sqrt(2):1",
+          "1/2 + 1/2i : 0 + 1/2 - 1/2i : 1", "3/5:01 + 4/5:1100")
+
+
+# these properties are about which exceptions escape, not about time; one
+# example stalled by a loaded CPU must not fail them
+PROPERTY = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestAnyTextParsesOrRaisesParseError:
+    @PROPERTY
+    @given(mutated(CORPUS_TEXTS))
+    @example("")
+    @example("tm-spec v1\nrule:")
+    @example(MINIMAL_QTM + "rule: q0 1 -> : qH 0 R |")
+    def test_machine_files(self, text):
+        for parse in (parse_machine, parse_classical):
+            try:
+                parse(text)
+            except ParseError:
+                pass
+
+    @PROPERTY
+    @given(st.sampled_from(["hadamard_halt", "right_shift"]), mutated(INPUTS))
+    @example("hadamard_halt", "")
+    @example("hadamard_halt", "+:")
+    def test_inputs(self, name, text):
+        spec = load_qtm(name)
+        try:
+            parse_input(text, spec)
+        except ParseError:
+            pass
