@@ -63,6 +63,9 @@ def _nonnegative(convert):
     return parse
 
 
+_count = _nonnegative(int)
+
+
 def _ser_complex(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
@@ -366,19 +369,17 @@ OPTIONS = {
     "input": (("--input",), dict(required=True, help="input superposition")),
     "input_a": (("--input-a",), dict(required=True, help="first input")),
     "input_b": (("--input-b",), dict(required=True, help="second input")),
-    "steps": (("--steps",), dict(type=int, required=True, help="evolution step budget")),
+    "steps": (("--steps",), dict(type=_count, required=True, help="evolution step budget")),
     "schedule": (("--schedule",), dict(default="end", help="every | end | end:N | at:N,N,...")),
     "schedules": (("--schedules",), dict(required=True, metavar="A,B", help="e.g. every,end")),
     "seed": (("--seed",), dict(type=int, required=True)),
-    "samples": (("--samples",), dict(type=int, default=1000)),
+    "samples": (("--samples",), dict(type=_count, default=1000)),
     "prune": (
         ("--prune",),
         dict(type=_nonnegative(float), default=0.0, help="drop amplitudes below this modulus"),
     ),
     "tol": (("--tol",), dict(type=_nonnegative(float), default=DEFAULT_TOL)),
-    "max_witnesses": (
-        ("--max-witnesses",), dict(type=_nonnegative(int), default=WITNESS_CAP)
-    ),
+    "max_witnesses": (("--max-witnesses",), dict(type=_count, default=WITNESS_CAP)),
     "json": (("--json",), dict(metavar="PATH", help="write the report here")),
     "csv": (("--csv",), dict(metavar="PATH", help="write the CSV here")),
     "output": (("-o", "--output"), dict(help="write the lifted machine here")),

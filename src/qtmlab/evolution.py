@@ -5,6 +5,12 @@ amplitudes of coinciding targets.  Sources are visited in canonical
 configuration order and targets in rule order, so accumulation -- and with
 it every floating-point rounding -- is reproducible across runs.
 
+``step`` reads the sort-key tuples that ``QuantumState`` stores, with rule
+rows compiled once per spec (``MachineSpec.step_rows``), and builds no
+``Configuration`` or ``Tape``.  A target that writes the symbol it read
+reuses the source's cell tuple; any other write builds the new tuple once,
+writing the blank erases the cell, and the new state is sorted once.
+
 ``trajectory`` is the one loop over ``step`` that every run, trace and
 experiment evolves through, and it owns the error raised when pruning or
 cancellation empties the state.
@@ -12,18 +18,12 @@ cancellation empties the state.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import MissingRuleError, QtmError
-from .machine import (
-    Configuration,
-    InputSpec,
-    MachineSpec,
-    MOVE_DELTA,
-    QuantumState,
-    initial_state,
-)
+from .machine import BLANK, InputSpec, MachineSpec, QuantumState, initial_state
 
 
 def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumState:
@@ -37,24 +37,29 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     the default keeps everything except exact zeros (a configuration whose
     amplitude cancelled to 0.0 is simply not part of the superposition).
     """
-    acc: dict[Configuration, complex] = {}
-    for cfg, amp in state.items():
-        symbol = cfg.tape.read(cfg.head)
-        targets = spec.rules.get((cfg.state, symbol))
-        if targets is None:
-            raise MissingRuleError(cfg.state, symbol)
-        for t in targets:
-            ncfg = Configuration(
-                t.state == spec.halt,
-                t.state,
-                cfg.tape.write(cfg.head, t.write),
-                cfg.head + MOVE_DELTA[t.move],
-            )
-            prev = acc.get(ncfg)
-            acc[ncfg] = amp * t.amplitude if prev is None else prev + amp * t.amplitude
-    return QuantumState(
-        {c: a for c, a in acc.items() if a != 0 and abs(a) >= prune}
-    )
+    rows = spec.step_rows
+    acc: dict[tuple, complex] = {}
+    put = acc.setdefault
+    for (_, q, head, cells), amp in state.keyed_items():
+        i = bisect_left(cells, (head,))
+        here = i < len(cells) and cells[i][0] == head
+        symbol = cells[i][1] if here else BLANK
+        row = rows.get((q, symbol))
+        if row is None:
+            raise MissingRuleError(q, symbol)
+        for halted, nq, write, delta, a in row:
+            if write == symbol:
+                ncells = cells
+            elif write == BLANK:
+                ncells = cells[:i] + cells[i + 1:]
+            else:
+                ncells = cells[:i] + ((head, write),) + cells[i + here:]
+            key = (halted, nq, head + delta, ncells)
+            x = amp * a
+            prev = put(key, x)  # one hash when the target is new
+            if prev is not x:
+                acc[key] = prev + x
+    return QuantumState.keyed(kv for kv in acc.items() if kv[1] != 0 and abs(kv[1]) >= prune)
 
 
 def trajectory(

@@ -114,9 +114,9 @@ def _combine(parts) -> QuantumState:
     """Linear combination of states given as (coefficient, state) pairs."""
     amps: dict = {}
     for coeff, vec in parts:
-        for cfg, amp in vec.items():
-            amps[cfg] = amps.get(cfg, 0j) + coeff * amp
-    return QuantumState({c: a for c, a in amps.items() if a != 0})
+        for key, amp in vec.keyed_items():
+            amps[key] = amps.get(key, 0j) + coeff * amp
+    return QuantumState.keyed((k, a) for k, a in amps.items() if a != 0)
 
 
 def analyze_halting_subspace(
@@ -129,14 +129,10 @@ def analyze_halting_subspace(
         raise ValueError("steps must be non-negative")
     states = states_through(spec, inp, steps)
 
-    halted_sorted = sorted(
-        {c for s in states for c in s.configurations() if c.halted},
-        key=Configuration.sort_key,
-    )
-    running_sorted = sorted(
-        {c for s in states[:-1] for c in s.configurations() if not c.halted},
-        key=Configuration.sort_key,
-    )
+    halted_keys = {k for s in states for k, _ in s.keyed_items() if k[0]}
+    running_keys = {k for s in states[:-1] for k, _ in s.keyed_items() if not k[0]}
+    halted_sorted = [Configuration.from_key(k) for k in sorted(halted_keys)]
+    running_sorted = [Configuration.from_key(k) for k in sorted(running_keys)]
 
     images = [basis_image(spec, h) for h in halted_sorted]
     gram_deviation = 0.0

@@ -7,11 +7,18 @@ cannot describe inconsistent flag/state combinations.
 
 Tapes are two-way infinite and blank-filled; only non-blank cells are
 stored, so two tapes are equal exactly when they agree on every cell.
+
+Inside a ``QuantumState`` a configuration is its sort key, the plain tuple
+``(halted, state, head, cells)`` with ``cells`` a canonical tape tuple; the
+checker's window keys share this layout.  ``Configuration`` and ``Tape``
+objects are built only at the API edge, when a caller passes or reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .errors import ParseError
@@ -23,6 +30,8 @@ DEFAULT_TOL = 1e-9
 
 MOVES = ("L", "N", "R")
 MOVE_DELTA = {"L": -1, "N": 0, "R": 1}
+
+_first = itemgetter(0)
 
 
 class Tape:
@@ -101,8 +110,13 @@ class Configuration:
     tape: Tape
     head: int
 
-    def sort_key(self):
+    def sort_key(self) -> tuple:
         return (self.halted, self.state, self.head, self.tape.cells)
+
+    @classmethod
+    def from_key(cls, key: tuple) -> "Configuration":
+        """Inverse of ``sort_key``."""
+        return cls(key[0], key[1], Tape(key[3]), key[2])
 
     def shifted(self, offset: int) -> "Configuration":
         return Configuration(
@@ -141,6 +155,18 @@ class MachineSpec:
     def rule(self, state: str, symbol: str):
         return self.rules.get((state, symbol))
 
+    @cached_property
+    def step_rows(self) -> dict:
+        """(state, symbol) -> ((halted, state, write, head delta, amplitude), ...),
+        compiled once per spec and cached outside the dataclass fields."""
+        return {
+            key: tuple(
+                (t.state == self.halt, t.state, t.write, MOVE_DELTA[t.move], t.amplitude)
+                for t in targets
+            )
+            for key, targets in self.rules.items()
+        }
+
 
 @dataclass(frozen=True)
 class InputSpec:
@@ -173,34 +199,50 @@ BY_CONSTRUCTION = (
 
 
 class QuantumState:
-    """Finite-support map Configuration -> complex amplitude.
+    """Finite-support map from basis configurations to complex amplitudes.
 
-    Entries are kept in canonical configuration order so that iteration,
-    accumulation, and reports are reproducible bit for bit.
+    Entries are keyed by ``Configuration.sort_key()`` tuples,
+    ``(halted, state, head, cells)``, in sorted (canonical) order, so
+    iteration, accumulation, and reports are reproducible bit for bit.
+    ``Configuration`` objects exist only at the edge: the constructor and
+    ``of`` take them, ``items`` and ``configurations`` build them on demand.
     """
 
     __slots__ = ("_amps", "_norm2")
 
     def __init__(self, amps: dict):
-        ordered = dict(sorted(amps.items(), key=lambda kv: kv[0].sort_key()))
-        self._amps = ordered
-        self._norm2 = sum(
-            (a.real * a.real + a.imag * a.imag for a in ordered.values()),
-            start=0.0,
-        )
+        state = QuantumState.keyed((c.sort_key(), a) for c, a in amps.items())
+        self._amps, self._norm2 = state._amps, state._norm2
+
+    @classmethod
+    def keyed(cls, pairs) -> "QuantumState":
+        """State over (sort key, amplitude) pairs with distinct keys, in any order."""
+        return cls._sorted(dict(sorted(pairs, key=_first)))
+
+    @classmethod
+    def _sorted(cls, ordered: dict) -> "QuantumState":
+        """State over a dict keyed by sort keys, already in sorted order."""
+        state = cls.__new__(cls)
+        state._amps = ordered
+        state._norm2 = sum((a.real * a.real + a.imag * a.imag for a in ordered.values()), start=0.0)
+        return state
 
     @classmethod
     def of(cls, *pairs) -> "QuantumState":
         return cls({c: complex(a) for c, a in pairs})
 
-    def items(self) -> Iterator[tuple[Configuration, complex]]:
+    def keyed_items(self) -> Iterator[tuple[tuple, complex]]:
+        """(sort key, amplitude) pairs in canonical order."""
         return iter(self._amps.items())
 
-    def configurations(self):
-        return iter(self._amps.keys())
+    def items(self) -> Iterator[tuple[Configuration, complex]]:
+        return ((Configuration.from_key(k), a) for k, a in self._amps.items())
+
+    def configurations(self) -> Iterator[Configuration]:
+        return map(Configuration.from_key, self._amps)
 
     def amplitude(self, config: Configuration) -> complex:
-        return self._amps.get(config, 0j)
+        return self._amps.get(config.sort_key(), 0j)
 
     def support_size(self) -> int:
         return len(self._amps)
@@ -210,34 +252,25 @@ class QuantumState:
 
     def halted_mass(self) -> float:
         return sum(
-            (
-                a.real * a.real + a.imag * a.imag
-                for c, a in self._amps.items()
-                if c.halted
-            ),
+            (a.real * a.real + a.imag * a.imag for k, a in self._amps.items() if k[0]),
             start=0.0,
         )
 
     def component(self, halted: bool) -> "QuantumState":
-        return QuantumState(
-            {c: a for c, a in self._amps.items() if c.halted == halted}
-        )
+        return QuantumState._sorted({k: a for k, a in self._amps.items() if k[0] == halted})
 
     def renormalized(self) -> "QuantumState":
         n = self._norm2 ** 0.5
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return QuantumState({c: a / n for c, a in self._amps.items()})
+        return QuantumState._sorted({k: a / n for k, a in self._amps.items()})
 
     def inner(self, other: "QuantumState") -> complex:
         """<self|other>, conjugate-linear in ``self``."""
         if other.support_size() < self.support_size():
             return other.inner(self).conjugate()
-        return sum(
-            a.conjugate() * other._amps[c]
-            for c, a in self._amps.items()
-            if c in other._amps
-        )
+        theirs = other._amps
+        return sum(a.conjugate() * theirs[k] for k, a in self._amps.items() if k in theirs)
 
     def __eq__(self, other):
         return isinstance(other, QuantumState) and self._amps == other._amps
@@ -246,7 +279,7 @@ class QuantumState:
         return len(self._amps)
 
     def __repr__(self):
-        inner = ", ".join(f"{a:.4g}*{c!r}" for c, a in self._amps.items())
+        inner = ", ".join(f"{a:.4g}*{c!r}" for c, a in self.items())
         return f"QuantumState({inner})"
 
 

@@ -221,11 +221,12 @@ def run_schedule(
         h = halted.norm2()
         if h > 0.0:
             p_halt = min(h / state.norm2(), 1.0)
-            mass_by_tape: dict = {}
-            for cfg, amp in halted.items():
-                mass_by_tape[cfg.tape] = mass_by_tape.get(cfg.tape, 0.0) + abs(amp) ** 2
-            ordered = sorted(mass_by_tape.items(), key=lambda kv: kv[0].cells)
-            conditional = tuple((tape, mass / h) for tape, mass in ordered)
+            mass_by_cells: dict = {}
+            for (_, _, _, cells), amp in halted.keyed_items():
+                mass_by_cells[cells] = mass_by_cells.get(cells, 0.0) + abs(amp) ** 2
+            conditional = tuple(
+                (Tape(cells), mass_by_cells[cells] / h) for cells in sorted(mass_by_cells)
+            )
             records.append(MeasurementRecord(t, p_halt, conditional))
             for tape, frac in conditional:
                 outcome = HaltOutcome(t, tape)

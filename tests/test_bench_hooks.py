@@ -1,0 +1,60 @@
+"""The benchmark's counting hooks still see the stepping core.
+
+perfbench/tracer.py counts stepping work by rebinding ``step`` where the
+qtmlab modules look it up and by reading the state it is given (``len``
+and ``configurations()``).  These properties otherwise show only in a
+traced benchmark run; here they are checked on two small CLI jobs.  The
+tracer is imported read-only from its file.
+"""
+
+import importlib
+import importlib.util
+
+import pytest
+from conftest import MACHINES, ROOT
+
+from qtmlab import cli
+
+WALK = ROOT / "perfbench" / "machines" / "hadamard_walk.qtm"
+
+
+@pytest.fixture
+def tracer():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    originals = {
+        (mod, attr): getattr(importlib.import_module(mod), attr, None)
+        for mod, attr, _ in module.SITES
+    }
+    t = module.Tracer()
+    t.install()
+    try:
+        yield t
+    finally:
+        t.uninstall()
+    for (mod, attr), fn in originals.items():
+        assert getattr(importlib.import_module(mod), attr, None) is fn
+
+
+def test_walk_trace_counts_every_configuration_step(tracer, tmp_path, capsys):
+    csv = tmp_path / "walk.csv"
+    argv = ["trace", str(WALK), "--input", "0110", "--steps", "10", "--csv", str(csv)]
+    assert cli.main(argv) == 0
+    summary = tracer.summary()
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert len(rows) == 11
+    assert summary["evolution.step_calls"] == 10
+    assert summary["evolution.config_steps"] == sum(int(r[1]) for r in rows[:10])
+    assert summary["evolution.halted_config_steps"] == 0
+
+
+def test_halting_run_counts_halted_configuration_steps(tracer, capsys):
+    machine = str(MACHINES / "seek_right_lifted.qtm")
+    argv = ["run", machine, "--input", "1/sqrt(2):01 + 1/sqrt(2):1100", "--steps", "9"]
+    assert cli.main(argv) == 0
+    summary = tracer.summary()
+    assert summary["evolution.step_calls"] == 9
+    assert summary["evolution.halted_config_steps"] > 0
+    assert summary["measurement.records"] == 1

@@ -515,6 +515,27 @@ class TestExitCodes:
         assert "qtmlab: error: argument --max-witnesses" in p.stderr
 
     @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("run", "--input", "0", "--steps", "-1"), "--steps"),
+            (("sample", "--input", "0", "--steps", "-1", "--seed", "1"), "--steps"),
+            (("compare", "--input", "0", "--steps", "-1", "--schedules", "every,end"),
+             "--steps"),
+            (("trace", "--input", "0", "--steps", "-1"), "--steps"),
+            (("myers", "--input-a", "0", "--input-b", "1", "--steps", "-1"), "--steps"),
+            (("subspace", "--input", "0", "--steps", "-1"), "--steps"),
+            (("sample", "--input", "0", "--steps", "3", "--seed", "1", "--samples", "-1"),
+             "--samples"),
+        ],
+        ids=["run", "sample", "compare", "trace", "myers", "subspace", "sample-samples"],
+    )
+    def test_negative_count_rejected(self, args, flag):
+        p = qtmlab(args[0], "machines/hadamard_halt.qtm", *args[1:])
+        assert p.returncode == 1
+        assert p.stdout == ""
+        assert f"argument {flag}: must be finite and >= 0" in p.stderr
+
+    @pytest.mark.parametrize(
         "args",
         [
             ("run",),

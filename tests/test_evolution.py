@@ -1,18 +1,24 @@
 """Step operator tests: hand-computed images, laws, and trace output."""
 
+import dataclasses
 import math
 
 import pytest
+from conftest import MACHINES, ROOT
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import config_key, make_imager
 
 from qtmlab import (
+    Configuration,
     MissingRuleError,
     QuantumState,
+    RuleTarget,
     Tape,
     evolve,
     initial_state,
     parse_input,
+    parse_machine,
     states_through,
     step,
 )
@@ -174,3 +180,133 @@ class TestStepLaws:
             {c.shifted(offset): a for c, a in step(delayed_hadamard, x).items()}
         )
         assert lhs == rhs
+
+
+# No corpus machine writes the blank over a symbol or a symbol over the
+# blank; this one does both, so the oracle also covers erased cells.
+ERASER = """\
+qtm-spec v1
+states: q0 q1 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 0 -> 1/sqrt(2) : q1 _ L | 1/sqrt(2) : qH 1 R
+rule: q0 1 -> 1/sqrt(2) : q1 _ L | -1/sqrt(2) : qH 0 N
+rule: q0 _ -> 1 : q1 0 N
+rule: q1 0 -> 1 : q0 _ R
+rule: qH * -> 1 : qH * R
+"""
+
+ORACLE_MACHINES = sorted(p.name for p in MACHINES.glob("*.qtm")) + ["eraser"]
+
+
+def _load(name):
+    text = ERASER if name == "eraser" else (MACHINES / name).read_text()
+    return parse_machine(text)
+
+
+def mixed_states(spec):
+    """Small states over every state of ``spec``, running and halted, with
+    tapes on cells -3..3 whose cell under the head is often blank."""
+    tape = st.dictionaries(
+        st.integers(-3, 3), st.sampled_from(spec.alphabet), max_size=4
+    ).map(Tape)
+    config = st.builds(
+        spec.config, st.sampled_from(spec.states), tape, st.integers(-3, 3)
+    )
+    amplitude = st.complex_numbers(
+        max_magnitude=1, allow_nan=False, allow_infinity=False
+    )
+    return st.dictionaries(config, amplitude, min_size=1, max_size=6)
+
+
+class TestStepMatchesOracle:
+    """``step`` against tests/oracles.make_imager, bit for bit."""
+
+    @pytest.mark.parametrize("name", ORACLE_MACHINES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_step_is_bit_exact(self, name, data):
+        spec = _load(name)
+        amps = data.draw(mixed_states(spec))
+        image = make_imager(spec)
+        expected: dict = {}
+        gap = None
+        for cfg in sorted(amps, key=config_key):
+            targets = image(cfg)
+            if targets is None:
+                gap = cfg
+                break
+            for key, a in targets.items():
+                prev = expected.get(key)
+                expected[key] = amps[cfg] * a if prev is None else prev + amps[cfg] * a
+        state = QuantumState(amps)
+        # a threshold equal to an amplitude's modulus keeps that amplitude
+        moduli = sorted(abs(a) for a in expected.values()) or [0.0]
+        prune = data.draw(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from(moduli))
+        )
+        if gap is not None:
+            with pytest.raises(MissingRuleError) as err:
+                step(spec, state, prune)
+            symbol = gap.tape.read(gap.head)
+            assert (err.value.state, err.value.symbol) == (gap.state, symbol)
+            return
+        kept = {k: a for k, a in expected.items() if a != 0 and abs(a) >= prune}
+        got = [(config_key(c), a) for c, a in step(spec, state, prune).items()]
+        assert got == sorted(kept.items(), key=lambda kv: kv[0])
+
+    @pytest.mark.parametrize("name", ORACLE_MACHINES)
+    def test_every_gap_raises(self, name):
+        spec = _load(name)
+        gaps = [
+            (q, s) for q in spec.states for s in spec.alphabet if (q, s) not in spec.rules
+        ]
+        for q, s in gaps:
+            cfg = spec.config(q, Tape({0: s}), 0)
+            with pytest.raises(MissingRuleError) as err:
+                step(spec, QuantumState.of((cfg, 1.0)))
+            assert (err.value.state, err.value.symbol) == (q, s)
+
+
+class TestRepresentation:
+    def test_trajectory_builds_no_configuration_or_tape(self, monkeypatch):
+        spec = parse_machine((ROOT / "perfbench/machines/hadamard_walk.qtm").read_text())
+        state = initial_state(spec, parse_input("0110", spec))
+        built = []
+
+        def counting(cls):
+            init = cls.__init__
+
+            def __init__(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", __init__)
+
+        counting(Configuration)
+        counting(Tape)
+        for t, last in trajectory(spec, state, 0, 50):
+            assert len(last) > 0
+        assert t == 50
+        assert last.support_size() > 50
+        assert built == []
+        # the edge still builds them on demand
+        next(last.configurations())
+        assert built == ["Tape", "Configuration"]
+
+    def test_replaced_spec_steps_by_its_own_rules(self, hadamard_halt):
+        state = QuantumState.of((hadamard_halt.config("q0", Tape.from_string("1"), 0), 1.0))
+        before = step(hadamard_halt, state)  # fills the compiled-row cache
+        negated = {
+            key: tuple(
+                RuleTarget(-t.amplitude, t.state, t.write, t.move) for t in targets
+            )
+            for key, targets in hadamard_halt.rules.items()
+        }
+        copy = dataclasses.replace(hadamard_halt, rules=negated)
+        after = step(copy, state)
+        assert [(c, -a) for c, a in before.items()] == list(after.items())
+        assert step(hadamard_halt, state) == before
+        assert dataclasses.replace(hadamard_halt) == hadamard_halt
+        assert "step_rows" not in repr(hadamard_halt)

@@ -196,6 +196,30 @@ class TestQuantumState:
         state = QuantumState({cfg("q0", "1", h): a for h, a in entries})
         assert state.norm2() == pytest.approx(state.inner(state).real, abs=1e-12)
 
+    @given(
+        st.dictionaries(
+            st.builds(
+                cfg,
+                st.sampled_from(("q0", "qH")),
+                st.text(alphabet="01_", max_size=3),
+                st.integers(-2, 2),
+                st.booleans(),
+                st.integers(-2, 2),
+            ),
+            st.complex_numbers(max_magnitude=2, allow_nan=False),
+            max_size=6,
+        )
+    )
+    def test_items_round_trip_in_sort_key_order(self, amps):
+        state = QuantumState(amps)
+        items = list(state.items())
+        assert QuantumState(dict(items)) == state
+        keys = [c.sort_key() for c, _ in items]
+        assert keys == sorted(c.sort_key() for c in amps)
+        assert [k for k, _ in state.keyed_items()] == keys
+        assert all(state.amplitude(c) == a for c, a in amps.items())
+        assert list(state.configurations()) == [c for c, _ in items]
+
 
 class TestInitialState:
     def test_single_string(self, hadamard_halt):
