@@ -9,7 +9,16 @@ it every floating-point rounding -- is reproducible across runs.
 rows compiled once per spec (``MachineSpec.step_rows``), and builds no
 ``Configuration`` or ``Tape``.  A target that writes the symbol it read
 reuses the source's cell tuple; any other write builds the new tuple once,
-writing the blank erases the cell, and the new state is sorted once.
+and writing the blank erases the cell.
+
+Coinciding targets are summed without hashing a key: every term is pushed
+as ``(target key, amplitude)``, the list is sorted once by key, and equal
+neighbours are added left to right.  The sort is stable, so each target's
+terms stay in the order they were generated (sources in canonical order,
+targets in rule order), and the sum is the same float sequence that
+accumulating into a dict in that order gives.  A key comparison stops at
+the first differing field, and a reused cell tuple compares by identity,
+whereas a dict hashed every cell of the key on every operation.
 
 ``trajectory`` is the one loop over ``step`` that every run, trace and
 experiment evolves through, and it owns the error raised when pruning or
@@ -20,10 +29,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import MissingRuleError, QtmError
 from .machine import BLANK, InputSpec, MachineSpec, QuantumState, initial_state
+
+_first = itemgetter(0)
 
 
 def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumState:
@@ -38,8 +50,8 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     amplitude cancelled to 0.0 is simply not part of the superposition).
     """
     rows = spec.step_rows
-    acc: dict[tuple, complex] = {}
-    put = acc.setdefault
+    terms: list[tuple[tuple, complex]] = []
+    push = terms.append
     for (_, q, head, cells), amp in state.keyed_items():
         i = bisect_left(cells, (head,))
         here = i < len(cells) and cells[i][0] == head
@@ -54,12 +66,21 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
                 ncells = cells[:i] + cells[i + 1:]
             else:
                 ncells = cells[:i] + ((head, write),) + cells[i + here:]
-            key = (halted, nq, head + delta, ncells)
-            x = amp * a
-            prev = put(key, x)  # one hash when the target is new
-            if prev is not x:
-                acc[key] = prev + x
-    return QuantumState.keyed(kv for kv in acc.items() if kv[1] != 0 and abs(kv[1]) >= prune)
+            push(((halted, nq, head + delta, ncells), amp * a))
+    terms.sort(key=_first)  # stable: each target's terms stay in generation order
+    out = []
+    keep = out.append
+    key, s = None, 0j  # a zero sum is never kept
+    for k, x in terms:
+        if k == key:
+            s += x
+            continue
+        if s != 0 and abs(s) >= prune:
+            keep((key, s))
+        key, s = k, x
+    if s != 0 and abs(s) >= prune:
+        keep((key, s))
+    return QuantumState._sorted(out)
 
 
 def trajectory(

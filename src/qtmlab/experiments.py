@@ -13,6 +13,14 @@ stay orthonormal, and measures whether the halted component produced by a
 running configuration lies inside the span of those images.  A nonzero
 residual means the halt projection keeps extracting amplitude that no
 bookkeeping of previously halted branches accounts for.
+
+When every halt row rewrites its symbol, moves R and has amplitude exactly
+1 (``MachineSpec.halt_translates``, true of every corpus machine and every
+lift), each image is its halted configuration translated one cell right.
+The report then follows without a Gram matrix: the deviation is 0.0 and
+every overlap is a lookup among the translated keys, summed in the order
+the general path sums them, so the report is the same to the bit.  Halt
+rows that move L or N take the general Gram/Gram-Schmidt path.
 """
 
 from __future__ import annotations
@@ -119,22 +127,25 @@ def _combine(parts) -> QuantumState:
     return QuantumState.keyed((k, a) for k, a in amps.items() if a != 0)
 
 
-def analyze_halting_subspace(
-    spec: MachineSpec,
-    inp: InputSpec,
-    steps: int,
-    tol: float = DEFAULT_TOL,
-) -> SubspaceReport:
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    states = states_through(spec, inp, steps)
+def _translate_overlaps(halted_keys):
+    """Overlaps under ``MachineSpec.halt_translates``: the images are the
+    basis vectors at the translated keys, so Gram-Schmidt is the identity
+    and an overlap is the part's amplitude at such a key.  Translation keeps
+    the sort order, so the nonzero terms come in image order, as
+    ``_gram_overlaps`` sums them."""
+    translated = {(halted, q, head + 1, cells) for halted, q, head, cells in halted_keys}
 
-    halted_keys = {k for s in states for k, _ in s.keyed_items() if k[0]}
-    running_keys = {k for s in states[:-1] for k, _ in s.keyed_items() if not k[0]}
-    halted_sorted = [Configuration.from_key(k) for k in sorted(halted_keys)]
-    running_sorted = [Configuration.from_key(k) for k in sorted(running_keys)]
+    def measure(part):
+        overlaps = [abs(a) for k, a in part.keyed_items() if k in translated]
+        return overlaps, overlaps
 
-    images = [basis_image(spec, h) for h in halted_sorted]
+    return 0.0, measure
+
+
+def _gram_overlaps(spec, halted_keys, tol):
+    """Gram deviation of the drift images and overlaps of a halted part with
+    the images and with their Gram-Schmidt orthonormalization."""
+    images = [basis_image(spec, Configuration.from_key(k)) for k in halted_keys]
     gram_deviation = 0.0
     for i, u in enumerate(images):
         for j, v in enumerate(images):
@@ -154,6 +165,31 @@ def analyze_halting_subspace(
         if w.norm2() > tol * tol:
             ortho.append(w.renormalized())
 
+    def measure(part):
+        return [abs(u.inner(part)) for u in images], [abs(e.inner(part)) for e in ortho]
+
+    return gram_deviation, measure
+
+
+def analyze_halting_subspace(
+    spec: MachineSpec,
+    inp: InputSpec,
+    steps: int,
+    tol: float = DEFAULT_TOL,
+) -> SubspaceReport:
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    states = states_through(spec, inp, steps)
+
+    halted_keys = sorted({k for s in states for k, _ in s.keyed_items() if k[0]})
+    running_keys = {k for s in states[:-1] for k, _ in s.keyed_items() if not k[0]}
+    running_sorted = [Configuration.from_key(k) for k in sorted(running_keys)]
+
+    if spec.halt_translates:
+        gram_deviation, measure = _translate_overlaps(halted_keys)
+    else:
+        gram_deviation, measure = _gram_overlaps(spec, halted_keys, tol)
+
     newly = []
     max_overlap = 0.0
     max_residual = 0.0
@@ -163,14 +199,12 @@ def analyze_halting_subspace(
         if math.sqrt(mass) <= tol:
             continue
         newly.append(cfg)
-        for u in images:
-            max_overlap = max(max_overlap, abs(u.inner(halted_part)))
-        residual_sq = mass - sum(
-            abs(e.inner(halted_part)) ** 2 for e in ortho
-        )
+        overlaps, projections = measure(halted_part)
+        max_overlap = max([max_overlap, *overlaps])
+        residual_sq = mass - sum(p ** 2 for p in projections)
         max_residual = max(max_residual, math.sqrt(max(residual_sq, 0.0)))
 
-    if not halted_sorted and not newly:
+    if not halted_keys and not newly:
         verdict = "no_halting_observed"
     elif max_residual > tol:
         verdict = "gap_found"
@@ -178,7 +212,7 @@ def analyze_halting_subspace(
         verdict = "no_gap_found"
     return SubspaceReport(
         steps,
-        len(halted_sorted),
+        len(halted_keys),
         tuple(newly),
         gram_deviation,
         max_overlap,

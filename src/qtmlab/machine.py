@@ -16,6 +16,7 @@ objects are built only at the API edge, when a caller passes or reads them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -152,9 +153,6 @@ class MachineSpec:
     def config(self, state: str, tape: Tape, head: int) -> Configuration:
         return Configuration(state == self.halt, state, tape, head)
 
-    def rule(self, state: str, symbol: str):
-        return self.rules.get((state, symbol))
-
     @cached_property
     def step_rows(self) -> dict:
         """(state, symbol) -> ((halted, state, write, head delta, amplitude), ...),
@@ -166,6 +164,16 @@ class MachineSpec:
             )
             for key, targets in self.rules.items()
         }
+
+    @cached_property
+    def halt_translates(self) -> bool:
+        """Whether every halt row is exactly ``((True, halt, s, +1, 1),)`` for
+        each symbol ``s``: a halted configuration then steps to its own
+        translate one cell right, with amplitude exactly 1."""
+        return all(
+            self.step_rows.get((self.halt, s)) == ((True, self.halt, s, 1, 1),)
+            for s in self.alphabet
+        )
 
 
 @dataclass(frozen=True)
@@ -201,82 +209,97 @@ BY_CONSTRUCTION = (
 class QuantumState:
     """Finite-support map from basis configurations to complex amplitudes.
 
-    Entries are keyed by ``Configuration.sort_key()`` tuples,
-    ``(halted, state, head, cells)``, in sorted (canonical) order, so
-    iteration, accumulation, and reports are reproducible bit for bit.
+    Entries are stored as a list of ``(key, amplitude)`` pairs sorted by
+    key, the ``Configuration.sort_key()`` tuple ``(halted, state, head,
+    cells)``, so iteration, accumulation, and reports are reproducible bit
+    for bit.  Halted keys sort last, so each halt-flag component is a slice.
+    Iterating, filtering, renormalizing, comparing and summing walk the list,
+    and ``inner`` and ``amplitude`` find keys by bisection, so no method
+    hashes a key.
     ``Configuration`` objects exist only at the edge: the constructor and
     ``of`` take them, ``items`` and ``configurations`` build them on demand.
     """
 
-    __slots__ = ("_amps", "_norm2")
+    __slots__ = ("_pairs", "_norm2")
 
     def __init__(self, amps: dict):
         state = QuantumState.keyed((c.sort_key(), a) for c, a in amps.items())
-        self._amps, self._norm2 = state._amps, state._norm2
+        self._pairs, self._norm2 = state._pairs, state._norm2
 
     @classmethod
     def keyed(cls, pairs) -> "QuantumState":
         """State over (sort key, amplitude) pairs with distinct keys, in any order."""
-        return cls._sorted(dict(sorted(pairs, key=_first)))
+        return cls._sorted(sorted(pairs, key=_first))
 
     @classmethod
-    def _sorted(cls, ordered: dict) -> "QuantumState":
-        """State over a dict keyed by sort keys, already in sorted order."""
+    def _sorted(cls, pairs: list) -> "QuantumState":
+        """State over a list of (sort key, amplitude) pairs, already sorted by key."""
         state = cls.__new__(cls)
-        state._amps = ordered
-        state._norm2 = sum((a.real * a.real + a.imag * a.imag for a in ordered.values()), start=0.0)
+        state._pairs = pairs
+        state._norm2 = sum((a.real * a.real + a.imag * a.imag for _, a in pairs), start=0.0)
         return state
 
     @classmethod
     def of(cls, *pairs) -> "QuantumState":
         return cls({c: complex(a) for c, a in pairs})
 
+    def _halted_from(self) -> int:
+        """Index of the first halted entry (``len`` when none is halted)."""
+        return bisect_left(self._pairs, (True,), key=_first)
+
     def keyed_items(self) -> Iterator[tuple[tuple, complex]]:
         """(sort key, amplitude) pairs in canonical order."""
-        return iter(self._amps.items())
+        return iter(self._pairs)
 
     def items(self) -> Iterator[tuple[Configuration, complex]]:
-        return ((Configuration.from_key(k), a) for k, a in self._amps.items())
+        return ((Configuration.from_key(k), a) for k, a in self._pairs)
 
     def configurations(self) -> Iterator[Configuration]:
-        return map(Configuration.from_key, self._amps)
+        return (Configuration.from_key(k) for k, _ in self._pairs)
+
+    def _find(self, key: tuple, default=None):
+        """The amplitude stored under ``key``, found by bisection."""
+        pairs = self._pairs
+        i = bisect_left(pairs, key, key=_first)
+        return pairs[i][1] if i < len(pairs) and pairs[i][0] == key else default
 
     def amplitude(self, config: Configuration) -> complex:
-        return self._amps.get(config.sort_key(), 0j)
+        return self._find(config.sort_key(), 0j)
 
     def support_size(self) -> int:
-        return len(self._amps)
+        return len(self._pairs)
 
     def norm2(self) -> float:
         return self._norm2
 
     def halted_mass(self) -> float:
         return sum(
-            (a.real * a.real + a.imag * a.imag for k, a in self._amps.items() if k[0]),
+            (a.real * a.real + a.imag * a.imag for _, a in self._pairs[self._halted_from():]),
             start=0.0,
         )
 
     def component(self, halted: bool) -> "QuantumState":
-        return QuantumState._sorted({k: a for k, a in self._amps.items() if k[0] == halted})
+        i = self._halted_from()
+        return QuantumState._sorted(self._pairs[i:] if halted else self._pairs[:i])
 
     def renormalized(self) -> "QuantumState":
         n = self._norm2 ** 0.5
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return QuantumState._sorted({k: a / n for k, a in self._amps.items()})
+        return QuantumState._sorted([(k, a / n) for k, a in self._pairs])
 
     def inner(self, other: "QuantumState") -> complex:
         """<self|other>, conjugate-linear in ``self``."""
         if other.support_size() < self.support_size():
             return other.inner(self).conjugate()
-        theirs = other._amps
-        return sum(a.conjugate() * theirs[k] for k, a in self._amps.items() if k in theirs)
+        find = other._find
+        return sum(a.conjugate() * b for k, a in self._pairs if (b := find(k)) is not None)
 
     def __eq__(self, other):
-        return isinstance(other, QuantumState) and self._amps == other._amps
+        return isinstance(other, QuantumState) and self._pairs == other._pairs
 
     def __len__(self):
-        return len(self._amps)
+        return len(self._pairs)
 
     def __repr__(self):
         inner = ", ".join(f"{a:.4g}*{c!r}" for c, a in self.items())

@@ -2,13 +2,15 @@
 
 perfbench/tracer.py counts stepping work by rebinding ``step`` where the
 qtmlab modules look it up and by reading the state it is given (``len``
-and ``configurations()``).  These properties otherwise show only in a
-traced benchmark run; here they are checked on two small CLI jobs.  The
-tracer is imported read-only from its file.
+and ``configurations()``), and it reads ``experiments.halted_basis`` from
+the report of ``analyze_halting_subspace``.  These properties otherwise
+show only in a traced benchmark run; here they are checked on three small
+CLI jobs.  The tracer is imported read-only from its file.
 """
 
 import importlib
 import importlib.util
+import json
 
 import pytest
 from conftest import MACHINES, ROOT
@@ -58,3 +60,13 @@ def test_halting_run_counts_halted_configuration_steps(tracer, capsys):
     assert summary["evolution.step_calls"] == 9
     assert summary["evolution.halted_config_steps"] > 0
     assert summary["measurement.records"] == 1
+
+
+def test_subspace_reports_its_halted_basis(tracer, capsys):
+    machine = str(MACHINES / "seek_right_lifted.qtm")
+    argv = ["subspace", machine, "--input", "1/sqrt(2):01 + 1/sqrt(2):1100", "--steps", "8"]
+    assert cli.main(argv) == 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    summary = tracer.summary()
+    assert summary["experiments.halted_basis"] == result["haltedBasisCount"] > 0
+    assert summary["experiments.subspace_self_s"] is not None

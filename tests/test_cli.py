@@ -803,6 +803,16 @@ STEPPING_OUTPUT_SHA256 = {
     ("subspace", "seek_right_lifted.qtm"): (
         2, "5c22a3bb828e208e72eb1ec9467b42d373821f55fcb997a4784f49adba4178ac"),
 }
+# subspace over 32 branches that halt at steps 2..33 and then drift: 752
+# halted configurations, recorded while the analysis still built their
+# Gram matrix
+LONG_SUBSPACE_ARGV = (
+    "subspace", "machines/seek_right_lifted.qtm",
+    "--input", " + ".join(f"1/sqrt(32):0{'1' * k}" for k in range(32)),
+    "--steps", "40",
+)
+LONG_SUBSPACE_SHA256 = (
+    2, "e3ac47e72d1c1f6f2c93531dee2fd1cfef7e153f6fe08608edaa9fb76eaa8c90")
 
 
 class TestCorpusOutputsFrozen:
@@ -844,6 +854,12 @@ class TestCorpusOutputsFrozen:
         code = cli.main([argv[0], f"machines/{name}", *argv[1:]])
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert (code, digest) == STEPPING_OUTPUT_SHA256[command, name]
+
+    def test_long_subspace_output_is_byte_identical(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        code = cli.main(list(LONG_SUBSPACE_ARGV))
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert (code, digest) == LONG_SUBSPACE_SHA256
 
     @pytest.mark.parametrize("command", ["run-prune", "trace-prune"])
     @pytest.mark.parametrize("name", PRUNED_MACHINES)

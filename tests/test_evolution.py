@@ -77,6 +77,20 @@ class TestSingleSteps:
         assert cfg.tape == halted.tape
         assert amp == 1 + 0j
 
+    def test_coinciding_terms_add_in_generation_order(self, hadamard_halt):
+        # three sources reach (qH, tape 0, head 1): the two running ones in
+        # canonical order, then the halted one's drift
+        def config(state, text, head):
+            return hadamard_halt.config(state, Tape.from_string(text), head)
+
+        state = QuantumState.of(
+            (config("q0", "0", 0), 0.1), (config("q0", "1", 0), 0.1), (config("qH", "0", 0), 0.6)
+        )
+        r = hadamard_halt.step_rows["q0", "0"][0][4]
+        x, y, z = complex(0.1) * r, complex(0.1) * r, complex(0.6)
+        assert (x + y) + z != (z + y) + x  # the order shows in the last bit
+        assert step(hadamard_halt, state).amplitude(config("qH", "0", 1)) == (x + y) + z
+
     def test_missing_rule_raises(self, hadamard_halt_naive):
         blank_read = hadamard_halt_naive.config("q0", Tape(), 0)
         with pytest.raises(MissingRuleError) as err:
@@ -269,6 +283,13 @@ class TestStepMatchesOracle:
             assert (err.value.state, err.value.symbol) == (q, s)
 
 
+class _Unhashable(tuple):
+    """A cell tuple that fails the test if anything hashes it."""
+
+    def __hash__(self):
+        raise AssertionError("a cell tuple was hashed")
+
+
 class TestRepresentation:
     def test_trajectory_builds_no_configuration_or_tape(self, monkeypatch):
         spec = parse_machine((ROOT / "perfbench/machines/hadamard_walk.qtm").read_text())
@@ -294,6 +315,36 @@ class TestRepresentation:
         # the edge still builds them on demand
         next(last.configurations())
         assert built == ["Tape", "Configuration"]
+
+    @pytest.mark.parametrize(
+        "path, text, steps, halted_mass",
+        [
+            ("perfbench/machines/hadamard_walk.qtm", "0110", 50, 0.0),
+            # the 01 branch halts at step 3, the 1100 branch at step 5
+            ("machines/seek_right_lifted.qtm", "1/sqrt(2):01 + 1/sqrt(2):1100", 4, 0.5),
+        ],
+        ids=["walk", "halting"],
+    )
+    def test_stepping_hashes_no_key(self, path, text, steps, halted_mass):
+        spec = parse_machine((ROOT / path).read_text())
+        start = initial_state(spec, parse_input(text, spec))
+        plain = list(trajectory(spec, start, 0, steps))[-1][1]
+        state = QuantumState.keyed(
+            ((h, q, head, _Unhashable(cells)), a)
+            for (h, q, head, cells), a in start.keyed_items()
+        )
+        for t, state in trajectory(spec, state, 0, steps):
+            pass
+        assert t == steps
+        assert state == plain
+        # neither machine rewrites a cell, so every key still carries the
+        # unhashable cells and any hash of a key would have raised
+        assert all(type(k[3]) is _Unhashable for k, _ in state.keyed_items())
+        assert state.halted_mass() == pytest.approx(halted_mass)
+        for flag in (True, False):
+            part = state.component(flag)
+            if len(part):
+                assert part.renormalized().norm2() == pytest.approx(1.0)
 
     def test_replaced_spec_steps_by_its_own_rules(self, hadamard_halt):
         state = QuantumState.of((hadamard_halt.config("q0", Tape.from_string("1"), 0), 1.0))

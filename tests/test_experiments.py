@@ -1,6 +1,7 @@
 """Superposed-input halting window and halting subspace analysis tests."""
 
 import pytest
+from conftest import MACHINES
 
 from qtmlab import (
     ParseError,
@@ -8,8 +9,30 @@ from qtmlab import (
     analyze_halting_subspace,
     lift_to_qtm,
     parse_input,
+    parse_machine,
+    states_through,
     superposition_window,
 )
+from qtmlab.experiments import _gram_overlaps, _translate_overlaps
+from qtmlab.wellformed import basis_image
+
+# Every input's 3/5 branch halts at step 1 with the head on cell 1.  The
+# 4/5 branch of input 0 halts at step 2 on the drifted copies of all three,
+# so its halted part meets three translated keys, and their squared
+# overlaps sum to different floats in different orders.
+OVERLAPPING = """\
+qtm-spec v1
+states: q0 q1 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 0 -> 3/5 : qH 1 R | 4/5 : q1 1 R
+rule: q1 _ -> 1/2 : qH _ R | 1/5 : qH 0 R | 1/3 : qH 1 R
+rule: q1 0 -> 1 : qH 0 R
+rule: q1 1 -> 1 : qH 1 R
+rule: qH * -> 1 : qH * R
+"""
+OVERLAPPING_INPUT = "1/sqrt(3):0 + 1/sqrt(3):00 + 1/sqrt(3):01"
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +135,44 @@ class TestHaltingSubspace:
     def test_rejects_negative_steps(self, hadamard_halt):
         with pytest.raises(ValueError):
             analyze_halting_subspace(hadamard_halt, parse_input("0", hadamard_halt), -2)
+
+
+class TestSubspacePaths:
+    """The translate lookup agrees exactly with the Gram-Schmidt path."""
+
+    @pytest.mark.parametrize(
+        "name", [p.name for p in sorted(MACHINES.glob("*.qtm"))] + ["overlapping"]
+    )
+    def test_both_paths_give_equal_reports(self, monkeypatch, name):
+        if name == "overlapping":
+            text, inputs = OVERLAPPING, (OVERLAPPING_INPUT,)
+        else:
+            text = (MACHINES / name).read_text()
+            inputs = ("0", "1100", "1/sqrt(2):01 + 1/sqrt(2):1100")
+        fast, slow = parse_machine(text), parse_machine(text)
+        assert fast.halt_translates
+        monkeypatch.setitem(vars(slow), "halt_translates", False)
+        for inp in inputs:
+            for steps in (3, 8):
+                report = analyze_halting_subspace(fast, parse_input(inp, fast), steps)
+                assert report == analyze_halting_subspace(slow, parse_input(inp, slow), steps)
+                assert report.gram_deviation == 0.0
+        if name == "overlapping":
+            assert report.max_overlap == 1.0
+            assert report.max_residual == pytest.approx(0.6)
+
+    def test_overlaps_agree_for_every_halted_part(self):
+        # the report keeps only maxima; compare what each part feeds them
+        spec = parse_machine(OVERLAPPING)
+        states = states_through(spec, parse_input(OVERLAPPING_INPUT, spec), 4)
+        halted = sorted({k for s in states for k, _ in s.keyed_items() if k[0]})
+        _, lookup = _translate_overlaps(halted)
+        _, gram = _gram_overlaps(spec, halted, 1e-9)
+        hits = []
+        for cfg in {c for s in states for c in s.configurations() if not c.halted}:
+            part = basis_image(spec, cfg).component(True)
+            (overlaps, projections), (g_overlaps, g_projections) = lookup(part), gram(part)
+            assert max([0.0, *overlaps]) == max([0.0, *g_overlaps])
+            assert sum(p ** 2 for p in projections) == sum(p ** 2 for p in g_projections)
+            hits.append(len(projections))
+        assert max(hits) == 3

@@ -5,14 +5,18 @@ confirmed against the library once; they are frozen here as regression
 values.  A failure means one side drifted.
 """
 
+import re
+
 import oracles
 import pytest
+from conftest import MACHINES
 
 from qtmlab import (
     analyze_halting_subspace,
     check_wellformed,
     core_well_formed,
     parse_input,
+    parse_machine,
 )
 
 # Distinct unordered window pairs for two states over a three-symbol
@@ -55,6 +59,12 @@ def test_checker_matches_brute_force_sweep(name, request, candidate_pairs):
 def test_subspace_matches_projection_oracle(corpus, right_shift):
     cases = [(spec, inputs[0], 6) for _, spec, inputs in corpus]
     cases.append((right_shift, "0", 5))
+    # halt rows that do not all move right take the Gram-Schmidt path
+    seek = (MACHINES / "seek_right_lifted.qtm").read_text()
+    for read, move in ((r"\S", "N"), (r"\S", "L"), ("_", "N")):
+        spec = parse_machine(re.sub(rf"(qH {read} -> 1 : qH \S) R", rf"\1 {move}", seek))
+        assert not spec.halt_translates
+        cases.append((spec, "1/sqrt(2):01 + 1/sqrt(2):1100", 8))
     for spec, text, steps in cases:
         inp = parse_input(text, spec)
         report = analyze_halting_subspace(spec, inp, steps)
