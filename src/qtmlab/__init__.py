@@ -43,21 +43,17 @@ from .machine import (
     validate_structure,
 )
 from .measurement import (
-    AtSteps,
     ComparisonReport,
-    EndOnly,
-    EveryStep,
     HaltOutcome,
     MeasurementRecord,
     OutputDistribution,
     SampleReport,
+    Schedule,
     UNHALTED,
     compare_schedules,
-    measure_halt,
     parse_schedule,
     run_schedule,
     sample_run,
-    total_variation,
 )
 from .parsing import (
     parse_amplitude,
@@ -79,7 +75,6 @@ from .wellformed import (
 )
 
 __all__ = [
-    "AtSteps",
     "BLANK",
     "BY_CONSTRUCTION",
     "ClassicalRun",
@@ -89,8 +84,6 @@ __all__ = [
     "ComparisonReport",
     "Configuration",
     "DEFAULT_TOL",
-    "EndOnly",
-    "EveryStep",
     "EvolutionTrace",
     "HaltOutcome",
     "InjectivityWitness",
@@ -106,6 +99,7 @@ __all__ = [
     "ReversibilityReport",
     "RuleTarget",
     "SampleReport",
+    "Schedule",
     "StructureViolation",
     "SubspaceReport",
     "SuperpositionReport",
@@ -124,7 +118,6 @@ __all__ = [
     "evolve",
     "initial_state",
     "lift_to_qtm",
-    "measure_halt",
     "pair_image_inner",
     "parse_amplitude",
     "parse_classical",
@@ -139,7 +132,6 @@ __all__ = [
     "states_through",
     "step",
     "superposition_window",
-    "total_variation",
     "validate_input",
     "validate_structure",
 ]

@@ -148,7 +148,7 @@ def _split_schedules(text: str, steps: int):
         left, right = text[:i], text[i + 1 :]
         try:
             return parse_schedule(left, steps), parse_schedule(right, steps)
-        except (ParseError, ValueError):
+        except ParseError:
             continue
     raise ParseError(f"--schedules expects two comma-separated schedules, got {text!r}")
 

@@ -9,10 +9,16 @@ tree.  Probabilities are Born ratios against the squared norm at the
 moment of measurement, which keeps every reported distribution summing to
 one even on rule tables that fail to preserve norm; the worst norm drift
 seen between measurements is recorded so such machines can be flagged.
+
+A schedule is one record, ``Schedule(label, steps)``: its label and the
+ascending steps at which the flag is read.  ``parse_schedule`` is the only
+builder; ``every`` keeps its steps as a ``range``, so walking a long
+budget costs memory only for the steps actually evolved.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from random import Random
 
@@ -23,7 +29,6 @@ from .machine import (
     DEFAULT_TOL,
     InputSpec,
     MachineSpec,
-    QuantumState,
     Tape,
     initial_state,
 )
@@ -63,74 +68,47 @@ def _outcome_key(outcome):
 # ---------------------------------------------------------------------------
 # schedules
 
-@dataclass(frozen=True)
-class EveryStep:
-    def steps(self, budget: int) -> tuple[int, ...]:
-        return tuple(range(1, budget + 1))
+@dataclass(frozen=True, slots=True)
+class Schedule:
+    """The steps at which the halt flag is read, ascending and distinct.
 
-    @property
-    def label(self) -> str:
-        return "every"
+    ``every`` holds a ``range``, so a long budget is never materialized.
+    """
 
-
-@dataclass(frozen=True)
-class AtSteps:
-    at: tuple[int, ...]
-
-    def __post_init__(self):
-        cleaned = tuple(sorted(set(self.at)))
-        if any(s < 1 for s in cleaned):
-            raise ValueError("measurement steps must be >= 1")
-        object.__setattr__(self, "at", cleaned)
-
-    def steps(self, budget: int) -> tuple[int, ...]:
-        if self.at and self.at[-1] > budget:
-            raise ValueError(
-                f"schedule step {self.at[-1]} exceeds budget {budget}"
-            )
-        return self.at
-
-    @property
-    def label(self) -> str:
-        return "at:" + ",".join(str(s) for s in self.at)
+    label: str
+    steps: Sequence[int]
 
 
-@dataclass(frozen=True)
-class EndOnly:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("measurement step must be >= 0")
-
-    def steps(self, budget: int) -> tuple[int, ...]:
-        if self.n > budget:
-            raise ValueError(f"schedule step {self.n} exceeds budget {budget}")
-        # a step-0 measurement is a no-op: fresh inputs are never halted
-        return (self.n,) if self.n >= 1 else ()
-
-    @property
-    def label(self) -> str:
-        return f"end:{self.n}"
+def _step(text: str, part: str) -> int:
+    # int() would also take signs, underscores and non-ASCII digits
+    if not (part.isascii() and part.isdigit()):
+        raise ParseError(f"bad schedule {text!r}")
+    return int(part)
 
 
-def parse_schedule(text: str, budget: int):
+def parse_schedule(text: str, budget: int) -> Schedule:
     """Schedule strings: ``every``, ``end``, ``end:N``, ``at:N,N,...``.
 
-    Bare ``end`` measures at the step budget of the surrounding run.
+    Each step N is ASCII digits.  Bare ``end`` measures at the step budget
+    of the surrounding run; ``at:`` steps are sorted and de-duplicated and
+    must be >= 1.  Whether a step fits the budget is checked by
+    ``run_schedule``, against the budget it is run with.
     """
     if text == "every":
-        return EveryStep()
+        return Schedule("every", range(1, budget + 1))
+    if text.startswith("at:"):
+        at = sorted({_step(text, p) for p in text[3:].split(",")})
+        if at[0] < 1:
+            raise ParseError(f"bad schedule {text!r}")
+        return Schedule("at:" + ",".join(map(str, at)), tuple(at))
     if text == "end":
-        return EndOnly(budget)
-    try:
-        if text.startswith("end:"):
-            return EndOnly(int(text[4:]))
-        if text.startswith("at:"):
-            return AtSteps(tuple(int(p) for p in text[3:].split(",")))
-    except ValueError as exc:
-        raise ParseError(f"bad schedule {text!r}") from exc
-    raise ParseError(f"unknown schedule {text!r}")
+        n = budget
+    elif text.startswith("end:"):
+        n = _step(text, text[4:])
+    else:
+        raise ParseError(f"unknown schedule {text!r}")
+    # a step-0 measurement is a no-op: fresh inputs are never halted
+    return Schedule(f"end:{n}", (n,) if n >= 1 else ())
 
 
 # ---------------------------------------------------------------------------
@@ -175,48 +153,27 @@ class OutputDistribution:
         return merged
 
 
-def measure_halt(state: QuantumState):
-    """Born split of a state by the halt flag.
-
-    Returns (flag, probability, collapsed state) for each outcome with
-    nonzero mass, probabilities taken as ratios against the current
-    squared norm.
-    """
-    nu = state.norm2()
-    if nu <= 0.0:
-        raise ValueError("cannot measure a zero state")
-    results = []
-    for flag in (True, False):
-        component = state.component(flag)
-        mass = component.norm2()
-        if mass > 0.0:
-            results.append((flag, mass / nu, component.renormalized()))
-    return results
-
-
 def run_schedule(
     spec: MachineSpec,
     inp: InputSpec,
-    schedule,
+    schedule: Schedule,
     budget: int,
     prune: float = 0.0,
 ) -> OutputDistribution:
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    points = set(schedule.steps(budget))
+    if schedule.steps and schedule.steps[-1] > budget:
+        raise ValueError(f"schedule step {schedule.steps[-1]} exceeds budget {budget}")
     state = initial_state(spec, inp)
     live = 1.0
     outcomes: dict = {}
     records = []
     max_drift = 0.0
     start = 0
-    # the last segment runs on to the budget, so max_drift sees every step
-    for t in sorted(points | {budget}):
+    for t in schedule.steps:
         for _, state in trajectory(spec, state, start, t, prune):
             max_drift = max(max_drift, abs(state.norm2() - 1.0))
         start = t
-        if t not in points:
-            break
         halted = state.component(True)
         h = halted.norm2()
         if h > 0.0:
@@ -236,6 +193,10 @@ def run_schedule(
             if unhalted.norm2() <= 0.0:
                 break
             state = unhalted.renormalized()
+    else:
+        # the unhalted lineage runs on to the budget, so max_drift sees every step
+        for _, state in trajectory(spec, state, start, budget, prune):
+            max_drift = max(max_drift, abs(state.norm2() - 1.0))
     entries = tuple(
         sorted(outcomes.items(), key=lambda kv: _outcome_key(kv[0]))
     ) + ((UNHALTED, live),)
@@ -258,7 +219,7 @@ class SampleReport:
 def sample_run(
     spec: MachineSpec,
     inp: InputSpec,
-    schedule,
+    schedule: Schedule,
     budget: int,
     seed: int,
     samples: int,
@@ -296,13 +257,14 @@ def _walk(records, rng: Random):
 
 
 def _coarsened_diffs(a: OutputDistribution, b: OutputDistribution) -> list[float]:
-    """|p_a - p_b| for every final tape (and UNHALTED) either one reaches."""
+    """|p_a - p_b| for every final tape either one reaches, then UNHALTED.
+
+    Tapes come in cell order, as ``compare`` prints them, so the sum over
+    the list does not depend on set iteration order.
+    """
     ca, cb = a.coarsened(), b.coarsened()
-    return [abs(ca.get(k, 0.0) - cb.get(k, 0.0)) for k in set(ca) | set(cb)]
-
-
-def total_variation(a: OutputDistribution, b: OutputDistribution) -> float:
-    return 0.5 * sum(_coarsened_diffs(a, b))
+    tapes = sorted({k for k in (*ca, *cb) if k is not UNHALTED}, key=lambda t: t.cells)
+    return [abs(ca.get(k, 0.0) - cb.get(k, 0.0)) for k in (*tapes, UNHALTED)]
 
 
 @dataclass(frozen=True)
@@ -318,8 +280,8 @@ class ComparisonReport:
 def compare_schedules(
     spec: MachineSpec,
     inp: InputSpec,
-    schedule_a,
-    schedule_b,
+    schedule_a: Schedule,
+    schedule_b: Schedule,
     budget: int,
     tol: float = DEFAULT_TOL,
     prune: float = 0.0,

@@ -14,8 +14,6 @@ import pytest
 
 from conftest import CLASSICAL_NAMES, CORPUS_INPUTS, ROOT, load_tm
 from qtmlab import (
-    EndOnly,
-    EveryStep,
     HaltOutcome,
     UNHALTED,
     check_wellformed,
@@ -24,6 +22,7 @@ from qtmlab import (
     lift_to_qtm,
     pair_image_inner,
     parse_input,
+    parse_schedule,
     run_classical,
     run_schedule,
     sample_run,
@@ -109,8 +108,9 @@ def test_criterion_3_schedule_equivalence(gated_corpus):
         for text in inputs:
             inp = parse_input(text, spec)
             for n in BUDGETS:
-                a = run_schedule(spec, inp, EveryStep(), n).coarsened()
-                b = run_schedule(spec, inp, EndOnly(n), n).coarsened()
+                every, end = parse_schedule("every", n), parse_schedule(f"end:{n}", n)
+                a = run_schedule(spec, inp, every, n).coarsened()
+                b = run_schedule(spec, inp, end, n).coarsened()
                 keys = set(a) | set(b)
                 tv = 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
                 worst = max(worst, tv)
@@ -126,7 +126,7 @@ def test_criterion_4_cumulative_halt_identity(gated_corpus):
         for text in inputs:
             inp = parse_input(text, spec)
             for n in BUDGETS:
-                dist = run_schedule(spec, inp, EveryStep(), n)
+                dist = run_schedule(spec, inp, parse_schedule("every", n), n)
                 cumulative = 1.0 - dist.probability(UNHALTED)
                 state, _ = evolve(spec, inp, n)
                 worst = max(worst, abs(cumulative - state.halted_mass()))
@@ -168,7 +168,8 @@ def test_criterion_7_lift_fidelity():
         for text in CORPUS_INPUTS[name]:
             classical = run_classical(tm, text, budget=100)
             dist = run_schedule(
-                spec, parse_input(text, spec), EveryStep(), classical.steps
+                spec, parse_input(text, spec),
+                parse_schedule("every", classical.steps), classical.steps,
             )
             expected = HaltOutcome(classical.steps, classical.tape)
             point_mass = dist.probability(expected)
@@ -213,13 +214,14 @@ def test_criterion_9_subspace_matches_projection_oracle(gated_corpus):
 
 def test_criterion_10_sampler_consistency(hadamard_halt):
     inp = parse_input("0", hadamard_halt)
-    report = sample_run(hadamard_halt, inp, EveryStep(), 5, seed=1, samples=10_000)
+    every = parse_schedule("every", 5)
+    report = sample_run(hadamard_halt, inp, every, 5, seed=1, samples=10_000)
     empirical = {o: c / report.samples for o, c in report.counts}
     exact = dict(report.distribution.entries)
     keys = set(empirical) | set(exact)
     tv = 0.5 * sum(abs(empirical.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
 
-    again = sample_run(hadamard_halt, inp, EveryStep(), 5, seed=1, samples=10_000)
+    again = sample_run(hadamard_halt, inp, every, 5, seed=1, samples=10_000)
     args = (
         "sample", "machines/hadamard_halt.qtm", "--input", "0",
         "--steps", "5", "--seed", "1", "--samples", "10000",

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -263,12 +264,13 @@ rule: qH 0 -> 1 : qH 1 R
 """
 
 
-def qtmlab(*args):
+def qtmlab(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "qtmlab.cli", *args],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -292,6 +294,18 @@ class TestGoldens:
         p = qtmlab("run", "machines/hadamard_halt.qtm", "--input", "0", "--steps", "5")
         assert p.returncode == 0
         assert p.stdout == RUN_HADAMARD
+
+    def test_run_every_over_a_huge_budget(self):
+        def result(steps):
+            p = qtmlab(
+                "run", "machines/hadamard_halt.qtm", "--input", "0",
+                "--steps", steps, "--schedule", "every",
+            )
+            assert p.returncode == 0
+            out = json.loads(p.stdout)["result"]
+            return out["outcomes"], out["unhalted"]
+
+        assert result("1000000000000") == result("5")
 
     def test_sample_seeded(self):
         p = qtmlab(
@@ -405,6 +419,26 @@ class TestCompare:
         assert result["scheduleA"] == "at:1,3,6"
         assert result["scheduleB"] == "end:6"
 
+    def test_step_beyond_budget_is_reported_not_the_split(self):
+        p = qtmlab(
+            "compare", "machines/hadamard_halt.qtm", "--input", "0",
+            "--steps", "3", "--schedules", "at:1,9,end",
+        )
+        assert p.returncode == 1
+        assert "schedule step 9 exceeds budget 3" in p.stderr
+
+    def test_tv_distance_does_not_follow_the_hash_seed(self):
+        # six final tapes whose |p_a - p_b| sum rounds differently by order
+        args = (
+            "compare", "machines/seek_right_lifted.qtm", "--input",
+            "1/sqrt(6):0 + -1/sqrt(6):01010 + 1/sqrt(6):000010"
+            " + -1/sqrt(6):10100 + -1/sqrt(6):000011 + 1/sqrt(6):0001",
+            "--steps", "9", "--schedules", "at:1,3,every",
+        )
+        outs = {qtmlab(*args, env={"PYTHONHASHSEED": seed}).stdout for seed in "047"}
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["result"]["tvDistance"] == 0.8333333333333333
+
     def test_norm_breaking_machine_flagged(self):
         p = qtmlab(
             "compare", "machines/hadamard_halt_naive.qtm",
@@ -493,6 +527,11 @@ class TestExitCodes:
             ("check", "machines/hadamard_halt.qtm", "--tol", "inf"),
             ("run", "machines/hadamard_halt.qtm", "--steps", "2",
              "--input", "1" + "0" * 400 + "e0:0"),
+            *(
+                ("run", "machines/hadamard_halt.qtm", "--input", "0", "--steps", "3",
+                 "--schedule", schedule)
+                for schedule in ("at:1_0", "at:+3", "at:\u0663", "end:0_3")
+            ),
         ],
     )
     def test_usage_and_runtime_errors_exit_one(self, args):

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+import types
 
 import pytest
 
@@ -28,3 +29,13 @@ def test_absolute_imports_are_stdlib(path):
 def test_no_runtime_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert project["project"]["dependencies"] == []
+
+
+def test_all_lists_exactly_the_public_names():
+    import qtmlab
+
+    public = {
+        name for name, value in vars(qtmlab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(qtmlab.__all__)

@@ -8,20 +8,15 @@ from hypothesis import strategies as st
 
 from qtmlab import (
     UNHALTED,
-    AtSteps,
-    EndOnly,
-    EveryStep,
     HaltOutcome,
     ParseError,
-    QuantumState,
+    Schedule,
     Tape,
     compare_schedules,
-    measure_halt,
     parse_input,
     parse_schedule,
     run_schedule,
     sample_run,
-    total_variation,
 )
 from qtmlab.measurement import _Unhalted
 
@@ -32,73 +27,72 @@ def dist(spec, text, schedule, budget):
     return run_schedule(spec, parse_input(text, spec), schedule, budget)
 
 
+def every(budget):
+    return parse_schedule("every", budget)
+
+
+def end(n):
+    return parse_schedule(f"end:{n}", n)
+
+
 class TestSchedules:
     def test_every_step(self):
-        assert EveryStep().steps(4) == (1, 2, 3, 4)
-        assert EveryStep().label == "every"
+        assert every(4) == Schedule("every", range(1, 5))
+        assert list(every(4).steps) == [1, 2, 3, 4]
+        assert not every(0).steps
+
+    def test_every_step_is_not_materialized(self):
+        assert len(parse_schedule("every", 10**12).steps) == 10**12
 
     def test_at_steps_sorts_and_dedupes(self):
-        s = AtSteps((3, 1, 2, 2))
-        assert s.at == (1, 2, 3)
-        assert s.steps(5) == (1, 2, 3)
-        assert s.label == "at:1,2,3"
+        s = parse_schedule("at:3,1,2,2", budget=5)
+        assert s == Schedule("at:1,2,3", (1, 2, 3))
 
     def test_at_steps_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            AtSteps((0, 2))
-
-    def test_at_steps_beyond_budget(self):
-        with pytest.raises(ValueError, match="exceeds budget"):
-            AtSteps((9,)).steps(3)
+        with pytest.raises(ParseError, match="bad schedule"):
+            parse_schedule("at:0,2", budget=5)
 
     def test_end_only(self):
-        assert EndOnly(4).steps(6) == (4,)
-        assert EndOnly(0).steps(6) == ()
-        assert EndOnly(4).label == "end:4"
-        with pytest.raises(ValueError):
-            EndOnly(-1)
-        with pytest.raises(ValueError, match="exceeds budget"):
-            EndOnly(9).steps(3)
+        assert parse_schedule("end:4", budget=6) == Schedule("end:4", (4,))
+        assert parse_schedule("end:0", budget=6) == Schedule("end:0", ())
+        assert parse_schedule("end", budget=6) == Schedule("end:6", (6,))
+
+    @pytest.mark.parametrize("text", ["at:9", "end:9", "at:1,9"])
+    def test_steps_beyond_budget_rejected_when_run(self, hadamard_halt, text):
+        # parsing accepts them: the budget check belongs to run_schedule
+        schedule = parse_schedule(text, budget=3)
+        with pytest.raises(ValueError, match="schedule step 9 exceeds budget 3"):
+            dist(hadamard_halt, "0", schedule, 3)
 
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("every", EveryStep()),
-            ("end", EndOnly(7)),
-            ("end:3", EndOnly(3)),
-            ("at:3,1,2", AtSteps((1, 2, 3))),
+            ("every", Schedule("every", range(1, 8))),
+            ("end", Schedule("end:7", (7,))),
+            ("end:3", Schedule("end:3", (3,))),
+            ("at:3,1,2", Schedule("at:1,2,3", (1, 2, 3))),
+            ("at:03", Schedule("at:3", (3,))),
         ],
     )
     def test_parse(self, text, expected):
         assert parse_schedule(text, budget=7) == expected
 
-    @pytest.mark.parametrize("text", ["sometimes", "at:x", "end:x", ""])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sometimes", "at:x", "end:x", "",
+            "at:1_0", "at:+3", "at:٣", "end:0_3",
+            "at:", "at:1,,2", "at: 3", "end:-1",
+        ],
+    )
     def test_parse_rejections(self, text):
         with pytest.raises(ParseError):
             parse_schedule(text, budget=7)
 
 
-class TestMeasureHalt:
-    def test_born_split(self, hadamard_halt):
-        running = hadamard_halt.config("q0", Tape.from_string("1"), 0)
-        halted = hadamard_halt.config("qH", Tape.from_string("1"), 1)
-        state = QuantumState.of((running, 0.6), (halted, 0.8))
-        split = dict(
-            (flag, (p, collapsed)) for flag, p, collapsed in measure_halt(state)
-        )
-        assert split[True][0] == pytest.approx(0.64)
-        assert split[False][0] == pytest.approx(0.36)
-        assert split[True][1].norm2() == pytest.approx(1.0)
-        assert list(split[False][1].configurations()) == [running]
-
-    def test_zero_state_rejected(self):
-        with pytest.raises(ValueError):
-            measure_halt(QuantumState({}))
-
-
 class TestRunSchedule:
     def test_hadamard_every_step(self, hadamard_halt):
-        d = dist(hadamard_halt, "0", EveryStep(), 5)
+        d = dist(hadamard_halt, "0", every(5), 5)
         assert d.entries == (
             (HaltOutcome(1, Tape.from_string("0")), 0.5),
             (HaltOutcome(1, Tape.from_string("1")), 0.5),
@@ -115,8 +109,13 @@ class TestRunSchedule:
             (Tape.from_string("1"), 0.5),
         )
 
+    def test_every_step_walks_only_until_the_lineage_empties(self, hadamard_halt):
+        # the state has fully halted at step 1; no step list of the budget's length
+        huge = dist(hadamard_halt, "0", every(10**12), 10**12)
+        assert huge.entries == dist(hadamard_halt, "0", every(5), 5).entries
+
     def test_hadamard_end_only_agrees_up_to_halt_step(self, hadamard_halt):
-        d = dist(hadamard_halt, "0", EndOnly(5), 5)
+        d = dist(hadamard_halt, "0", end(5), 5)
         assert d.entries == (
             (HaltOutcome(5, Tape.from_string("0")), 0.5),
             (HaltOutcome(5, Tape.from_string("1")), 0.5),
@@ -124,13 +123,13 @@ class TestRunSchedule:
         )
 
     def test_interference_on_superposed_input(self, hadamard_halt):
-        d = dist(hadamard_halt, "1/sqrt(2):0 + 1/sqrt(2):1", EveryStep(), 4)
+        d = dist(hadamard_halt, "1/sqrt(2):0 + 1/sqrt(2):1", every(4), 4)
         coarse = d.coarsened()
         assert coarse[Tape.from_string("0")] == pytest.approx(1.0)
         assert coarse[UNHALTED] == pytest.approx(0.0, abs=1e-12)
 
     def test_delayed_hadamard_two_branches(self, delayed_hadamard):
-        d = dist(delayed_hadamard, "10", EveryStep(), 4)
+        d = dist(delayed_hadamard, "10", every(4), 4)
         assert d.entries == (
             (HaltOutcome(2, Tape.from_string("10")), 0.5),
             (HaltOutcome(2, Tape.from_string("11")), 0.5),
@@ -138,23 +137,23 @@ class TestRunSchedule:
         )
 
     def test_nonhalting_machine_reports_unhalted(self, right_shift):
-        d = dist(right_shift, "0", EveryStep(), 10)
+        d = dist(right_shift, "0", every(10), 10)
         assert d.entries == ((UNHALTED, 1.0),)
         assert d.records == ()
         assert d.probability(UNHALTED) == 1.0
 
     def test_zero_measurements_leave_everything_live(self, hadamard_halt):
-        d = dist(hadamard_halt, "0", EndOnly(0), 5)
+        d = dist(hadamard_halt, "0", parse_schedule("end:0", 5), 5)
         assert d.entries == ((UNHALTED, 1.0),)
 
     def test_probability_accessor(self, hadamard_halt):
-        d = dist(hadamard_halt, "0", EveryStep(), 5)
+        d = dist(hadamard_halt, "0", every(5), 5)
         assert d.probability(HaltOutcome(1, Tape.from_string("0"))) == 0.5
         assert d.probability(HaltOutcome(3, Tape.from_string("0"))) == 0.0
 
     def test_negative_budget_rejected(self, hadamard_halt):
         with pytest.raises(ValueError):
-            dist(hadamard_halt, "0", EveryStep(), -1)
+            dist(hadamard_halt, "0", every(-1), -1)
 
     def test_unhalted_sentinel_is_a_singleton(self):
         assert _Unhalted() is UNHALTED
@@ -164,7 +163,7 @@ class TestRunSchedule:
 class TestSampling:
     def test_seeded_counts_frozen(self, hadamard_halt):
         report = sample_run(
-            hadamard_halt, parse_input("0", hadamard_halt), EveryStep(), 5,
+            hadamard_halt, parse_input("0", hadamard_halt), every(5), 5,
             seed=7, samples=2000,
         )
         assert report.counts == (
@@ -174,26 +173,26 @@ class TestSampling:
 
     def test_identical_seeds_identical_reports(self, delayed_hadamard):
         inp = parse_input("10", delayed_hadamard)
-        a = sample_run(delayed_hadamard, inp, EveryStep(), 6, seed=123, samples=500)
-        b = sample_run(delayed_hadamard, inp, EveryStep(), 6, seed=123, samples=500)
+        a = sample_run(delayed_hadamard, inp, every(6), 6, seed=123, samples=500)
+        b = sample_run(delayed_hadamard, inp, every(6), 6, seed=123, samples=500)
         assert a == b
 
     def test_different_seeds_differ(self, hadamard_halt):
         inp = parse_input("0", hadamard_halt)
-        a = sample_run(hadamard_halt, inp, EveryStep(), 5, seed=1, samples=200)
-        b = sample_run(hadamard_halt, inp, EveryStep(), 5, seed=2, samples=200)
+        a = sample_run(hadamard_halt, inp, every(5), 5, seed=1, samples=200)
+        b = sample_run(hadamard_halt, inp, every(5), 5, seed=2, samples=200)
         assert a.counts != b.counts
 
     def test_nonhalting_samples_are_unhalted(self, right_shift):
         report = sample_run(
-            right_shift, parse_input("0", right_shift), EveryStep(), 5,
+            right_shift, parse_input("0", right_shift), every(5), 5,
             seed=0, samples=50,
         )
         assert report.counts == ((UNHALTED, 50),)
 
     def test_zero_samples(self, hadamard_halt):
         report = sample_run(
-            hadamard_halt, parse_input("0", hadamard_halt), EveryStep(), 5,
+            hadamard_halt, parse_input("0", hadamard_halt), every(5), 5,
             seed=0, samples=0,
         )
         assert report.counts == ()
@@ -201,7 +200,7 @@ class TestSampling:
     def test_negative_samples_rejected(self, hadamard_halt):
         with pytest.raises(ValueError):
             sample_run(
-                hadamard_halt, parse_input("0", hadamard_halt), EveryStep(), 5,
+                hadamard_halt, parse_input("0", hadamard_halt), every(5), 5,
                 seed=0, samples=-1,
             )
 
@@ -210,7 +209,7 @@ class TestCompare:
     def test_well_behaved_machine_is_schedule_invariant(self, hadamard_halt):
         report = compare_schedules(
             hadamard_halt, parse_input("0", hadamard_halt),
-            EveryStep(), EndOnly(6), 6,
+            every(6), end(6), 6,
         )
         assert report.tv_distance == 0.0
         assert not report.norm_flag
@@ -219,7 +218,7 @@ class TestCompare:
     def test_norm_breaking_machine_is_flagged(self, hadamard_halt_naive):
         inp = parse_input("1/sqrt(2):0 + 1/sqrt(2):1", hadamard_halt_naive)
         report = compare_schedules(
-            hadamard_halt_naive, inp, EveryStep(), EndOnly(6), 6,
+            hadamard_halt_naive, inp, every(6), end(6), 6,
         )
         assert report.tv_distance == 0.0
         assert report.max_abs_diff == 0.0
@@ -231,27 +230,21 @@ class TestCompare:
         # The distribution itself still sums to 1; only the flag reveals
         # that the machine inflated the norm along the way.
         inp = parse_input("1/sqrt(2):0 + 1/sqrt(2):1", hadamard_halt_naive)
-        d = run_schedule(hadamard_halt_naive, inp, EveryStep(), 6)
+        d = run_schedule(hadamard_halt_naive, inp, every(6), 6)
         coarse = d.coarsened()
         assert sum(coarse.values()) == pytest.approx(1.0, abs=1e-12)
         assert coarse[Tape.from_string("0")] == pytest.approx(0.14644660940672619)
         assert coarse[Tape.from_string("1")] == pytest.approx(0.8535533905932737)
-
-    def test_total_variation_of_identical_distributions(self, hadamard_halt):
-        inp = parse_input("0", hadamard_halt)
-        a = run_schedule(hadamard_halt, inp, EveryStep(), 5)
-        b = run_schedule(hadamard_halt, inp, EndOnly(5), 5)
-        assert total_variation(a, b) == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_any_schedule_matches_end_measurement(self, data, delayed_hadamard):
         budget = 8
         extra = data.draw(st.sets(st.integers(1, budget), max_size=5))
-        schedule = AtSteps(tuple(extra | {budget}))
+        schedule = parse_schedule("at:" + ",".join(map(str, extra | {budget})), budget)
         report = compare_schedules(
             delayed_hadamard, parse_input("10", delayed_hadamard),
-            schedule, EndOnly(budget), budget,
+            schedule, end(budget), budget,
         )
         assert report.tv_distance <= 1e-9
         assert report.equivalent
