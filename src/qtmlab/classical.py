@@ -44,7 +44,7 @@ class ClassicalTM:
     rules: dict  # (state, symbol) -> (state, write, move)
 
     def config(self, state: str, tape: Tape, head: int) -> Configuration:
-        return Configuration(state == self.halt, state, tape, head)
+        return Configuration(state == self.halt, state, head, tape.cells)
 
     def rule(self, state: str, symbol: str) -> tuple[str, str, str]:
         """Effective rule, with missing keys materialized as halting moves.
@@ -125,13 +125,9 @@ def classical_trajectory(
 
 
 def _image(tm: ClassicalTM, cfg: Configuration) -> Configuration:
-    state, write, move = tm.rule(cfg.state, cfg.tape.read(cfg.head))
-    return Configuration(
-        state == tm.halt,
-        state,
-        cfg.tape.write(cfg.head, write),
-        cfg.head + MOVE_DELTA[move],
-    )
+    tape = cfg.tape
+    state, write, move = tm.rule(cfg.state, tape.read(cfg.head))
+    return tm.config(state, tape.write(cfg.head, write), cfg.head + MOVE_DELTA[move])
 
 
 def _lifted_rules(tm: ClassicalTM) -> dict:

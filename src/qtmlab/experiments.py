@@ -145,7 +145,7 @@ def _translate_overlaps(halted_keys):
 def _gram_overlaps(spec, halted_keys, tol):
     """Gram deviation of the drift images and overlaps of a halted part with
     the images and with their Gram-Schmidt orthonormalization."""
-    images = [basis_image(spec, Configuration.from_key(k)) for k in halted_keys]
+    images = [basis_image(spec, Configuration._make(k)) for k in halted_keys]
     gram_deviation = 0.0
     for i, u in enumerate(images):
         for j, v in enumerate(images):
@@ -183,7 +183,7 @@ def analyze_halting_subspace(
 
     halted_keys = sorted({k for s in states for k, _ in s.keyed_items() if k[0]})
     running_keys = {k for s in states[:-1] for k, _ in s.keyed_items() if not k[0]}
-    running_sorted = [Configuration.from_key(k) for k in sorted(running_keys)]
+    running_sorted = [Configuration._make(k) for k in sorted(running_keys)]
 
     if spec.halt_translates:
         gram_deviation, measure = _translate_overlaps(halted_keys)

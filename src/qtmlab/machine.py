@@ -1,17 +1,18 @@
 """Machine model: tapes, configurations, rule tables, and sparse states.
 
-A machine acts on basis configurations (halt flag, internal state, tape,
-head position).  The halt flag is never stored independently: it is true
+A machine acts on basis configurations (halt flag, internal state, head
+position, tape).  The halt flag is never stored independently: it is true
 exactly when the internal state is the declared halt state, so rule files
 cannot describe inconsistent flag/state combinations.
 
 Tapes are two-way infinite and blank-filled; only non-blank cells are
 stored, so two tapes are equal exactly when they agree on every cell.
 
-Inside a ``QuantumState`` a configuration is its sort key, the plain tuple
-``(halted, state, head, cells)`` with ``cells`` a canonical tape tuple; the
-checker's window keys share this layout.  ``Configuration`` and ``Tape``
-objects are built only at the API edge, when a caller passes or reads them.
+A configuration has one layout, the named tuple ``Configuration(halted,
+state, head, cells)`` with ``cells`` a canonical tape tuple, so it is its
+own sort key.  ``QuantumState`` stores such tuples, ``step`` builds them
+plain, and the checker's window keys share the layout; a ``Tape`` is built
+only when a configuration's ``tape`` is read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import ParseError
 
@@ -41,7 +42,7 @@ class Tape:
     ``cells`` is canonical: ``(position, symbol)`` pairs sorted by position,
     with no blank stored.  A mapping is brought into that form.  A tuple is
     taken as canonical as given, so only canonical tuples may be passed:
-    ``shifted`` cells, the checker's window cells, or ``()``.
+    a configuration's ``cells``, ``shifted`` cells, or ``()``.
     """
 
     __slots__ = ("cells", "_hash")
@@ -100,29 +101,29 @@ class Tape:
         return f"Tape({text!r}@{origin})"
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
-    """One basis configuration.  ``halted`` is derived from ``state`` by the
-    constructor helpers and must equal (state == halt state of the machine).
+class Configuration(NamedTuple):
+    """One basis configuration, laid out as its own sort key.
+
+    ``cells`` is a canonical tape tuple (see ``Tape``), and ``halted`` must
+    equal (state == halt state of the machine), which the constructor
+    helpers ``MachineSpec.config`` and ``ClassicalTM.config`` derive.
+    Equality, hashing and ordering are the tuple's, so ``sorted`` gives
+    canonical order with halted configurations last.
     """
 
     halted: bool
     state: str
-    tape: Tape
     head: int
+    cells: tuple
 
-    def sort_key(self) -> tuple:
-        return (self.halted, self.state, self.head, self.tape.cells)
-
-    @classmethod
-    def from_key(cls, key: tuple) -> "Configuration":
-        """Inverse of ``sort_key``."""
-        return cls(key[0], key[1], Tape(key[3]), key[2])
+    @property
+    def tape(self) -> Tape:
+        """The tape, built on each read."""
+        return Tape(self.cells)
 
     def shifted(self, offset: int) -> "Configuration":
-        return Configuration(
-            self.halted, self.state, self.tape.shifted(offset), self.head + offset
-        )
+        cells = tuple((p + offset, s) for p, s in self.cells)
+        return Configuration(self.halted, self.state, self.head + offset, cells)
 
     def __repr__(self):
         flag = "H" if self.halted else "."
@@ -151,7 +152,7 @@ class MachineSpec:
     rules: dict
 
     def config(self, state: str, tape: Tape, head: int) -> Configuration:
-        return Configuration(state == self.halt, state, tape, head)
+        return Configuration(state == self.halt, state, head, tape.cells)
 
     @cached_property
     def step_rows(self) -> dict:
@@ -210,30 +211,30 @@ class QuantumState:
     """Finite-support map from basis configurations to complex amplitudes.
 
     Entries are stored as a list of ``(key, amplitude)`` pairs sorted by
-    key, the ``Configuration.sort_key()`` tuple ``(halted, state, head,
-    cells)``, so iteration, accumulation, and reports are reproducible bit
-    for bit.  Halted keys sort last, so each halt-flag component is a slice.
+    key, the configuration tuple ``(halted, state, head, cells)``, so
+    iteration, accumulation, and reports are reproducible bit for bit.
+    Halted keys sort last, so each halt-flag component is a slice.
     Iterating, filtering, renormalizing, comparing and summing walk the list,
     and ``inner`` and ``amplitude`` find keys by bisection, so no method
-    hashes a key.
-    ``Configuration`` objects exist only at the edge: the constructor and
-    ``of`` take them, ``items`` and ``configurations`` build them on demand.
+    hashes a key.  A key is a ``Configuration`` or the plain tuple that
+    ``step`` builds; ``items`` and ``configurations`` give each one the
+    field names, without building a ``Tape``.
     """
 
     __slots__ = ("_pairs", "_norm2")
 
     def __init__(self, amps: dict):
-        state = QuantumState.keyed((c.sort_key(), a) for c, a in amps.items())
+        state = QuantumState.keyed(amps.items())
         self._pairs, self._norm2 = state._pairs, state._norm2
 
     @classmethod
     def keyed(cls, pairs) -> "QuantumState":
-        """State over (sort key, amplitude) pairs with distinct keys, in any order."""
+        """State over (key, amplitude) pairs with distinct keys, in any order."""
         return cls._sorted(sorted(pairs, key=_first))
 
     @classmethod
     def _sorted(cls, pairs: list) -> "QuantumState":
-        """State over a list of (sort key, amplitude) pairs, already sorted by key."""
+        """State over a list of (key, amplitude) pairs, already sorted by key."""
         state = cls.__new__(cls)
         state._pairs = pairs
         state._norm2 = sum((a.real * a.real + a.imag * a.imag for _, a in pairs), start=0.0)
@@ -248,14 +249,14 @@ class QuantumState:
         return bisect_left(self._pairs, (True,), key=_first)
 
     def keyed_items(self) -> Iterator[tuple[tuple, complex]]:
-        """(sort key, amplitude) pairs in canonical order."""
+        """(key, amplitude) pairs in canonical order."""
         return iter(self._pairs)
 
     def items(self) -> Iterator[tuple[Configuration, complex]]:
-        return ((Configuration.from_key(k), a) for k, a in self._pairs)
+        return ((Configuration._make(k), a) for k, a in self._pairs)
 
     def configurations(self) -> Iterator[Configuration]:
-        return (Configuration.from_key(k) for k, _ in self._pairs)
+        return (Configuration._make(k) for k, _ in self._pairs)
 
     def _find(self, key: tuple, default=None):
         """The amplitude stored under ``key``, found by bisection."""
@@ -264,7 +265,7 @@ class QuantumState:
         return pairs[i][1] if i < len(pairs) and pairs[i][0] == key else default
 
     def amplitude(self, config: Configuration) -> complex:
-        return self._find(config.sort_key(), 0j)
+        return self._find(config, 0j)
 
     def support_size(self) -> int:
         return len(self._pairs)

@@ -59,12 +59,6 @@ class HaltOutcome:
     tape: Tape
 
 
-def _outcome_key(outcome):
-    if outcome is UNHALTED:
-        return (1, 0, ())
-    return (0, outcome.step, outcome.tape.cells)
-
-
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -132,7 +126,7 @@ class MeasurementRecord:
 class OutputDistribution:
     """Exact outcome distribution for one machine, input and schedule."""
 
-    entries: tuple  # ((HaltOutcome | UNHALTED, probability), ...)
+    entries: tuple  # ((HaltOutcome | UNHALTED, probability), ...), in chain order
     max_norm_drift: float
     budget: int
     schedule_label: str
@@ -140,7 +134,7 @@ class OutputDistribution:
 
     def probability(self, outcome) -> float:
         for candidate, p in self.entries:
-            if candidate == outcome or candidate is outcome:
+            if candidate == outcome:
                 return p
         return 0.0
 
@@ -166,7 +160,7 @@ def run_schedule(
         raise ValueError(f"schedule step {schedule.steps[-1]} exceeds budget {budget}")
     state = initial_state(spec, inp)
     live = 1.0
-    outcomes: dict = {}
+    entries = []  # in chain order: ascending step, each step's tapes in cell order
     records = []
     max_drift = 0.0
     start = 0
@@ -186,8 +180,7 @@ def run_schedule(
             )
             records.append(MeasurementRecord(t, p_halt, conditional))
             for tape, frac in conditional:
-                outcome = HaltOutcome(t, tape)
-                outcomes[outcome] = outcomes.get(outcome, 0.0) + live * p_halt * frac
+                entries.append((HaltOutcome(t, tape), live * p_halt * frac))
             live *= 1.0 - p_halt
             unhalted = state.component(False)
             if unhalted.norm2() <= 0.0:
@@ -197,11 +190,9 @@ def run_schedule(
         # the unhalted lineage runs on to the budget, so max_drift sees every step
         for _, state in trajectory(spec, state, start, budget, prune):
             max_drift = max(max_drift, abs(state.norm2() - 1.0))
-    entries = tuple(
-        sorted(outcomes.items(), key=lambda kv: _outcome_key(kv[0]))
-    ) + ((UNHALTED, live),)
+    entries.append((UNHALTED, live))
     return OutputDistribution(
-        entries, max_drift, budget, schedule.label, tuple(records)
+        tuple(entries), max_drift, budget, schedule.label, tuple(records)
     )
 
 
@@ -239,7 +230,7 @@ def sample_run(
     for _ in range(samples):
         outcome = _walk(dist.records, rng)
         counts[outcome] = counts.get(outcome, 0) + 1
-    ordered = tuple(sorted(counts.items(), key=lambda kv: _outcome_key(kv[0])))
+    ordered = tuple((o, counts[o]) for o, _ in dist.entries if o in counts)
     return SampleReport(dist, seed, samples, ordered)
 
 

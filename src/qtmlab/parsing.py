@@ -339,48 +339,31 @@ def parse_classical(text: str) -> ClassicalTM:
 # ---------------------------------------------------------------------------
 # inputs
 
-def _is_bare_string(piece: str, spec: MachineSpec) -> bool:
-    token = piece.strip()
-    return token != "" and all(ch in spec.alphabet and ch != BLANK for ch in token)
-
-
 def parse_input(text: str, spec: MachineSpec) -> InputSpec:
     """Parse ``input ::= term ('+' term)*``, ``term ::= [amp ':'] string``.
 
-    A bare string is only allowed when it is the whole input (amplitude 1).
-    ``+`` inside an amplitude (complex literals) is handled by joining
-    pieces until a ``:`` appears.
+    All text before a term's ``:`` is its amplitude, so a complex literal
+    keeps its ``+``; a ``+`` ends a term only after the term's string.  A
+    bare string (no ``:``) is allowed only as the whole input, with
+    amplitude 1.  An empty term is an error.
     """
-    pieces = text.split("+")
-    segments: list[str] = []
-    pending = ""
-    for piece in pieces:
-        pending = piece if pending == "" else pending + "+" + piece
-        if ":" in pending or _is_bare_string(pending, spec):
-            segments.append(pending)
-            pending = ""
-    if pending != "":
-        segments.append(pending)
-
-    terms = []
-    for segment in segments:
-        segment = segment.strip()
-        if ":" in segment:
-            amp_text, string = segment.rsplit(":", 1)
-            amplitude = parse_amplitude(amp_text.strip())
-            string = string.strip()
-        else:
-            amplitude = complex(1.0, 0.0)
-            string = segment
-        if string == "":
-            raise ParseError("empty input string")
-        terms.append((amplitude, string))
-    if not terms:
+    if not text.strip():
         raise ParseError("empty input")
-    if len(terms) > 1 and any(
-        seg.strip() != "" and ":" not in seg for seg in segments
-    ):
-        raise ParseError("every term of a superposed input needs an amplitude")
+    terms = []
+    rest = text
+    while True:
+        if not rest.strip() or rest.lstrip().startswith("+"):
+            raise ParseError("empty term in input")
+        if ":" not in rest:
+            if terms or "+" in rest:
+                raise ParseError("every term of a superposed input needs an amplitude")
+            terms.append((complex(1.0, 0.0), rest.strip()))
+            break
+        amp_text, rest = rest.split(":", 1)
+        string, plus, rest = rest.partition("+")
+        terms.append((parse_amplitude(amp_text.strip()), string.strip()))
+        if not plus:
+            break
 
     inp = InputSpec(tuple(terms))
     validate_input(spec, inp)

@@ -16,11 +16,11 @@ and -- for offset >= 1 -- the two cells the members see under each other's
 head.  All window pairs sharing this local pattern have the same inner
 product, so the verdict needs only a sweep over patterns.  Each failing
 pattern is expanded into its canonical window pairs as plain tuple keys
-laid out like ``Configuration.sort_key()``; only after sorting does each
-distinct key become one ``Configuration`` (and each distinct cell tuple one
-``Tape``), shared by every witness that mentions it.  A witness computes its
-image inner product, through ``pair_image_inner``, only when it is read, so
-a report that shows a few witnesses steps only those.
+laid out like a ``Configuration``; after sorting, each key is given the
+field names with ``Configuration._make``, and no ``Tape`` is built.  A
+witness computes its image inner product, through ``pair_image_inner``,
+only when it is read, so a report that shows a few witnesses steps only
+those.
 
 A note on machines that can halt: a rule sending a running state into the
 halt state produces images identical to the drift of some already-halted
@@ -47,7 +47,6 @@ from .machine import (
     MachineSpec,
     MOVE_DELTA,
     QuantumState,
-    Tape,
 )
 
 
@@ -121,8 +120,8 @@ def pair_image_inner(
 
 # ---------------------------------------------------------------------------
 # window machinery: a window configuration is its key (halted, state, head,
-# cells), laid out like ``Configuration.sort_key()``; a pair is canonical when
-# its lower head is at cell 0 and its members are in key order.
+# cells), laid out like a ``Configuration``; a pair is canonical when its
+# lower head is at cell 0 and its members are in key order.
 
 @lru_cache(maxsize=256)
 def _sides(alphabet: tuple, lo: int, hi: int) -> tuple:
@@ -164,22 +163,6 @@ def _expand(machine, pattern, intern: dict) -> set:
     return pairs
 
 
-class _Configurations(dict):
-    """Key -> Configuration, built on first lookup, one Tape per distinct
-    cell tuple."""
-
-    def __init__(self):
-        self.tapes: dict = {}
-
-    def __missing__(self, key) -> Configuration:
-        halted, state, head, cells = key
-        tape = self.tapes.get(cells)
-        if tape is None:
-            tape = self.tapes[cells] = Tape(cells)
-        self[key] = config = Configuration(halted, state, tape, head)
-        return config
-
-
 def collision_candidates(spec: MachineSpec) -> Iterator[CollisionCandidatePair]:
     """Enumerate every unordered pair of distinct window configurations with
     heads at distance <= 2 and tapes agreeing outside the head cells.
@@ -196,42 +179,32 @@ def collision_candidates(spec: MachineSpec) -> Iterator[CollisionCandidatePair]:
         (0, k1, None, k2, None) for i, k1 in enumerate(keys) for k2 in keys[i + 1 :]
     )
     apart = product((1, 2), keys, alphabet, keys, alphabet)
-    config = _Configurations()
+    make = Configuration._make
     for pattern in chain(same_head, apart):
         for c1, c2 in sorted(_expand(spec, pattern, {})):
-            yield CollisionCandidatePair(config[c1], config[c2])
+            yield CollisionCandidatePair(make(c1), make(c2))
 
 
 # ---------------------------------------------------------------------------
 # pattern reduction
 
-def _inner_same_head(rules1, rules2) -> complex:
-    total = 0j
-    for t1 in rules1:
-        for t2 in rules2:
-            if (
-                t1.state == t2.state
-                and t1.move == t2.move
-                and t1.write == t2.write
-            ):
-                total += t1.amplitude.conjugate() * t2.amplitude
-    return total
-
-
-def _inner_apart(rules1, rules2, d: int) -> dict:
+def _pattern_inner(rules1, rules2, d: int) -> dict:
     """Member 1 at head 0 seeing ``a`` at cell d; member 2 at head d seeing
-    ``b`` at cell 0.  Images coincide only where member 1 writes ``b``,
-    member 2 writes ``a``, and the moves close the head gap, so one pass over
-    the target pairs yields the inner product of every ``(a, b)`` that can
-    be nonzero, each accumulated in target order."""
+    ``b`` at cell 0.  Images coincide only where the states agree, the moves
+    close the head gap and member 1 writes ``b`` while member 2 writes ``a``;
+    at d = 0 the two write the same symbol under one head, keyed ``(None,
+    None)``.  One pass over the target pairs, t1-major, yields the inner
+    product of every ``(a, b)`` that can be nonzero."""
     totals: dict = {}
     for t1 in rules1:
         for t2 in rules2:
-            if (
-                t1.state == t2.state
-                and MOVE_DELTA[t1.move] - MOVE_DELTA[t2.move] == d
-            ):
-                ab = (t2.write, t1.write)
+            if t1.state == t2.state and MOVE_DELTA[t1.move] - MOVE_DELTA[t2.move] == d:
+                if d:
+                    ab = (t2.write, t1.write)
+                elif t1.write == t2.write:
+                    ab = (None, None)
+                else:
+                    continue
                 term = t1.amplitude.conjugate() * t2.amplitude
                 totals[ab] = totals.get(ab, 0j) + term
     return totals
@@ -240,24 +213,21 @@ def _inner_apart(rules1, rules2, d: int) -> dict:
 def _failing_windows(machine, keys, rules, tol: float) -> list:
     """Canonical window pairs, in canonical order, of every pattern over
     ``keys`` whose images have inner product of modulus above ``tol``, as
-    (Configuration, Configuration) sharing one object per distinct key.
-    ``machine`` supplies only ``alphabet`` and ``halt``."""
+    (Configuration, Configuration).  ``machine`` supplies only ``alphabet``
+    and ``halt``."""
+    same_head = ((0, k1, k2) for i, k1 in enumerate(keys) for k2 in keys[i + 1 :])
     failing = [
-        (0, k1, None, k2, None)
-        for i, k1 in enumerate(keys)
-        for k2 in keys[i + 1 :]
-        if abs(_inner_same_head(rules[k1], rules[k2])) > tol
+        (d, k1, a, k2, b)
+        for d, k1, k2 in chain(same_head, product((1, 2), keys, keys))
+        for (a, b), ip in _pattern_inner(rules[k1], rules[k2], d).items()
+        if abs(ip) > tol
     ]
-    for d, k1, k2 in product((1, 2), keys, keys):
-        for (a, b), ip in _inner_apart(rules[k1], rules[k2], d).items():
-            if abs(ip) > tol:
-                failing.append((d, k1, a, k2, b))
     intern: dict = {}
     pairs = set()
     for pattern in failing:
         pairs |= _expand(machine, pattern, intern)
-    config = _Configurations()
-    return [(config[c1], config[c2]) for c1, c2 in sorted(pairs)]
+    make = Configuration._make
+    return [(make(c1), make(c2)) for c1, c2 in sorted(pairs)]
 
 
 def check_wellformed(
@@ -280,7 +250,7 @@ def check_wellformed(
 
     norm_violations = []
     for key in have:
-        rep = spec.config(key[0], Tape(_cell(0, key[1])), 0)
+        rep = Configuration(key[0] == spec.halt, key[0], 0, _cell(0, key[1]))
         norm2 = basis_image(spec, rep).norm2()
         if abs(norm2 - 1.0) > tol:
             norm_violations.append((key, norm2))

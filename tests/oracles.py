@@ -151,15 +151,12 @@ def projection_subspace(spec, inp, steps, tol=1e-9):
                 halted.add(cfg)
             elif t < steps:
                 running.add(cfg)
-    halted = sorted(halted, key=lambda c: c.sort_key())
-    running = sorted(running, key=lambda c: c.sort_key())
+    halted = sorted(halted)
+    running = sorted(running)
 
     images_h = [basis_image(spec, c) for c in halted]
     images_w = [basis_image(spec, c) for c in running]
-    basis = sorted(
-        {c for img in images_h + images_w for c in img.configurations()},
-        key=lambda c: c.sort_key(),
-    )
+    basis = sorted({c for img in images_h + images_w for c in img.configurations()})
     index = {c: i for i, c in enumerate(basis)}
     matrix = np.zeros((len(basis), len(halted)), dtype=complex)
     for j, img in enumerate(images_h):

@@ -532,6 +532,9 @@ class TestExitCodes:
                  "--schedule", schedule)
                 for schedule in ("at:1_0", "at:+3", "at:\u0663", "end:0_3")
             ),
+            ("run", "machines/hadamard_halt.qtm", "--input", "1:0 +", "--steps", "3"),
+            ("run", "machines/hadamard_halt.qtm", "--steps", "3",
+             "--input", "1/sqrt(2):0 ++ 1/sqrt(2):1"),
         ],
     )
     def test_usage_and_runtime_errors_exit_one(self, args):

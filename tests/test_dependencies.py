@@ -1,4 +1,5 @@
-"""The runtime stays stdlib-only: no third-party import, no dependency."""
+"""The runtime stays stdlib-only: no third-party import, no dependency.
+Its source lines stay within 100 characters."""
 
 import ast
 import sys
@@ -24,6 +25,12 @@ def test_absolute_imports_are_stdlib(path):
             modules.append(node.module)
     outside = {m for m in modules if m.split(".")[0] not in sys.stdlib_module_names}
     assert not outside
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_lines_are_at_most_100_characters(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, start=1) if len(line) > 100] == []
 
 
 def test_no_runtime_dependencies():

@@ -1,6 +1,7 @@
 """Step operator tests: hand-computed images, laws, and trace output."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -15,13 +16,17 @@ from qtmlab import (
     QuantumState,
     RuleTarget,
     Tape,
+    check_reversible,
+    check_wellformed,
     evolve,
     initial_state,
+    parse_classical,
     parse_input,
     parse_machine,
     states_through,
     step,
 )
+from qtmlab import cli
 from qtmlab.evolution import trajectory
 
 R2 = 1 / math.sqrt(2)
@@ -290,31 +295,74 @@ class _Unhashable(tuple):
         raise AssertionError("a cell tuple was hashed")
 
 
+def _count_builds(monkeypatch) -> list:
+    """Record the class name of every Configuration (through ``__new__`` or
+    ``_make``) and every Tape built from now on."""
+    built = []
+    new, make, init = Configuration.__new__, Configuration._make, Tape.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append("Configuration")
+        return new(cls, *args, **kwargs)
+
+    def counting_make(cls, iterable):
+        built.append("Configuration")
+        return make(iterable)
+
+    def counting_init(self, *args, **kwargs):
+        built.append("Tape")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Configuration, "__new__", counting_new)
+    monkeypatch.setattr(Configuration, "_make", classmethod(counting_make))
+    monkeypatch.setattr(Tape, "__init__", counting_init)
+    return built
+
+
 class TestRepresentation:
     def test_trajectory_builds_no_configuration_or_tape(self, monkeypatch):
         spec = parse_machine((ROOT / "perfbench/machines/hadamard_walk.qtm").read_text())
         state = initial_state(spec, parse_input("0110", spec))
-        built = []
-
-        def counting(cls):
-            init = cls.__init__
-
-            def __init__(self, *args, **kwargs):
-                built.append(cls.__name__)
-                init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", __init__)
-
-        counting(Configuration)
-        counting(Tape)
+        built = _count_builds(monkeypatch)
         for t, last in trajectory(spec, state, 0, 50):
             assert len(last) > 0
         assert t == 50
         assert last.support_size() > 50
         assert built == []
-        # the edge still builds them on demand
+        # the edge names the fields of a key on demand, without a tape
         next(last.configurations())
-        assert built == ["Tape", "Configuration"]
+        assert built == ["Configuration"]
+
+    def test_checks_build_no_tape(self, monkeypatch, capsys):
+        qtm = parse_machine((MACHINES / "delayed_hadamard.qtm").read_text())
+        tm = parse_classical((MACHINES / "collide.tm").read_text())
+        built = _count_builds(monkeypatch)
+        assert check_wellformed(qtm).witnesses
+        assert check_reversible(tm).witnesses
+        assert "Tape" not in built
+        del built[:]
+        code = cli.main(["check", str(MACHINES / "delayed_hadamard.qtm"), "--max-witnesses", "3"])
+        shown = json.loads(capsys.readouterr().out)["result"]["orthogonalityWitnesses"]
+        assert code == 2
+        assert len(shown) == 3
+        # one tape per printed member: c1 and c2 of each shown witness
+        assert built.count("Tape") == 6
+
+    def test_configuration_is_its_key(self, hadamard_halt):
+        spec = hadamard_halt
+        tape = Tape({-1: "1", 1: "0"})
+        for q, h in (("qH", 2), ("q0", -3)):
+            assert spec.config(q, tape, h) == (q == spec.halt, q, h, tape.cells)
+            assert hash(spec.config(q, tape, h)) == hash((q == spec.halt, q, h, tape.cells))
+        c = spec.config("qH", tape, 2)
+        s = one(spec, "1/sqrt(2):0 + 1/sqrt(2):11", 1)
+        assert len(s) > 2
+        assert [Configuration._make(k) for k, _ in s.keyed_items()] == list(s.configurations())
+        assert c.tape == Tape(c.cells)
+        for name in ("halted", "state", "head", "cells"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, None)
+        assert repr(c) == "<H qH '1_0'@-1 head=2>"
 
     @pytest.mark.parametrize(
         "path, text, steps, halted_mass",

@@ -32,7 +32,7 @@ def mk_spec(rules):
 
 
 def cfg(state, text, head, halted=False, origin=0):
-    return Configuration(halted, state, Tape.from_string(text, origin), head)
+    return Configuration(halted, state, head, Tape.from_string(text, origin).cells)
 
 
 class TestTape:
@@ -115,7 +115,7 @@ class TestConfiguration:
     def test_halted_sorts_after_running(self):
         running = cfg("q0", "1", 0)
         halted = cfg("qH", "1", 0, halted=True)
-        assert sorted([halted, running], key=lambda c: c.sort_key()) == [
+        assert sorted([halted, running]) == [
             running,
             halted,
         ]
@@ -214,8 +214,8 @@ class TestQuantumState:
         state = QuantumState(amps)
         items = list(state.items())
         assert QuantumState(dict(items)) == state
-        keys = [c.sort_key() for c, _ in items]
-        assert keys == sorted(c.sort_key() for c in amps)
+        keys = [c for c, _ in items]
+        assert keys == sorted(amps)
         assert [k for k, _ in state.keyed_items()] == keys
         assert all(state.amplitude(c) == a for c, a in amps.items())
         assert list(state.configurations()) == [c for c, _ in items]

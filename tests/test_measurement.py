@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import load_qtm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,6 +204,36 @@ class TestSampling:
                 hadamard_halt, parse_input("0", hadamard_halt), every(5), 5,
                 seed=0, samples=-1,
             )
+
+
+# every corpus .qtm file with inputs that halt at different steps
+QTM_INPUTS = {
+    "delayed_hadamard": ("10", "0", "1/sqrt(2):10 + 1/sqrt(2):0"),
+    "hadamard_halt": ("0", "1", "1/sqrt(2):0 + 1/sqrt(2):1"),
+    "hadamard_halt_naive": ("0", "1", "1/sqrt(2):0 + 1/sqrt(2):1"),
+    "right_shift": ("0", "101", "1/sqrt(2):0 + 1/sqrt(2):1"),
+    "seek_right_lifted": ("01", "1100", "1/sqrt(2):01 + 1/sqrt(2):1100"),
+}
+
+
+class TestOutcomeOrder:
+    @pytest.mark.parametrize("schedule", ["every", "end", "at:1,3,5"])
+    @pytest.mark.parametrize(
+        "name, text", [(name, text) for name, texts in QTM_INPUTS.items() for text in texts]
+    )
+    def test_entries_come_in_chain_order(self, name, text, schedule):
+        spec = load_qtm(name)
+        report = sample_run(
+            spec, parse_input(text, spec), parse_schedule(schedule, 8), 8,
+            seed=0, samples=300,
+        )
+        entries = [outcome for outcome, _ in report.distribution.entries]
+        assert entries[-1] is UNHALTED
+        keys = [(o.step, o.tape.cells) for o in entries[:-1]]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        counted = iter(entries)
+        assert all(any(o == e for e in counted) for o, _ in report.counts)
+        assert sum(n for _, n in report.counts) == 300
 
 
 class TestCompare:

@@ -300,11 +300,33 @@ class TestParseInput:
             ("", "empty input"),
             ("2", "not in the machine alphabet"),
             ("0 + 1", "needs an amplitude"),
+            ("1/sqrt(2):0 + 1", "needs an amplitude"),
             ("1/2:0 + 1/2:1", "squared norm"),
             ("1:", "empty input string"),
         ],
     )
     def test_rejections(self, hadamard_halt, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_input(text, hadamard_halt)
+
+    @pytest.mark.parametrize(
+        "text, amplitude",
+        [("0 + 1i : 0", 1j), ("1 + 0i : 0", 1 + 0j), ("0+1i:0", 1j)],
+    )
+    def test_amplitude_with_a_leading_digit_is_one_term(self, hadamard_halt, text, amplitude):
+        assert parse_input(text, hadamard_halt).terms == ((amplitude, "0"),)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("+1:0", "empty term"),
+            ("1:0+", "empty term"),
+            ("1:0 +", "empty term"),
+            ("1:0 + ", "empty term"),
+            ("1/sqrt(2):0 ++ 1/sqrt(2):1", "empty term"),
+        ],
+    )
+    def test_empty_and_bare_terms_rejected(self, hadamard_halt, text, message):
         with pytest.raises(ParseError, match=message):
             parse_input(text, hadamard_halt)
 

@@ -100,7 +100,7 @@ def test_candidates_are_canonical(hadamard_halt):
     for pair in itertools.islice(collision_candidates(hadamard_halt), 4000):
         assert min(pair.c1.head, pair.c2.head) == 0
         assert abs(pair.c1.head - pair.c2.head) <= 2
-        assert pair.c1.sort_key() < pair.c2.sort_key()
+        assert pair.c1 < pair.c2
         positions = [p for p, _ in pair.c1.tape.cells]
         positions += [p for p, _ in pair.c2.tape.cells]
         assert all(-5 <= p <= 5 for p in positions)
