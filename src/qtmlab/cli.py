@@ -20,6 +20,7 @@ to ``lift``, a subspace gap), 1 for usage, parse, or runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -407,6 +408,10 @@ COMMANDS = {
 }
 
 
+# Built once per process, on first use: the tree depends only on the constants
+# above, and argparse keeps no parse state in it (each parse_args fills a fresh
+# namespace; usage and help read the terminal width when they are printed).
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qtmlab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qtmlab {__version__}")

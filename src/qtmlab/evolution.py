@@ -20,6 +20,11 @@ accumulating into a dict in that order gives.  A key comparison stops at
 the first differing field, and a reused cell tuple compares by identity,
 whereas a dict hashed every cell of the key on every operation.
 
+Under ``MachineSpec.drift_amplitude`` a halted configuration only drifts
+to its translate one cell right, its amplitude times that one halt-row
+amplitude, so ``step`` translates the halted tail of the state (halted keys
+sort last; translation keeps their order) in one pass without a rule lookup.
+
 ``trajectory`` is the one loop over ``step`` that every run, trace and
 experiment evolves through, and it owns the error raised when pruning or
 cancellation empties the state.
@@ -48,11 +53,23 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     ``prune`` drops accumulated amplitudes of modulus below the threshold;
     the default keeps everything except exact zeros (a configuration whose
     amplitude cancelled to 0.0 is simply not part of the superposition).
+
+    Under ``spec.drift_amplitude`` only running sources are stepped, sorted
+    and summed; each newly halted sum is then merged into the translated
+    block by bisection, and where a drift term has its key, that term is
+    added last, where the stable sort of all terms puts it (halted sources
+    come last), so every float is the same.  Only final sums are pruned.
     """
     rows = spec.step_rows
+    pairs = state._pairs
+    drift = None
+    if spec.halt_translates and (d := spec.drift_amplitude) is not None:
+        h = state._halted_from()
+        pairs, tail = pairs[:h], pairs[h:]
+        drift = [((True, q, head + 1, cells), x * d) for (_, q, head, cells), x in tail]
     terms: list[tuple[tuple, complex]] = []
     push = terms.append
-    for (_, q, head, cells), amp in state.keyed_items():
+    for (_, q, head, cells), amp in pairs:
         i = bisect_left(cells, (head,))
         here = i < len(cells) and cells[i][0] == head
         symbol = cells[i][1] if here else BLANK
@@ -70,16 +87,25 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     terms.sort(key=_first)  # stable: each target's terms stay in generation order
     out = []
     keep = out.append
-    key, s = None, 0j  # a zero sum is never kept
+    key, s = (False,), 0j  # a zero sum is kept only as a newly halted partial sum
     for k, x in terms:
         if k == key:
             s += x
             continue
-        if s != 0 and abs(s) >= prune:
+        if s != 0 and abs(s) >= prune or drift and key[0]:
             keep((key, s))
         key, s = k, x
-    if s != 0 and abs(s) >= prune:
+    if s != 0 and abs(s) >= prune or drift and key[0]:
         keep((key, s))
+    if drift:  # each newly halted sum: insert it, or add the drift term to it
+        lo, j = 0, bisect_left(out, (True,), key=_first)
+        for k, s in out[j:]:
+            lo = bisect_left(drift, k, lo, key=_first)
+            if lo < len(drift) and drift[lo][0] == k:
+                drift[lo] = (k, s + drift[lo][1])
+            else:
+                drift.insert(lo, (k, s))
+        out[j:] = [p for p in drift if p[1] != 0 and abs(p[1]) >= prune]
     return QuantumState._sorted(out)
 
 

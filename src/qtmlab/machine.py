@@ -176,6 +176,14 @@ class MachineSpec:
             for s in self.alphabet
         )
 
+    @cached_property
+    def drift_amplitude(self) -> complex | None:
+        """The amplitude of every halt row when ``halt_translates`` holds and
+        the rows agree bit for bit (``1`` and ``1 - 0i`` do not); else None."""
+        if self.halt_translates:
+            amps = {repr(a): a for a in (self.step_rows[self.halt, s][0][4] for s in self.alphabet)}
+            return amps.popitem()[1] if len(amps) == 1 else None
+
 
 @dataclass(frozen=True)
 class InputSpec:

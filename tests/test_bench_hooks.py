@@ -5,12 +5,15 @@ qtmlab modules look it up and by reading the state it is given (``len``
 and ``configurations()``), and it reads ``experiments.halted_basis`` from
 the report of ``analyze_halting_subspace``.  These properties otherwise
 show only in a traced benchmark run; here they are checked on three small
-CLI jobs.  The tracer is imported read-only from its file.
+CLI jobs.  The tracer is imported read-only from its file, and the
+benchmark's own unit tests run in a subprocess.
 """
 
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 
 import pytest
 from conftest import MACHINES, ROOT
@@ -70,3 +73,15 @@ def test_subspace_reports_its_halted_basis(tracer, capsys):
     summary = tracer.summary()
     assert summary["experiments.halted_basis"] == result["haltedBasisCount"] > 0
     assert summary["experiments.subspace_self_s"] is not None
+
+
+def test_benchmark_unit_tests_pass():
+    # a change to a hook point can pass every test above and still fail the
+    # benchmark's own unit tests, so those run here too
+    p = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench"],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+    )
+    assert p.returncode == 0, p.stderr[-4000:]

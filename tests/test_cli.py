@@ -998,3 +998,37 @@ class TestParserSurface:
             a for a in cli.build_parser()._actions if a.dest == "command"
         )
         assert sorted(sub.choices) == sorted(a[0] for a, _ in PARSED_SURFACE)
+
+
+class TestParserPerProcess:
+    """One parser serves every ``main`` call of a process, and no call's
+    defaults, namespace or error leaks into the next."""
+
+    RUN = ("run", "machines/hadamard_halt.qtm", "--input", "0", "--steps", "5")
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_defaults_do_not_leak_between_calls(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        assert cli.main([*self.RUN, "--schedule", "every"]) == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["schedule"] == "every"
+        assert cli.main(list(self.RUN)) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["parameters"]["schedule"] == "end"
+        assert out == qtmlab(*self.RUN).stdout == RUN_HADAMARD
+
+    def test_usage_error_then_valid_call(self, monkeypatch, capsys):
+        # usage text wraps at the terminal width; pin it in both processes
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setenv("COLUMNS", "80")
+        bad = [*self.RUN[:-1], "-1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        err = capsys.readouterr().err
+        fresh = qtmlab(*bad, env={"COLUMNS": "80"})
+        assert exc.value.code == fresh.returncode == 1
+        assert err == fresh.stderr
+        assert "--steps" in err
+        assert cli.main(list(self.RUN)) == 0
+        assert capsys.readouterr().out == RUN_HADAMARD

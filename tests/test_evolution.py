@@ -6,7 +6,7 @@ import math
 
 import pytest
 from conftest import MACHINES, ROOT
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import config_key, make_imager
 
@@ -216,12 +216,18 @@ rule: q1 0 -> 1 : q0 _ R
 rule: qH * -> 1 : qH * R
 """
 
-ORACLE_MACHINES = sorted(p.name for p in MACHINES.glob("*.qtm")) + ["eraser"]
+# the eraser with a halt row that stays put steps halted configurations
+# through the rule loop, as every machine without halt_translates does
+STAYING_ERASER = ERASER.replace("qH * -> 1 : qH * R", "qH * -> 1 : qH * N")
+EXTRA = {"eraser": ERASER, "eraser_halt_stays": STAYING_ERASER}
+ORACLE_MACHINES = sorted(p.name for p in MACHINES.glob("*.qtm")) + sorted(EXTRA)
 
 
 def _load(name):
-    text = ERASER if name == "eraser" else (MACHINES / name).read_text()
-    return parse_machine(text)
+    return parse_machine(EXTRA[name] if name in EXTRA else (MACHINES / name).read_text())
+
+
+DRIFTING_MACHINES = [name for name in ORACLE_MACHINES if _load(name).halt_translates]
 
 
 def mixed_states(spec):
@@ -273,7 +279,10 @@ class TestStepMatchesOracle:
             return
         kept = {k: a for k, a in expected.items() if a != 0 and abs(a) >= prune}
         got = [(config_key(c), a) for c, a in step(spec, state, prune).items()]
-        assert got == sorted(kept.items(), key=lambda kv: kv[0])
+        want = sorted(kept.items(), key=lambda kv: kv[0])
+        assert got == want
+        # == takes -0.0 for 0.0; repr tells the bits apart
+        assert [(k, repr(a)) for k, a in got] == [(k, repr(a)) for k, a in want]
 
     @pytest.mark.parametrize("name", ORACLE_MACHINES)
     def test_every_gap_raises(self, name):
@@ -286,6 +295,101 @@ class TestStepMatchesOracle:
             with pytest.raises(MissingRuleError) as err:
                 step(spec, QuantumState.of((cfg, 1.0)))
             assert (err.value.state, err.value.symbol) == (q, s)
+
+
+def _bits(state):
+    return [(k, repr(a)) for k, a in state.keyed_items()]
+
+
+def _general(monkeypatch, spec):
+    """A copy of ``spec`` that ``step`` takes through the rule loop alone."""
+    slow = dataclasses.replace(spec)
+    monkeypatch.setitem(vars(slow), "halt_translates", False)
+    return slow
+
+
+MIXED_HALT_ROWS = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 * -> 1 : qH * R
+rule: qH 0 -> 1 : qH 0 R
+rule: qH 1 -> 1 - 0i : qH 1 R
+rule: qH _ -> 1 : qH _ R
+"""
+
+
+class TestBulkDrift:
+    """Under ``drift_amplitude`` the halted tail is translated in bulk; the
+    result equals the rule loop's bit for bit."""
+
+    @pytest.mark.parametrize("name", DRIFTING_MACHINES)
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_bulk_drift_matches_general_path(self, name, monkeypatch, data):
+        spec = _load(name)
+        assert spec.halt_translates and spec.drift_amplitude is not None
+        slow = _general(monkeypatch, spec)
+        state = QuantumState(data.draw(mixed_states(spec)))
+        try:
+            expected = step(slow, state)
+        except MissingRuleError as exc:
+            with pytest.raises(MissingRuleError) as err:
+                step(spec, state)
+            assert (err.value.state, err.value.symbol) == (exc.state, exc.symbol)
+            return
+        moduli = sorted(abs(a) for _, a in expected.keyed_items()) or [0.0]
+        prune = data.draw(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from(moduli))
+        )
+        assert _bits(step(spec, state, prune)) == _bits(step(slow, state, prune))
+
+    def _arrival_meets_drift(self, arriving, drifting):
+        # q0 reads the blank at cell 1 and halts onto cell 2, where the
+        # halted configuration at cell 1 drifts; a third one drifts alone
+        spec = parse_machine((MACHINES / "seek_right_lifted.qtm").read_text())
+        tape = Tape({0: "1"})
+        state = QuantumState.of(
+            (spec.config("q0", tape, 1), arriving),
+            (spec.config("qH", tape, 1), drifting),
+            (spec.config("qH", tape, 5), 0.75),
+        )
+        return spec, state, spec.config("qH", tape, 2)
+
+    def test_pruned_arrival_is_kept_with_its_drift_term(self, monkeypatch):
+        spec, state, met = self._arrival_meets_drift(0.125, 0.5)
+        got = step(spec, state, prune=0.6)
+        assert got.amplitude(met) == complex(0.125) + complex(0.5)
+        assert got.support_size() == 2
+        assert _bits(got) == _bits(step(_general(monkeypatch, spec), state, prune=0.6))
+        # each of the two terms alone is pruned
+        for cfg, a in list(state.items())[:2]:
+            assert step(spec, QuantumState.of((cfg, a)), prune=0.6).support_size() == 0
+
+    def test_arrival_cancels_drift_to_zero(self, monkeypatch):
+        spec, state, met = self._arrival_meets_drift(0.5, -0.5)
+        got = step(spec, state)
+        assert got.amplitude(met) == 0
+        assert met not in list(got.configurations())
+        assert got.support_size() == 1
+        assert _bits(got) == _bits(step(_general(monkeypatch, spec), state))
+
+    def test_halt_rows_differing_in_bits_take_the_general_path(self, monkeypatch):
+        spec = parse_machine(MIXED_HALT_ROWS)
+        assert spec.halt_translates and spec.drift_amplitude is None
+        # 1 and 1 - 0i differ only in the sign of a zero, which shows in a
+        # product's imaginary part: (x - 0j) * (1 + 0j) has +0.0, * (1 - 0j) -0.0
+        on0 = spec.config("qH", Tape({0: "0"}), 0)
+        on1 = spec.config("qH", Tape({0: "1"}), 0)
+        state = QuantumState.of((on0, complex(0.6, -0.0)), (on1, complex(0.8, -0.0)))
+        got = step(spec, state)
+        assert [repr(a) for _, a in got.keyed_items()] == ["(0.6+0j)", "(0.8-0j)"]
+        assert _bits(got) == _bits(step(_general(monkeypatch, spec), state))
 
 
 class _Unhashable(tuple):
