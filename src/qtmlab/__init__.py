@@ -37,8 +37,9 @@ from .machine import (
     QuantumState,
     RuleTarget,
     StructureViolation,
-    Tape,
     initial_state,
+    tape_cells,
+    tape_text,
     validate_input,
     validate_structure,
 )
@@ -103,7 +104,6 @@ __all__ = [
     "StructureViolation",
     "SubspaceReport",
     "SuperpositionReport",
-    "Tape",
     "TraceRow",
     "UNHALTED",
     "WellformednessReport",
@@ -132,6 +132,8 @@ __all__ = [
     "states_through",
     "step",
     "superposition_window",
+    "tape_cells",
+    "tape_text",
     "validate_input",
     "validate_structure",
 ]

@@ -30,7 +30,7 @@ from .machine import (
     MachineSpec,
     MOVE_DELTA,
     RuleTarget,
-    Tape,
+    tape_cells,
 )
 from .wellformed import _failing_windows
 
@@ -43,8 +43,8 @@ class ClassicalTM:
     alphabet: tuple[str, ...]
     rules: dict  # (state, symbol) -> (state, write, move)
 
-    def config(self, state: str, tape: Tape, head: int) -> Configuration:
-        return Configuration(state == self.halt, state, head, tape.cells)
+    def config(self, state: str, cells: tuple, head: int) -> Configuration:
+        return Configuration(state == self.halt, state, head, cells)
 
     def rule(self, state: str, symbol: str) -> tuple[str, str, str]:
         """Effective rule, with missing keys materialized as halting moves.
@@ -63,7 +63,7 @@ class ClassicalRun:
     halted: bool
     steps: int
     state: str
-    tape: Tape
+    cells: tuple
     head: int
 
 
@@ -101,22 +101,19 @@ def run_classical(tm: ClassicalTM, text: str, budget: int) -> ClassicalRun:
     cells = {i: ch for i, ch in enumerate(text) if ch != BLANK}
     state, head, steps = tm.initial, 0, 0
     while steps < budget and state != tm.halt:
-        symbol = cells.get(head, BLANK)
-        state, write, move = tm.rule(state, symbol)
-        if write == BLANK:
-            cells.pop(head, None)
-        else:
+        state, write, move = tm.rule(state, cells.pop(head, BLANK))
+        if write != BLANK:
             cells[head] = write
         head += MOVE_DELTA[move]
         steps += 1
-    return ClassicalRun(state == tm.halt, steps, state, Tape(cells), head)
+    return ClassicalRun(state == tm.halt, steps, state, tuple(sorted(cells.items())), head)
 
 
 def classical_trajectory(
     tm: ClassicalTM, text: str, steps: int
 ) -> list[Configuration]:
     """Configurations S_0 .. S_steps, drifting right after halting."""
-    cfg = tm.config(tm.initial, Tape.from_string(text), 0)
+    cfg = tm.config(tm.initial, tape_cells(text), 0)
     out = [cfg]
     for _ in range(steps):
         cfg = _image(tm, cfg)
@@ -125,9 +122,13 @@ def classical_trajectory(
 
 
 def _image(tm: ClassicalTM, cfg: Configuration) -> Configuration:
-    tape = cfg.tape
-    state, write, move = tm.rule(cfg.state, tape.read(cfg.head))
-    return tm.config(state, tape.write(cfg.head, write), cfg.head + MOVE_DELTA[move])
+    # through a dict of the cells, apart from ``step``'s splice: the
+    # classical trajectory is the reference ``step`` is tested against
+    cells = dict(cfg.cells)
+    state, write, move = tm.rule(cfg.state, cells.pop(cfg.head, BLANK))
+    if write != BLANK:
+        cells[cfg.head] = write
+    return tm.config(state, tuple(sorted(cells.items())), cfg.head + MOVE_DELTA[move])
 
 
 def _lifted_rules(tm: ClassicalTM) -> dict:

@@ -31,7 +31,7 @@ from .classical import lift_to_qtm
 from .errors import NotReversibleError, ParseError, QtmError
 from .evolution import evolve
 from .experiments import analyze_halting_subspace, superposition_window
-from .machine import BY_CONSTRUCTION, DEFAULT_TOL, validate_structure
+from .machine import BY_CONSTRUCTION, DEFAULT_TOL, tape_text, validate_structure
 from .measurement import (
     UNHALTED,
     compare_schedules,
@@ -71,8 +71,8 @@ def _ser_complex(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _ser_tape(tape) -> dict:
-    text, origin = tape.text()
+def _ser_tape(cells: tuple) -> dict:
+    text, origin = tape_text(cells)
     return {"text": text, "origin": origin}
 
 
@@ -81,7 +81,7 @@ def _ser_config(cfg) -> dict:
         "halted": cfg.halted,
         "state": cfg.state,
         "head": cfg.head,
-        "tape": _ser_tape(cfg.tape),
+        "tape": _ser_tape(cfg.cells),
     }
 
 
@@ -196,7 +196,7 @@ def _dist_outcomes(dist) -> tuple[list, float]:
             halted.append(
                 {
                     "haltStep": outcome.step,
-                    "tape": _ser_tape(outcome.tape),
+                    "tape": _ser_tape(outcome.cells),
                     "probability": p,
                 }
             )
@@ -228,6 +228,7 @@ def _cmd_sample(args) -> int:
     report = sample_run(
         spec, inp, schedule, args.steps, args.seed, args.samples, args.prune
     )
+    probability = dict(report.distribution.entries)
     counts = []
     for outcome, count in report.counts:
         entry = {"count": count}
@@ -238,8 +239,8 @@ def _cmd_sample(args) -> int:
         else:
             entry["outcome"] = "halted"
             entry["haltStep"] = outcome.step
-            entry["tape"] = _ser_tape(outcome.tape)
-        entry["probability"] = report.distribution.probability(outcome)
+            entry["tape"] = _ser_tape(outcome.cells)
+        entry["probability"] = probability[outcome]
         counts.append(entry)
     result = {
         "schedule": report.distribution.schedule_label,
@@ -253,17 +254,13 @@ def _cmd_sample(args) -> int:
 
 
 def _ser_coarsened(coarse: dict) -> list:
-    entries = []
-    tapes = sorted(
-        (k for k in coarse if k is not UNHALTED), key=lambda t: t.cells
-    )
-    for tape in tapes:
-        entries.append(
-            {"outcome": "halted", "tape": _ser_tape(tape), "probability": coarse[tape]}
-        )
-    if UNHALTED in coarse:
-        entries.append({"outcome": "unhalted", "probability": coarse[UNHALTED]})
-    return entries
+    # in the order of ``coarsened``: tapes in cell order, then UNHALTED
+    return [
+        {"outcome": "unhalted", "probability": p}
+        if cells is UNHALTED
+        else {"outcome": "halted", "tape": _ser_tape(cells), "probability": p}
+        for cells, p in coarse.items()
+    ]
 
 
 def _cmd_compare(args) -> int:

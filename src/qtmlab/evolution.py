@@ -7,7 +7,7 @@ it every floating-point rounding -- is reproducible across runs.
 
 ``step`` reads the sort-key tuples that ``QuantumState`` stores, with rule
 rows compiled once per spec (``MachineSpec.step_rows``), and builds no
-``Configuration`` or ``Tape``.  A target that writes the symbol it read
+``Configuration``.  A target that writes the symbol it read
 reuses the source's cell tuple; any other write builds the new tuple once,
 and writing the blank erases the cell.
 
@@ -63,7 +63,7 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     rows = spec.step_rows
     pairs = state._pairs
     drift = None
-    if spec.halt_translates and (d := spec.drift_amplitude) is not None:
+    if (d := spec.drift_amplitude) is not None:
         h = state._halted_from()
         pairs, tail = pairs[:h], pairs[h:]
         drift = [((True, q, head + 1, cells), x * d) for (_, q, head, cells), x in tail]

@@ -5,14 +5,15 @@ position, tape).  The halt flag is never stored independently: it is true
 exactly when the internal state is the declared halt state, so rule files
 cannot describe inconsistent flag/state combinations.
 
-Tapes are two-way infinite and blank-filled; only non-blank cells are
+Tapes are two-way infinite and blank-filled.  A tape is its canonical
+cells tuple: ``(position, symbol)`` pairs sorted by position with no blank
 stored, so two tapes are equal exactly when they agree on every cell.
+``tape_cells`` lays a string on a tape and ``tape_text`` renders one.
 
 A configuration has one layout, the named tuple ``Configuration(halted,
-state, head, cells)`` with ``cells`` a canonical tape tuple, so it is its
-own sort key.  ``QuantumState`` stores such tuples, ``step`` builds them
-plain, and the checker's window keys share the layout; a ``Tape`` is built
-only when a configuration's ``tape`` is read.
+state, head, cells)``, so it is its own sort key.  ``QuantumState`` stores
+such tuples, ``step`` builds them plain, the checker's window keys share
+the layout, and measured outcomes carry the same ``cells``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError
 
@@ -36,75 +37,30 @@ MOVE_DELTA = {"L": -1, "N": 0, "R": 1}
 _first = itemgetter(0)
 
 
-class Tape:
-    """Immutable sparse tape.  Cells not stored read as the blank symbol.
+def tape_cells(text: str, origin: int = 0) -> tuple:
+    """The canonical cells of ``text`` laid on consecutive cells from
+    ``origin``: ``(position, symbol)`` pairs by position, blanks not stored."""
+    return tuple((origin + i, s) for i, s in enumerate(text) if s != BLANK)
 
-    ``cells`` is canonical: ``(position, symbol)`` pairs sorted by position,
-    with no blank stored.  A mapping is brought into that form.  A tuple is
-    taken as canonical as given, so only canonical tuples may be passed:
-    a configuration's ``cells``, ``shifted`` cells, or ``()``.
+
+def tape_text(cells: tuple) -> tuple[str, int]:
+    """Contiguous rendering of canonical cells: (symbols between the extreme
+    non-blank cells, with interior blanks shown as ``_``; position of the
+    first).  The empty tape renders as ("", 0).
     """
-
-    __slots__ = ("cells", "_hash")
-
-    def __init__(self, cells: Mapping[int, str] | tuple = ()):
-        if not isinstance(cells, tuple):
-            cells = tuple(sorted((p, s) for p, s in cells.items() if s != BLANK))
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_hash", hash(cells))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tape is immutable")
-
-    @classmethod
-    def from_string(cls, text: str, origin: int = 0) -> "Tape":
-        """Lay ``text`` on consecutive cells starting at ``origin``."""
-        return cls({origin + i: s for i, s in enumerate(text)})
-
-    def read(self, pos: int) -> str:
-        for p, s in self.cells:
-            if p == pos:
-                return s
-            if p > pos:
-                break
-        return BLANK
-
-    def write(self, pos: int, symbol: str) -> "Tape":
-        return Tape({**dict(self.cells), pos: symbol})
-
-    def shifted(self, offset: int) -> "Tape":
-        return Tape(tuple((p + offset, s) for p, s in self.cells))
-
-    def text(self) -> tuple[str, int]:
-        """Contiguous rendering: (symbols between the extreme non-blank
-        cells, with interior blanks shown as ``_``; position of the first).
-
-        The empty tape renders as ("", 0).
-        """
-        if not self.cells:
-            return "", 0
-        lo = self.cells[0][0]
-        hi = self.cells[-1][0]
-        chars = [BLANK] * (hi - lo + 1)
-        for p, s in self.cells:
-            chars[p - lo] = s
-        return "".join(chars), lo
-
-    def __eq__(self, other):
-        return isinstance(other, Tape) and self.cells == other.cells
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        text, origin = self.text()
-        return f"Tape({text!r}@{origin})"
+    if not cells:
+        return "", 0
+    lo = cells[0][0]
+    chars = [BLANK] * (cells[-1][0] - lo + 1)
+    for p, s in cells:
+        chars[p - lo] = s
+    return "".join(chars), lo
 
 
 class Configuration(NamedTuple):
     """One basis configuration, laid out as its own sort key.
 
-    ``cells`` is a canonical tape tuple (see ``Tape``), and ``halted`` must
+    ``cells`` is a canonical tape (see ``tape_cells``), and ``halted`` must
     equal (state == halt state of the machine), which the constructor
     helpers ``MachineSpec.config`` and ``ClassicalTM.config`` derive.
     Equality, hashing and ordering are the tuple's, so ``sorted`` gives
@@ -116,18 +72,13 @@ class Configuration(NamedTuple):
     head: int
     cells: tuple
 
-    @property
-    def tape(self) -> Tape:
-        """The tape, built on each read."""
-        return Tape(self.cells)
-
     def shifted(self, offset: int) -> "Configuration":
         cells = tuple((p + offset, s) for p, s in self.cells)
         return Configuration(self.halted, self.state, self.head + offset, cells)
 
     def __repr__(self):
         flag = "H" if self.halted else "."
-        text, origin = self.tape.text()
+        text, origin = tape_text(self.cells)
         return f"<{flag} {self.state} {text!r}@{origin} head={self.head}>"
 
 
@@ -151,8 +102,8 @@ class MachineSpec:
     alphabet: tuple[str, ...]
     rules: dict
 
-    def config(self, state: str, tape: Tape, head: int) -> Configuration:
-        return Configuration(state == self.halt, state, head, tape.cells)
+    def config(self, state: str, cells: tuple, head: int) -> Configuration:
+        return Configuration(state == self.halt, state, head, cells)
 
     @cached_property
     def step_rows(self) -> dict:
@@ -226,7 +177,7 @@ class QuantumState:
     and ``inner`` and ``amplitude`` find keys by bisection, so no method
     hashes a key.  A key is a ``Configuration`` or the plain tuple that
     ``step`` builds; ``items`` and ``configurations`` give each one the
-    field names, without building a ``Tape``.
+    field names.
     """
 
     __slots__ = ("_pairs", "_norm2")
@@ -319,7 +270,7 @@ def initial_state(spec: MachineSpec, inp: InputSpec) -> QuantumState:
     """Starting superposition for an input: head at cell 0, initial state."""
     amps = {}
     for amplitude, text in inp.terms:
-        cfg = spec.config(spec.initial, Tape.from_string(text), 0)
+        cfg = spec.config(spec.initial, tape_cells(text), 0)
         amps[cfg] = amps.get(cfg, 0j) + amplitude
     return QuantumState(amps)
 

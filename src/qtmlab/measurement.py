@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from heapq import merge
 from random import Random
 
 from .errors import ParseError
@@ -29,7 +30,6 @@ from .machine import (
     DEFAULT_TOL,
     InputSpec,
     MachineSpec,
-    Tape,
     initial_state,
 )
 
@@ -53,10 +53,10 @@ UNHALTED = _Unhalted()
 
 @dataclass(frozen=True, slots=True)
 class HaltOutcome:
-    """Halt observed after ``step`` steps with this tape content."""
+    """Halt observed after ``step`` steps with the tape ``cells``."""
 
     step: int
-    tape: Tape
+    cells: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +113,20 @@ class MeasurementRecord:
     """One halt-flag measurement on the live lineage.
 
     ``p_halt`` is conditional on having reached this measurement unhalted;
-    ``halted_outcomes`` carries (tape, probability within the halted
-    branch) in canonical tape order.
+    ``halted_outcomes`` carries (cells, probability within the halted
+    branch) in cell order.
     """
 
     step: int
     p_halt: float
-    halted_outcomes: tuple[tuple[Tape, float], ...]
+    halted_outcomes: tuple[tuple[tuple, float], ...]
 
 
 @dataclass(frozen=True)
 class OutputDistribution:
     """Exact outcome distribution for one machine, input and schedule."""
 
-    entries: tuple  # ((HaltOutcome | UNHALTED, probability), ...), in chain order
+    entries: tuple  # ((HaltOutcome, probability), ..., (UNHALTED, p)), in chain order
     max_norm_drift: float
     budget: int
     schedule_label: str
@@ -139,12 +139,12 @@ class OutputDistribution:
         return 0.0
 
     def coarsened(self) -> dict:
-        """Collapse halt steps away: tape -> probability, plus UNHALTED."""
+        """Collapse halt steps away: cells -> probability in cell order,
+        then UNHALTED."""
         merged: dict = {}
-        for outcome, p in self.entries:
-            key = UNHALTED if outcome is UNHALTED else outcome.tape
-            merged[key] = merged.get(key, 0.0) + p
-        return merged
+        for outcome, p in self.entries[:-1]:
+            merged[outcome.cells] = merged.get(outcome.cells, 0.0) + p
+        return {**dict(sorted(merged.items())), UNHALTED: self.entries[-1][1]}
 
 
 def run_schedule(
@@ -176,11 +176,11 @@ def run_schedule(
             for (_, _, _, cells), amp in halted.keyed_items():
                 mass_by_cells[cells] = mass_by_cells.get(cells, 0.0) + abs(amp) ** 2
             conditional = tuple(
-                (Tape(cells), mass_by_cells[cells] / h) for cells in sorted(mass_by_cells)
+                (cells, mass_by_cells[cells] / h) for cells in sorted(mass_by_cells)
             )
             records.append(MeasurementRecord(t, p_halt, conditional))
-            for tape, frac in conditional:
-                entries.append((HaltOutcome(t, tape), live * p_halt * frac))
+            for cells, frac in conditional:
+                entries.append((HaltOutcome(t, cells), live * p_halt * frac))
             live *= 1.0 - p_halt
             unhalted = state.component(False)
             if unhalted.norm2() <= 0.0:
@@ -226,25 +226,29 @@ def sample_run(
         raise ValueError("samples must be non-negative")
     dist = run_schedule(spec, inp, schedule, budget, prune)
     rng = Random(seed)
-    counts: dict = {}
+    counts = [0] * len(dist.entries)
     for _ in range(samples):
-        outcome = _walk(dist.records, rng)
-        counts[outcome] = counts.get(outcome, 0) + 1
-    ordered = tuple((o, counts[o]) for o, _ in dist.entries if o in counts)
+        counts[_walk(dist.records, rng)] += 1
+    ordered = tuple((o, n) for (o, _), n in zip(dist.entries, counts) if n)
     return SampleReport(dist, seed, samples, ordered)
 
 
-def _walk(records, rng: Random):
+def _walk(records, rng: Random) -> int:
+    """Index of one sampled outcome in the distribution's ``entries``, which
+    ``run_schedule`` lays out record by record, with UNHALTED last."""
+    base = 0
     for rec in records:
+        outcomes = rec.halted_outcomes
         if rng.random() < rec.p_halt:
             v = rng.random()
             acc = 0.0
-            for tape, frac in rec.halted_outcomes:
+            for j, (_, frac) in enumerate(outcomes):
                 acc += frac
                 if v < acc:
-                    return HaltOutcome(rec.step, tape)
-            return HaltOutcome(rec.step, rec.halted_outcomes[-1][0])
-    return UNHALTED
+                    return base + j
+            return base + len(outcomes) - 1
+        base += len(outcomes)
+    return base
 
 
 def _coarsened_diffs(a: OutputDistribution, b: OutputDistribution) -> list[float]:
@@ -254,7 +258,8 @@ def _coarsened_diffs(a: OutputDistribution, b: OutputDistribution) -> list[float
     the list does not depend on set iteration order.
     """
     ca, cb = a.coarsened(), b.coarsened()
-    tapes = sorted({k for k in (*ca, *cb) if k is not UNHALTED}, key=lambda t: t.cells)
+    # both list their tapes in cell order, UNHALTED last: merge the tapes
+    tapes = dict.fromkeys(merge(list(ca)[:-1], list(cb)[:-1]))
     return [abs(ca.get(k, 0.0) - cb.get(k, 0.0)) for k in (*tapes, UNHALTED)]
 
 

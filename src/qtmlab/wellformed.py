@@ -17,7 +17,7 @@ head.  All window pairs sharing this local pattern have the same inner
 product, so the verdict needs only a sweep over patterns.  Each failing
 pattern is expanded into its canonical window pairs as plain tuple keys
 laid out like a ``Configuration``; after sorting, each key is given the
-field names with ``Configuration._make``, and no ``Tape`` is built.  A
+field names with ``Configuration._make``, and no tape is rendered.  A
 witness computes its image inner product, through ``pair_image_inner``,
 only when it is read, so a report that shows a few witnesses steps only
 those.

@@ -2,7 +2,7 @@
 
 Everything here is written straight from the definitions, with different
 data structures and control flow than the production code: dense product
-enumeration instead of pattern grouping, raw dict tapes instead of Tape,
+enumeration instead of pattern grouping, raw dict tapes instead of cell tuples,
 and numpy least squares instead of Gram-Schmidt.  The test suite asserts
 agreement and freezes the resulting counts as regression values.
 """
@@ -19,7 +19,7 @@ HEADS = range(-2, 3)
 
 
 def config_key(cfg):
-    return (cfg.halted, cfg.state, cfg.head, cfg.tape.cells)
+    return (cfg.halted, cfg.state, cfg.head, cfg.cells)
 
 
 def pair_key(pair):
@@ -89,7 +89,7 @@ def make_imager(spec):
         got = cache.get(cfg, False)
         if got is not False:
             return got
-        tape = dict(cfg.tape.cells)
+        tape = dict(cfg.cells)
         symbol = tape.get(cfg.head, BLANK)
         targets = rules.get((cfg.state, symbol))
         if targets is None:

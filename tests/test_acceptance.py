@@ -28,7 +28,7 @@ from qtmlab import (
     sample_run,
     superposition_window,
     analyze_halting_subspace,
-    Tape,
+    tape_cells,
 )
 
 R2 = 1 / math.sqrt(2)
@@ -83,8 +83,8 @@ def test_criterion_1_naive_machine_overlap(hadamard_halt_naive):
 
 
 def test_criterion_2_corrected_machine_orthogonal(hadamard_halt, corrected_report):
-    c0 = hadamard_halt.config("q0", Tape.from_string("0"), 0)
-    c1 = hadamard_halt.config("q0", Tape.from_string("1"), 0)
+    c0 = hadamard_halt.config("q0", tape_cells("0"), 0)
+    c1 = hadamard_halt.config("q0", tape_cells("1"), 0)
     inner = pair_image_inner(hadamard_halt, c0, c1)
     # Full verdict pinned to the brute-force sweep's frozen baseline: the
     # corrected machine still shows drift collisions (10692 of them) but
@@ -171,7 +171,7 @@ def test_criterion_7_lift_fidelity():
                 spec, parse_input(text, spec),
                 parse_schedule("every", classical.steps), classical.steps,
             )
-            expected = HaltOutcome(classical.steps, classical.tape)
+            expected = HaltOutcome(classical.steps, classical.cells)
             point_mass = dist.probability(expected)
             if not classical.halted or abs(point_mass - 1.0) > 1e-9:
                 ok = False

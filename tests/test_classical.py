@@ -7,7 +7,6 @@ from qtmlab import (
     MachineSpec,
     NotReversibleError,
     RuleTarget,
-    Tape,
     check_reversible,
     check_wellformed,
     classical_trajectory,
@@ -16,6 +15,8 @@ from qtmlab import (
     render_machine,
     run_classical,
     states_through,
+    tape_cells,
+    tape_text,
     validate_structure,
 )
 
@@ -53,7 +54,7 @@ class TestRunClassical:
         assert run.halted
         assert run.steps == steps
         assert run.state == tm.halt
-        assert run.tape.text() == (out, 0)
+        assert tape_text(run.cells) == (out, 0)
 
     def test_budget_zero_does_not_move(self, seek_right):
         run = run_classical(seek_right, "0", budget=0)
@@ -74,7 +75,7 @@ class TestRunClassical:
         run = run_classical(collide, "", budget=5)
         assert run.halted
         assert run.steps == 1
-        assert run.tape.text() == ("", 0)
+        assert run.cells == ()
         assert run.head == 1
 
     def test_rejects_bad_symbols(self, seek_right):
@@ -104,7 +105,7 @@ class TestTrajectory:
             ("qH", 4),
             ("qH", 5),
         ]
-        assert all(c.tape == Tape.from_string("0") for c in chain)
+        assert all(c.cells == tape_cells("0") for c in chain)
 
     @pytest.mark.parametrize("name", REVERSIBLE)
     def test_agrees_with_lifted_machine(self, request, name):
@@ -130,13 +131,13 @@ class TestCheckReversible:
         assert len(report.witnesses) == INJECTIVITY_WITNESSES
 
     def test_collide_minimal_witness(self, collide):
-        c1 = collide.config("q0", Tape.from_string("0"), 0)
-        c2 = collide.config("q0", Tape.from_string("1"), 0)
+        c1 = collide.config("q0", tape_cells("0"), 0)
+        c2 = collide.config("q0", tape_cells("1"), 0)
         by_pair = {(w.c1, w.c2): w.image for w in check_reversible(collide).witnesses}
         image = by_pair[(c1, c2)]
         assert image.state == "qH"
         assert image.head == 1
-        assert image.tape == Tape.from_string("1")
+        assert image.cells == tape_cells("1")
 
     def test_witnesses_pair_running_configurations(self, collide):
         for w in check_reversible(collide).witnesses[:100]:

@@ -726,6 +726,12 @@ STEPPING_COMMANDS = {
     "sample": (
         "sample", "--input", STEPPING_INPUT, "--steps", "9", "--seed", "3",
         "--samples", "50"),
+    # several measurement records: on seek_right_lifted the branches halt
+    # at steps 3 and 5, so a sampled chain index crosses a record; recorded
+    # while samples were still counted by outcome value
+    "sample-every": (
+        "sample", "--input", STEPPING_INPUT, "--steps", "9", "--seed", "3",
+        "--samples", "50", "--schedule", "every"),
     "compare": (
         "compare", "--input", STEPPING_INPUT, "--steps", "9",
         "--schedules", "every,end"),
@@ -804,6 +810,16 @@ STEPPING_OUTPUT_SHA256 = {
         0, "fe274184b48dd67e3702b7ae9c0bf62574647becbacdc6b00294083367f385bd"),
     ("sample", "seek_right_lifted.qtm"): (
         0, "7b17b60a8d1492c1c0c462babfc57008efe13feb51dd09fbb6b22fff56db53fb"),
+    ("sample-every", "delayed_hadamard.qtm"): (
+        0, "81f18449cd9d4a4fa13b73defd8470f933df1f96b9abbb965ff24a083ef50a5a"),
+    ("sample-every", "hadamard_halt.qtm"): (
+        0, "de212e553b97ad1c6942e7d3e8cb572149c8970a9568206f8a43d8eab6466857"),
+    ("sample-every", "hadamard_halt_naive.qtm"): (
+        0, "c3ef04be564d5787fcaeef37622f6c04cdbc21d0f21676ee70ae416668bde50f"),
+    ("sample-every", "right_shift.qtm"): (
+        0, "f871cf361955d50191baf2aa6e0edfa5b90a95cbc87e9d1b9a4ee6fb440a0421"),
+    ("sample-every", "seek_right_lifted.qtm"): (
+        0, "a3e5fbc3622f67bb39ce49fad649b80e63bfa0a49893ac8754c25b94073a42e7"),
     ("compare", "delayed_hadamard.qtm"): (
         0, "02eba52d15ccdb4fec370685db656c6c2e4494d8b42908a1a6ce317631966ef5"),
     ("compare", "hadamard_halt.qtm"): (

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from conftest import MACHINES, ROOT
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 from oracles import config_key, make_imager
 
 from qtmlab import (
+    BLANK,
     Configuration,
     MissingRuleError,
     QuantumState,
     RuleTarget,
-    Tape,
     check_reversible,
     check_wellformed,
     evolve,
@@ -25,6 +26,8 @@ from qtmlab import (
     parse_machine,
     states_through,
     step,
+    tape_cells,
+    tape_text,
 )
 from qtmlab import cli
 from qtmlab.evolution import trajectory
@@ -48,7 +51,7 @@ def one(spec, text, steps=1):
 def amps_by_tape(spec, state):
     out = {}
     for cfg, amp in state.items():
-        text, origin = cfg.tape.text()
+        text, origin = tape_text(cfg.cells)
         out[(cfg.state, text, origin, cfg.head)] = amp
     return out
 
@@ -74,19 +77,19 @@ class TestSingleSteps:
         assert got == {("qH", "0", 0, 1): pytest.approx(1 + 0j)}
 
     def test_halted_configurations_drift_right(self, hadamard_halt):
-        halted = hadamard_halt.config("qH", Tape.from_string("1"), 5)
+        halted = hadamard_halt.config("qH", tape_cells("1"), 5)
         out = step(hadamard_halt, QuantumState.of((halted, 1.0)))
         ((cfg, amp),) = list(out.items())
         assert cfg.state == "qH"
         assert cfg.head == 6
-        assert cfg.tape == halted.tape
+        assert cfg.cells == halted.cells
         assert amp == 1 + 0j
 
     def test_coinciding_terms_add_in_generation_order(self, hadamard_halt):
         # three sources reach (qH, tape 0, head 1): the two running ones in
         # canonical order, then the halted one's drift
         def config(state, text, head):
-            return hadamard_halt.config(state, Tape.from_string(text), head)
+            return hadamard_halt.config(state, tape_cells(text), head)
 
         state = QuantumState.of(
             (config("q0", "0", 0), 0.1), (config("q0", "1", 0), 0.1), (config("qH", "0", 0), 0.6)
@@ -97,15 +100,15 @@ class TestSingleSteps:
         assert step(hadamard_halt, state).amplitude(config("qH", "0", 1)) == (x + y) + z
 
     def test_missing_rule_raises(self, hadamard_halt_naive):
-        blank_read = hadamard_halt_naive.config("q0", Tape(), 0)
+        blank_read = hadamard_halt_naive.config("q0", (), 0)
         with pytest.raises(MissingRuleError) as err:
             step(hadamard_halt_naive, QuantumState.of((blank_read, 1.0)))
         assert err.value.state == "q0"
         assert err.value.symbol == "_"
 
     def test_prune_drops_small_amplitudes(self, right_shift):
-        big = right_shift.config("q0", Tape.from_string("0"), 0)
-        tiny = right_shift.config("q0", Tape.from_string("1"), 0)
+        big = right_shift.config("q0", tape_cells("0"), 0)
+        tiny = right_shift.config("q0", tape_cells("1"), 0)
         state = QuantumState.of((big, 1.0), (tiny, 1e-15))
         assert step(right_shift, state, prune=1e-12).support_size() == 1
         assert step(right_shift, state).support_size() == 2
@@ -160,7 +163,7 @@ def small_states(spec):
     config = st.builds(
         spec.config,
         st.sampled_from(spec.states),
-        st.builds(Tape.from_string, st.text(alphabet="01", min_size=1, max_size=3)),
+        st.builds(tape_cells, st.text(alphabet="01", min_size=1, max_size=3)),
         st.integers(-1, 2),
     )
     amplitude = st.complex_numbers(max_magnitude=1, allow_nan=False)
@@ -235,7 +238,7 @@ def mixed_states(spec):
     tapes on cells -3..3 whose cell under the head is often blank."""
     tape = st.dictionaries(
         st.integers(-3, 3), st.sampled_from(spec.alphabet), max_size=4
-    ).map(Tape)
+    ).map(lambda cells: tuple(sorted((p, s) for p, s in cells.items() if s != BLANK)))
     config = st.builds(
         spec.config, st.sampled_from(spec.states), tape, st.integers(-3, 3)
     )
@@ -274,7 +277,7 @@ class TestStepMatchesOracle:
         if gap is not None:
             with pytest.raises(MissingRuleError) as err:
                 step(spec, state, prune)
-            symbol = gap.tape.read(gap.head)
+            symbol = dict(gap.cells).get(gap.head, BLANK)
             assert (err.value.state, err.value.symbol) == (gap.state, symbol)
             return
         kept = {k: a for k, a in expected.items() if a != 0 and abs(a) >= prune}
@@ -291,7 +294,7 @@ class TestStepMatchesOracle:
             (q, s) for q in spec.states for s in spec.alphabet if (q, s) not in spec.rules
         ]
         for q, s in gaps:
-            cfg = spec.config(q, Tape({0: s}), 0)
+            cfg = spec.config(q, tape_cells(s), 0)
             with pytest.raises(MissingRuleError) as err:
                 step(spec, QuantumState.of((cfg, 1.0)))
             assert (err.value.state, err.value.symbol) == (q, s)
@@ -353,7 +356,7 @@ class TestBulkDrift:
         # q0 reads the blank at cell 1 and halts onto cell 2, where the
         # halted configuration at cell 1 drifts; a third one drifts alone
         spec = parse_machine((MACHINES / "seek_right_lifted.qtm").read_text())
-        tape = Tape({0: "1"})
+        tape = tape_cells("1")
         state = QuantumState.of(
             (spec.config("q0", tape, 1), arriving),
             (spec.config("qH", tape, 1), drifting),
@@ -384,8 +387,8 @@ class TestBulkDrift:
         assert spec.halt_translates and spec.drift_amplitude is None
         # 1 and 1 - 0i differ only in the sign of a zero, which shows in a
         # product's imaginary part: (x - 0j) * (1 + 0j) has +0.0, * (1 - 0j) -0.0
-        on0 = spec.config("qH", Tape({0: "0"}), 0)
-        on1 = spec.config("qH", Tape({0: "1"}), 0)
+        on0 = spec.config("qH", tape_cells("0"), 0)
+        on1 = spec.config("qH", tape_cells("1"), 0)
         state = QuantumState.of((on0, complex(0.6, -0.0)), (on1, complex(0.8, -0.0)))
         got = step(spec, state)
         assert [repr(a) for _, a in got.keyed_items()] == ["(0.6+0j)", "(0.8-0j)"]
@@ -400,10 +403,11 @@ class _Unhashable(tuple):
 
 
 def _count_builds(monkeypatch) -> list:
-    """Record the class name of every Configuration (through ``__new__`` or
-    ``_make``) and every Tape built from now on."""
+    """Record "Configuration" for every Configuration built (through
+    ``__new__`` or ``_make``) and "tape_text" for every tape rendered, from
+    now on, under each name a qtmlab module binds ``tape_text`` to."""
     built = []
-    new, make, init = Configuration.__new__, Configuration._make, Tape.__init__
+    new, make, text = Configuration.__new__, Configuration._make, tape_text
 
     def counting_new(cls, *args, **kwargs):
         built.append("Configuration")
@@ -413,13 +417,15 @@ def _count_builds(monkeypatch) -> list:
         built.append("Configuration")
         return make(iterable)
 
-    def counting_init(self, *args, **kwargs):
-        built.append("Tape")
-        init(self, *args, **kwargs)
+    def counting_text(cells):
+        built.append("tape_text")
+        return text(cells)
 
     monkeypatch.setattr(Configuration, "__new__", counting_new)
     monkeypatch.setattr(Configuration, "_make", classmethod(counting_make))
-    monkeypatch.setattr(Tape, "__init__", counting_init)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qtmlab" and getattr(module, "tape_text", None) is text:
+            monkeypatch.setattr(module, "tape_text", counting_text)
     return built
 
 
@@ -443,26 +449,25 @@ class TestRepresentation:
         built = _count_builds(monkeypatch)
         assert check_wellformed(qtm).witnesses
         assert check_reversible(tm).witnesses
-        assert "Tape" not in built
+        assert "tape_text" not in built
         del built[:]
         code = cli.main(["check", str(MACHINES / "delayed_hadamard.qtm"), "--max-witnesses", "3"])
         shown = json.loads(capsys.readouterr().out)["result"]["orthogonalityWitnesses"]
         assert code == 2
         assert len(shown) == 3
         # one tape per printed member: c1 and c2 of each shown witness
-        assert built.count("Tape") == 6
+        assert built.count("tape_text") == 6
 
     def test_configuration_is_its_key(self, hadamard_halt):
         spec = hadamard_halt
-        tape = Tape({-1: "1", 1: "0"})
+        tape = tape_cells("1_0", origin=-1)
         for q, h in (("qH", 2), ("q0", -3)):
-            assert spec.config(q, tape, h) == (q == spec.halt, q, h, tape.cells)
-            assert hash(spec.config(q, tape, h)) == hash((q == spec.halt, q, h, tape.cells))
+            assert spec.config(q, tape, h) == (q == spec.halt, q, h, tape)
+            assert hash(spec.config(q, tape, h)) == hash((q == spec.halt, q, h, tape))
         c = spec.config("qH", tape, 2)
         s = one(spec, "1/sqrt(2):0 + 1/sqrt(2):11", 1)
         assert len(s) > 2
         assert [Configuration._make(k) for k, _ in s.keyed_items()] == list(s.configurations())
-        assert c.tape == Tape(c.cells)
         for name in ("halted", "state", "head", "cells"):
             with pytest.raises(AttributeError):
                 setattr(c, name, None)
@@ -499,7 +504,7 @@ class TestRepresentation:
                 assert part.renormalized().norm2() == pytest.approx(1.0)
 
     def test_replaced_spec_steps_by_its_own_rules(self, hadamard_halt):
-        state = QuantumState.of((hadamard_halt.config("q0", Tape.from_string("1"), 0), 1.0))
+        state = QuantumState.of((hadamard_halt.config("q0", tape_cells("1"), 0), 1.0))
         before = step(hadamard_halt, state)  # fills the compiled-row cache
         negated = {
             key: tuple(

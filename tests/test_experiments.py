@@ -5,13 +5,13 @@ from conftest import MACHINES
 
 from qtmlab import (
     ParseError,
-    Tape,
     analyze_halting_subspace,
     lift_to_qtm,
     parse_input,
     parse_machine,
     states_through,
     superposition_window,
+    tape_cells,
 )
 from qtmlab.experiments import _gram_overlaps, _translate_overlaps
 from qtmlab.wellformed import basis_image
@@ -93,7 +93,7 @@ class TestHaltingSubspace:
         assert report.steps == 3
         assert report.halted_basis_count == 6
         assert report.newly_halting == (
-            hadamard_halt.config("q0", Tape.from_string("0"), 0),
+            hadamard_halt.config("q0", tape_cells("0"), 0),
         )
         assert report.gram_deviation == 0.0
         assert report.max_overlap == 0.0

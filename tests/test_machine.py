@@ -14,8 +14,9 @@ from qtmlab import (
     ParseError,
     QuantumState,
     RuleTarget,
-    Tape,
     initial_state,
+    tape_cells,
+    tape_text,
     validate_input,
     validate_structure,
 )
@@ -32,83 +33,38 @@ def mk_spec(rules):
 
 
 def cfg(state, text, head, halted=False, origin=0):
-    return Configuration(halted, state, head, Tape.from_string(text, origin).cells)
+    return Configuration(halted, state, head, tape_cells(text, origin))
 
 
 class TestTape:
-    def test_dict_cells_are_sorted_and_blanks_dropped(self):
-        t = Tape({2: "1", 0: "0", 1: BLANK})
-        assert t.cells == ((0, "0"), (2, "1"))
+    def test_cells_start_at_origin(self):
+        assert tape_cells("011", origin=-1) == ((-1, "0"), (0, "1"), (1, "1"))
+        assert tape_cells("01") == ((0, "0"), (1, "1"))
 
-    def test_from_string_lays_out_consecutively(self):
-        t = Tape.from_string("011", origin=-1)
-        assert t.cells == ((-1, "0"), (0, "1"), (1, "1"))
-
-    def test_read_missing_cell_is_blank(self):
-        t = Tape.from_string("01")
-        assert t.read(0) == "0"
-        assert t.read(1) == "1"
-        assert t.read(2) == BLANK
-        assert t.read(-5) == BLANK
-
-    def test_write_returns_new_tape(self):
-        t = Tape.from_string("0")
-        u = t.write(0, "1")
-        assert t.read(0) == "0"
-        assert u.read(0) == "1"
-
-    def test_write_blank_erases_cell(self):
-        t = Tape.from_string("01").write(0, BLANK)
-        assert t.cells == ((1, "1"),)
-
-    def test_is_immutable(self):
-        t = Tape.from_string("0")
-        with pytest.raises(AttributeError):
-            t.cells = ()
-
-    def test_shifted(self):
-        t = Tape.from_string("01").shifted(3)
-        assert t.cells == ((3, "0"), (4, "1"))
+    def test_blanks_are_not_stored(self):
+        assert tape_cells("_0_1_") == ((1, "0"), (3, "1"))
+        assert tape_cells("__") == ()
 
     def test_text_renders_interior_blanks(self):
-        t = Tape.from_string("1").write(2, "1")
-        assert t.text() == ("1_1", 0)
+        assert tape_text(((0, "1"), (2, "1"))) == ("1_1", 0)
 
     def test_text_reports_origin(self):
-        assert Tape.from_string("10", origin=-4).text() == ("10", -4)
+        assert tape_text(tape_cells("10", origin=-4)) == ("10", -4)
 
-    def test_empty_tape_text(self):
-        assert Tape().text() == ("", 0)
-
-    def test_equality_and_hash(self):
-        a = Tape({0: "1"})
-        b = Tape.from_string("1")
-        assert a == b
-        assert hash(a) == hash(b)
-        assert {a: "x"}[b] == "x"
-
-    @given(st.text(alphabet="01", min_size=1, max_size=8))
-    def test_from_string_text_roundtrip(self, text):
-        assert Tape.from_string(text).text() == (text, 0)
+    def test_empty_tape(self):
+        assert tape_cells("") == ()
+        assert tape_text(()) == ("", 0)
 
     @given(
         st.dictionaries(st.integers(-8, 8), st.sampled_from("01_"), max_size=6),
-        st.integers(-5, 5),
-        st.integers(-5, 5),
     )
-    def test_shift_composes(self, cells, a, b):
-        t = Tape(cells)
-        assert t.shifted(a).shifted(b) == t.shifted(a + b)
-        assert t.shifted(0) == t
+    def test_text_then_cells_roundtrip(self, cells):
+        canonical = tuple(sorted((p, s) for p, s in cells.items() if s != BLANK))
+        assert tape_cells(*tape_text(canonical)) == canonical
 
-    @given(
-        st.dictionaries(st.integers(-8, 8), st.sampled_from("01_"), max_size=6),
-        st.integers(-8, 8),
-        st.sampled_from("01_"),
-    )
-    def test_write_then_read(self, cells, pos, symbol):
-        t = Tape(cells).write(pos, symbol)
-        assert t.read(pos) == symbol
+    @given(st.from_regex(r"[01]([01_]*[01])?", fullmatch=True), st.integers(-5, 5))
+    def test_cells_then_text_roundtrip(self, text, origin):
+        assert tape_text(tape_cells(text, origin)) == (text, origin)
 
 
 class TestConfiguration:
@@ -123,7 +79,7 @@ class TestConfiguration:
     def test_shifted_moves_head_and_tape(self):
         c = cfg("q0", "11", 1).shifted(-2)
         assert c.head == -1
-        assert c.tape.cells == ((-2, "1"), (-1, "1"))
+        assert c.cells == ((-2, "1"), (-1, "1"))
 
     def test_hashable_and_frozen(self):
         c = cfg("q0", "1", 0)

@@ -12,12 +12,12 @@ from qtmlab import (
     HaltOutcome,
     ParseError,
     Schedule,
-    Tape,
     compare_schedules,
     parse_input,
     parse_schedule,
     run_schedule,
     sample_run,
+    tape_cells,
 )
 from qtmlab.measurement import _Unhalted
 
@@ -95,8 +95,8 @@ class TestRunSchedule:
     def test_hadamard_every_step(self, hadamard_halt):
         d = dist(hadamard_halt, "0", every(5), 5)
         assert d.entries == (
-            (HaltOutcome(1, Tape.from_string("0")), 0.5),
-            (HaltOutcome(1, Tape.from_string("1")), 0.5),
+            (HaltOutcome(1, tape_cells("0")), 0.5),
+            (HaltOutcome(1, tape_cells("1")), 0.5),
             (UNHALTED, 0.0),
         )
         assert d.max_norm_drift == 2.220446049250313e-16
@@ -106,8 +106,8 @@ class TestRunSchedule:
         assert rec.step == 1
         assert rec.p_halt == 1.0
         assert rec.halted_outcomes == (
-            (Tape.from_string("0"), 0.5),
-            (Tape.from_string("1"), 0.5),
+            (tape_cells("0"), 0.5),
+            (tape_cells("1"), 0.5),
         )
 
     def test_every_step_walks_only_until_the_lineage_empties(self, hadamard_halt):
@@ -118,22 +118,22 @@ class TestRunSchedule:
     def test_hadamard_end_only_agrees_up_to_halt_step(self, hadamard_halt):
         d = dist(hadamard_halt, "0", end(5), 5)
         assert d.entries == (
-            (HaltOutcome(5, Tape.from_string("0")), 0.5),
-            (HaltOutcome(5, Tape.from_string("1")), 0.5),
+            (HaltOutcome(5, tape_cells("0")), 0.5),
+            (HaltOutcome(5, tape_cells("1")), 0.5),
             (UNHALTED, 0.0),
         )
 
     def test_interference_on_superposed_input(self, hadamard_halt):
         d = dist(hadamard_halt, "1/sqrt(2):0 + 1/sqrt(2):1", every(4), 4)
         coarse = d.coarsened()
-        assert coarse[Tape.from_string("0")] == pytest.approx(1.0)
+        assert coarse[tape_cells("0")] == pytest.approx(1.0)
         assert coarse[UNHALTED] == pytest.approx(0.0, abs=1e-12)
 
     def test_delayed_hadamard_two_branches(self, delayed_hadamard):
         d = dist(delayed_hadamard, "10", every(4), 4)
         assert d.entries == (
-            (HaltOutcome(2, Tape.from_string("10")), 0.5),
-            (HaltOutcome(2, Tape.from_string("11")), 0.5),
+            (HaltOutcome(2, tape_cells("10")), 0.5),
+            (HaltOutcome(2, tape_cells("11")), 0.5),
             (UNHALTED, 0.0),
         )
 
@@ -149,8 +149,8 @@ class TestRunSchedule:
 
     def test_probability_accessor(self, hadamard_halt):
         d = dist(hadamard_halt, "0", every(5), 5)
-        assert d.probability(HaltOutcome(1, Tape.from_string("0"))) == 0.5
-        assert d.probability(HaltOutcome(3, Tape.from_string("0"))) == 0.0
+        assert d.probability(HaltOutcome(1, tape_cells("0"))) == 0.5
+        assert d.probability(HaltOutcome(3, tape_cells("0"))) == 0.0
 
     def test_negative_budget_rejected(self, hadamard_halt):
         with pytest.raises(ValueError):
@@ -168,8 +168,8 @@ class TestSampling:
             seed=7, samples=2000,
         )
         assert report.counts == (
-            (HaltOutcome(1, Tape.from_string("0")), 1011),
-            (HaltOutcome(1, Tape.from_string("1")), 989),
+            (HaltOutcome(1, tape_cells("0")), 1011),
+            (HaltOutcome(1, tape_cells("1")), 989),
         )
 
     def test_identical_seeds_identical_reports(self, delayed_hadamard):
@@ -229,7 +229,7 @@ class TestOutcomeOrder:
         )
         entries = [outcome for outcome, _ in report.distribution.entries]
         assert entries[-1] is UNHALTED
-        keys = [(o.step, o.tape.cells) for o in entries[:-1]]
+        keys = [(o.step, o.cells) for o in entries[:-1]]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         counted = iter(entries)
         assert all(any(o == e for e in counted) for o, _ in report.counts)
@@ -264,8 +264,16 @@ class TestCompare:
         d = run_schedule(hadamard_halt_naive, inp, every(6), 6)
         coarse = d.coarsened()
         assert sum(coarse.values()) == pytest.approx(1.0, abs=1e-12)
-        assert coarse[Tape.from_string("0")] == pytest.approx(0.14644660940672619)
-        assert coarse[Tape.from_string("1")] == pytest.approx(0.8535533905932737)
+        assert coarse[tape_cells("0")] == pytest.approx(0.14644660940672619)
+        assert coarse[tape_cells("1")] == pytest.approx(0.8535533905932737)
+
+    def test_coarsened_lists_tapes_in_cell_order(self):
+        # the 11 branch halts at step 3 and the 0000 branch at step 5, but
+        # 0000 comes first in cell order; compare prints in this order
+        spec = load_qtm("seek_right_lifted")
+        d = dist(spec, "1/sqrt(2):11 + 1/sqrt(2):0000", every(9), 9)
+        assert [o.cells for o, _ in d.entries[:-1]] == [tape_cells("11"), tape_cells("0000")]
+        assert list(d.coarsened()) == [tape_cells("0000"), tape_cells("11"), UNHALTED]
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())

@@ -13,12 +13,12 @@ import math
 import pytest
 
 from qtmlab import (
-    Tape,
     basis_image,
     check_wellformed,
     collision_candidates,
     core_well_formed,
     pair_image_inner,
+    tape_cells,
 )
 
 R2 = 1 / math.sqrt(2)
@@ -34,8 +34,8 @@ FROZEN = {
 
 def minimal_pair(spec):
     return (
-        spec.config("q0", Tape.from_string("0"), 0),
-        spec.config("q0", Tape.from_string("1"), 0),
+        spec.config("q0", tape_cells("0"), 0),
+        spec.config("q0", tape_cells("1"), 0),
     )
 
 
@@ -101,8 +101,8 @@ def test_candidates_are_canonical(hadamard_halt):
         assert min(pair.c1.head, pair.c2.head) == 0
         assert abs(pair.c1.head - pair.c2.head) <= 2
         assert pair.c1 < pair.c2
-        positions = [p for p, _ in pair.c1.tape.cells]
-        positions += [p for p, _ in pair.c2.tape.cells]
+        positions = [p for p, _ in pair.c1.cells]
+        positions += [p for p, _ in pair.c2.cells]
         assert all(-5 <= p <= 5 for p in positions)
 
 
@@ -123,10 +123,10 @@ def test_pair_image_inner_is_translation_invariant(naive_report, hadamard_halt_n
 
 
 def test_halted_image_is_pure_drift(hadamard_halt):
-    halted = hadamard_halt.config("qH", Tape.from_string("10"), 0)
+    halted = hadamard_halt.config("qH", tape_cells("10"), 0)
     img = basis_image(hadamard_halt, halted)
     ((cfg, amp),) = list(img.items())
     assert amp == 1 + 0j
     assert cfg.head == 1
-    assert cfg.tape == halted.tape
+    assert cfg.cells == halted.cells
     assert cfg.halted
