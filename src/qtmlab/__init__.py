@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .classical import (
     ClassicalRun,
-    ClassicalTM,
     InjectivityWitness,
     ReversibilityReport,
     check_reversible,
@@ -79,7 +78,6 @@ __all__ = [
     "BLANK",
     "BY_CONSTRUCTION",
     "ClassicalRun",
-    "ClassicalTM",
     "CollisionCandidatePair",
     "CollisionWitness",
     "ComparisonReport",

@@ -281,8 +281,8 @@ def _cmd_compare(args) -> int:
         ),
         "normFlag": report.norm_flag,
         "equivalent": report.equivalent,
-        "coarsenedA": _ser_coarsened(report.dist_a.coarsened()),
-        "coarsenedB": _ser_coarsened(report.dist_b.coarsened()),
+        "coarsenedA": _ser_coarsened(report.coarsened_a),
+        "coarsenedB": _ser_coarsened(report.coarsened_b),
     }
     _emit(args, result)
     return 0 if report.equivalent else 2

@@ -62,7 +62,7 @@ class Configuration(NamedTuple):
 
     ``cells`` is a canonical tape (see ``tape_cells``), and ``halted`` must
     equal (state == halt state of the machine), which the constructor
-    helpers ``MachineSpec.config`` and ``ClassicalTM.config`` derive.
+    helper ``MachineSpec.config`` derives.
     Equality, hashing and ordering are the tuple's, so ``sorted`` gives
     canonical order with halted configurations last.
     """
@@ -94,7 +94,8 @@ class RuleTarget:
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """A parsed quantum machine: rule table keyed by (state, read symbol)."""
+    """A parsed machine: rule table keyed by (state, read symbol).  A
+    classical machine is one whose every row is one amplitude-1 target."""
 
     states: tuple[str, ...]
     initial: str

@@ -251,13 +251,12 @@ def _walk(records, rng: Random) -> int:
     return base
 
 
-def _coarsened_diffs(a: OutputDistribution, b: OutputDistribution) -> list[float]:
+def _coarsened_diffs(ca: dict, cb: dict) -> list[float]:
     """|p_a - p_b| for every final tape either one reaches, then UNHALTED.
 
     Tapes come in cell order, as ``compare`` prints them, so the sum over
     the list does not depend on set iteration order.
     """
-    ca, cb = a.coarsened(), b.coarsened()
     # both list their tapes in cell order, UNHALTED last: merge the tapes
     tapes = dict.fromkeys(merge(list(ca)[:-1], list(cb)[:-1]))
     return [abs(ca.get(k, 0.0) - cb.get(k, 0.0)) for k in (*tapes, UNHALTED)]
@@ -267,6 +266,8 @@ def _coarsened_diffs(a: OutputDistribution, b: OutputDistribution) -> list[float
 class ComparisonReport:
     dist_a: OutputDistribution
     dist_b: OutputDistribution
+    coarsened_a: dict
+    coarsened_b: dict
     tv_distance: float
     max_abs_diff: float
     norm_flag: bool
@@ -290,10 +291,11 @@ def compare_schedules(
     """
     da = run_schedule(spec, inp, schedule_a, budget, prune)
     db = run_schedule(spec, inp, schedule_b, budget, prune)
-    diffs = _coarsened_diffs(da, db)
+    ca, cb = da.coarsened(), db.coarsened()
+    diffs = _coarsened_diffs(ca, cb)
     tv = 0.5 * sum(diffs)
     max_abs = max(diffs, default=0.0)
     norm_flag = max(da.max_norm_drift, db.max_norm_drift) > tol
     return ComparisonReport(
-        da, db, tv, max_abs, norm_flag, tv <= tol and not norm_flag
+        da, db, ca, cb, tv, max_abs, norm_flag, tv <= tol and not norm_flag
     )

@@ -13,6 +13,11 @@ Amplitudes are exact-looking literals::
 
 ``*`` as a rule's read symbol expands the rule over the whole alphabet;
 ``*`` in the write slot means "write the symbol that was read".
+
+Both formats parse to a ``MachineSpec``.  A classical file becomes its
+effective table: one amplitude-1 target for every (state, symbol) key,
+where a key without a declared rule, and every halt-state key, halts and
+moves right.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .machine import (
     RuleTarget,
     validate_input,
 )
-from .classical import ClassicalTM
 
 # Characters that would collide with the file and input grammars if they
 # appeared in a tape symbol.
@@ -283,7 +287,7 @@ def _classical_right_side(text: str, state: str, machine, lineno) -> list:
     if state == halt:
         raise ParseError("classical rules may not start in the halt state", line=lineno)
     usage = "rule right side must be '<state> <write> <move>'"
-    return [(None, *_target(text, usage, machine, lineno))]
+    return [(complex(1), *_target(text, usage, machine, lineno))]
 
 
 def parse_machine(text: str) -> MachineSpec:
@@ -326,14 +330,25 @@ def render_machine(spec: MachineSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_classical(text: str) -> ClassicalTM:
-    """Parse ``tm-spec v1`` source: single-target rules, no amplitudes."""
+def parse_classical(text: str) -> MachineSpec:
+    """Parse ``tm-spec v1`` source into its effective rule table.
+
+    Every key over states x alphabet, in that order, gets one amplitude-1
+    target: its declared rule, or else "enter the halt state, leave the
+    symbol, move right", which is also how the halt state drifts.
+    """
     machine, rule_lines = _parse_headers(text, TM_HEADER)
-    rules = {
-        key: targets[0][1:]
+    states, _, halt, alphabet = machine
+    declared = {
+        key: targets[0]
         for _, key, targets in _rules(rule_lines, machine, _classical_right_side)
     }
-    return ClassicalTM(*machine, rules)
+    rules = {
+        (q, s): (RuleTarget(*declared.get((q, s), (complex(1), halt, s, "R"))),)
+        for q in states
+        for s in alphabet
+    }
+    return MachineSpec(*machine, rules)
 
 
 # ---------------------------------------------------------------------------

@@ -210,22 +210,21 @@ def _pattern_inner(rules1, rules2, d: int) -> dict:
     return totals
 
 
-def _failing_windows(machine, keys, rules, tol: float) -> list:
+def _failing_windows(spec: MachineSpec, keys, tol: float) -> list:
     """Canonical window pairs, in canonical order, of every pattern over
-    ``keys`` whose images have inner product of modulus above ``tol``, as
-    (Configuration, Configuration).  ``machine`` supplies only ``alphabet``
-    and ``halt``."""
+    ``keys`` of ``spec.rules`` whose images have inner product of modulus
+    above ``tol``, as (Configuration, Configuration)."""
     same_head = ((0, k1, k2) for i, k1 in enumerate(keys) for k2 in keys[i + 1 :])
     failing = [
         (d, k1, a, k2, b)
         for d, k1, k2 in chain(same_head, product((1, 2), keys, keys))
-        for (a, b), ip in _pattern_inner(rules[k1], rules[k2], d).items()
+        for (a, b), ip in _pattern_inner(spec.rules[k1], spec.rules[k2], d).items()
         if abs(ip) > tol
     ]
     intern: dict = {}
     pairs = set()
     for pattern in failing:
-        pairs |= _expand(machine, pattern, intern)
+        pairs |= _expand(spec, pattern, intern)
     make = Configuration._make
     return [(make(c1), make(c2)) for c1, c2 in sorted(pairs)]
 
@@ -257,7 +256,7 @@ def check_wellformed(
 
     witnesses = tuple(
         CollisionWitness(c1, c2, spec)
-        for c1, c2 in _failing_windows(spec, have, spec.rules, tol)
+        for c1, c2 in _failing_windows(spec, have, tol)
     )
     verdict = (
         "well_formed" if not norm_violations and not witnesses else "violation"

@@ -2,10 +2,11 @@
 
 perfbench/tracer.py counts stepping work by rebinding ``step`` where the
 qtmlab modules look it up and by reading the state it is given (``len``
-and ``configurations()``), and it reads ``experiments.halted_basis`` from
-the report of ``analyze_halting_subspace``.  These properties otherwise
-show only in a traced benchmark run; here they are checked on three small
-CLI jobs.  The tracer is imported read-only from its file, and the
+and ``configurations()``), it reads ``experiments.halted_basis`` from
+the report of ``analyze_halting_subspace``, and it counts the check
+workload's witnesses on the reports of ``check_wellformed`` and
+``lift_to_qtm``.  These properties otherwise show only in a traced
+benchmark run; here they are checked on five small CLI jobs.  The tracer is imported read-only from its file, and the
 benchmark's own unit tests run in a subprocess.
 """
 
@@ -73,6 +74,25 @@ def test_subspace_reports_its_halted_basis(tracer, capsys):
     summary = tracer.summary()
     assert summary["experiments.halted_basis"] == result["haltedBasisCount"] > 0
     assert summary["experiments.subspace_self_s"] is not None
+
+
+def test_refused_lift_counts_its_injectivity_witnesses(tracer, capsys):
+    argv = ["lift", str(MACHINES / "collide.tm"), "--max-witnesses", "3"]
+    assert cli.main(argv) == 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    summary = tracer.summary()
+    assert summary["classical.injectivity_witnesses"] == result["witnessTotal"] == 2673
+    assert summary["classical.lift_self_s"] is not None
+
+
+def test_check_counts_its_witnesses(tracer, capsys):
+    argv = ["check", str(MACHINES / "hadamard_halt_naive.qtm"), "--max-witnesses", "3"]
+    assert cli.main(argv) == 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    summary = tracer.summary()
+    assert summary["wellformed.check_calls"] == 1
+    assert summary["wellformed.witnesses"] == result["witnessTotal"] == 10692
+    assert summary["wellformed.materialize_s"] is not None
 
 
 def test_benchmark_unit_tests_pass():

@@ -4,13 +4,13 @@ import pytest
 
 from conftest import MACHINES, load_tm
 from qtmlab import (
-    MachineSpec,
     NotReversibleError,
     RuleTarget,
     check_reversible,
     check_wellformed,
     classical_trajectory,
     lift_to_qtm,
+    parse_classical,
     parse_input,
     render_machine,
     run_classical,
@@ -86,15 +86,76 @@ class TestRunClassical:
         with pytest.raises(ValueError):
             run_classical(seek_right, "0", budget=-1)
 
-    def test_halt_state_queries_drift(self, seek_right):
-        assert seek_right.rule("qH", "0") == ("qH", "0", "R")
-        assert seek_right.rule("qH", "_") == ("qH", "_", "R")
+    def test_halt_state_rows_drift(self, seek_right):
+        assert seek_right.rules["qH", "0"] == (RuleTarget(1, "qH", "0", "R"),)
+        assert seek_right.rules["qH", "_"] == (RuleTarget(1, "qH", "_", "R"),)
 
     def test_missing_keys_materialize_as_halt(self, collide):
-        assert collide.rule("q0", "_") == ("qH", "_", "R")
+        assert collide.rules["q0", "_"] == (RuleTarget(1, "qH", "_", "R"),)
+
+
+STAR_TM = """tm-spec v1
+states: q0 q1 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q1 * -> q0 * L
+rule: q0 1 -> q1 0 R
+"""
+
+
+def _table_texts():
+    """Each corpus .tm file, the same file with its rule lines reversed, and
+    a file using ``*`` on both sides of a rule."""
+    for path in sorted(MACHINES.glob("*.tm")):
+        lines = path.read_text().splitlines()
+        rules = [line for line in lines if line.startswith("rule:")]
+        others = [line for line in lines if not line.startswith("rule:")]
+        yield path.stem, path.read_text()
+        yield path.stem + "-reversed", "\n".join(others + rules[::-1]) + "\n"
+    yield "star", STAR_TM
+
+
+def _reference_table(text):
+    """The effective table of ``tm-spec v1`` text, split by hand: every
+    declared key to its rule line, every other key to halt-and-move-right,
+    in states x alphabet order."""
+    headers, lines = {}, []
+    for raw in text.splitlines():
+        name, _, value = raw.split("#")[0].partition(":")
+        if name.strip() == "rule":
+            lhs, rhs = value.split("->")
+            lines.append((lhs.split(), rhs.split()))
+        elif value:
+            headers[name.strip()] = value.split()
+    (halt,), alphabet = headers["halt"], headers["alphabet"]
+    declared = {}
+    for (q, read), (q2, write, move) in lines:
+        for s in alphabet if read == "*" else [read]:
+            declared[q, s] = (q2, s if write == "*" else write, move)
+    return [
+        ((q, s), (RuleTarget(1, *declared.get((q, s), (halt, s, "R"))),))
+        for q in headers["states"]
+        for s in alphabet
+    ]
+
+
+TABLE_TEXTS = dict(_table_texts())
+
+
+class TestEffectiveTable:
+    @pytest.mark.parametrize("name", TABLE_TEXTS)
+    def test_table_matches_rule_lines(self, name):
+        text = TABLE_TEXTS[name]
+        assert list(parse_classical(text).rules.items()) == _reference_table(text)
 
 
 class TestTrajectory:
+    def test_rejects_bad_input(self, seek_right):
+        with pytest.raises(ValueError, match="alphabet"):
+            classical_trajectory(seek_right, "x9", 3)
+        with pytest.raises(ValueError):
+            classical_trajectory(seek_right, "0", -4)
     def test_drifts_after_halting(self, seek_right):
         chain = classical_trajectory(seek_right, "0", 5)
         assert [(c.state, c.head) for c in chain] == [
@@ -146,17 +207,11 @@ class TestCheckReversible:
 
     @pytest.mark.parametrize("name", REVERSIBLE + ("collide",))
     def test_witnesses_are_core_witnesses_of_unchecked_lift(self, request, name):
-        # amplitude-1 lift written out here, independent of lift_to_qtm
+        # the table itself is checked against the rule lines in
+        # TestEffectiveTable; here the sweep over its running rows is
+        # checked against the full well-formedness check
         tm = request.getfixturevalue(name)
-        rules = {}
-        for q in tm.states:
-            for s in tm.alphabet:
-                target = tm.rules.get((q, s), (tm.halt, s, "R"))
-                if q == tm.halt:
-                    target = (q, s, "R")
-                rules[(q, s)] = (RuleTarget(1 + 0j, *target),)
-        lift = MachineSpec(tm.states, tm.initial, tm.halt, tm.alphabet, rules)
-        core = [(w.c1, w.c2) for w in check_wellformed(lift).core_witnesses]
+        core = [(w.c1, w.c2) for w in check_wellformed(tm).core_witnesses]
         assert [(w.c1, w.c2) for w in check_reversible(tm).witnesses] == core
 
 
@@ -165,8 +220,7 @@ class TestLift:
     def test_lifted_table_is_total_and_unit(self, request, name):
         tm = request.getfixturevalue(name)
         spec = lift_to_qtm(tm)
-        assert spec.states == tm.states
-        assert spec.alphabet == tm.alphabet
+        assert spec is tm
         assert set(spec.rules) == {
             (q, s) for q in tm.states for s in tm.alphabet
         }

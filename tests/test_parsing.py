@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import MACHINES, load_qtm
 from qtmlab import (
     ParseError,
+    RuleTarget,
     parse_amplitude,
     parse_classical,
     parse_input,
@@ -218,7 +219,7 @@ class TestRenderMachine:
 
 class TestParseClassical:
     def test_parses_rules_as_single_targets(self, seek_right):
-        assert seek_right.rules[("q0", "0")] == ("q0", "0", "R")
+        assert seek_right.rules[("q0", "0")] == (RuleTarget(1, "q0", "0", "R"),)
 
     def test_rejects_halt_state_rules(self):
         text = "\n".join(
