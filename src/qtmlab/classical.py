@@ -1,7 +1,8 @@
 """Deterministic Turing machines: runs, reversibility, and the lift.
 
 A classical machine is a ``MachineSpec`` whose every row is one
-amplitude-1 target.  ``parsing.parse_classical`` builds that effective
+amplitude-1 target, and every entry point here refuses any other table
+with ``ValueError``.  ``parsing.parse_classical`` builds that effective
 table: a key with no declared rule halts there ("enter the halt state,
 leave the symbol, move right"), and the halt state's rows drift right.  A
 classical trajectory and the evolution of the same table therefore agree
@@ -64,9 +65,17 @@ class ReversibilityReport:
     witnesses: tuple[InjectivityWitness, ...]
 
 
+def _require_classical(spec: MachineSpec) -> None:
+    """Raise ``ValueError`` at the first row that is not one amplitude-1 target."""
+    for key, targets in spec.rules.items():
+        if len(targets) != 1 or targets[0].amplitude != 1:
+            raise ValueError(f"not a classical table: row {key} is not one amplitude-1 target")
+
+
 def _start(spec: MachineSpec, text: str, count: int) -> Configuration:
-    """The configuration at head 0 on ``text``, once ``text`` and the step
-    ``count`` are checked."""
+    """The configuration at head 0 on ``text``, once the table, ``text`` and
+    the step ``count`` are checked."""
+    _require_classical(spec)
     if count < 0:
         raise ValueError("step count must be non-negative")
     for ch in text:
@@ -113,8 +122,10 @@ def check_reversible(spec: MachineSpec) -> ReversibilityReport:
     table, whose images fail orthogonality exactly when they coincide.
     Pairs with a halted member are left out: halted configurations drift
     injectively, and a running one colliding with a halted one is the
-    signature of the halting scheme, not of the machine.
+    signature of the halting scheme, not of the machine.  A table with a
+    row that is not one amplitude-1 target raises ``ValueError``.
     """
+    _require_classical(spec)
     running = [k for k in spec.rules if k[0] != spec.halt]
     witnesses = tuple(
         InjectivityWitness(c1, c2, spec)

@@ -15,10 +15,10 @@ depends only on the head offset, the two (state, read symbol) rule rows,
 and -- for offset >= 1 -- the two cells the members see under each other's
 head.  All window pairs sharing this local pattern have the same inner
 product, so the verdict needs only a sweep over patterns.  Each failing
-pattern is expanded into its canonical window pairs as plain tuple keys
-laid out like a ``Configuration``; after sorting, each key is given the
-field names with ``Configuration._make``, and no tape is rendered.  A
-witness computes its image inner product, through ``pair_image_inner``,
+pattern is expanded into its canonical window pairs, each generated once,
+with every key coded as it is built as an integer in canonical order and
+made a ``Configuration`` once; one sort of integers orders the witnesses.
+A witness computes its image inner product, through ``pair_image_inner``,
 only when it is read, so a report that shows a few witnesses steps only
 those.
 
@@ -121,46 +121,77 @@ def pair_image_inner(
 # ---------------------------------------------------------------------------
 # window machinery: a window configuration is its key (halted, state, head,
 # cells), laid out like a ``Configuration``; a pair is canonical when its
-# lower head is at cell 0 and its members are in key order.
+# lower head is at cell 0 and its members are in key order (see ``_windows``).
+
+WIDTH = 7  # cells in a window: no window tape holds more
+
+
+@lru_cache(maxsize=16)
+def _digits(alphabet: tuple) -> tuple[dict, int]:
+    """Window tape cells (pos -5..5, symbol) numbered from 1 in tuple order; their bit width."""
+    cells = sorted(product(range(-5, 6), [s for s in alphabet if s != BLANK]))
+    return {c: i for i, c in enumerate(cells, 1)}, len(cells).bit_length()
+
+
+def _code(alphabet: tuple, cells: tuple) -> int:
+    """``cells`` as WIDTH digits, 0 past the last: integer order is tuple order."""
+    digit, bits = _digits(alphabet)
+    return sum(digit[c] << bits * (WIDTH - 1 - i) for i, c in enumerate(cells))
+
 
 @lru_cache(maxsize=256)
-def _sides(alphabet: tuple, lo: int, hi: int) -> tuple:
-    """Every assignment of ``alphabet`` to cells lo..hi, as sorted
-    (pos, symbol) tuples with blanks left out."""
-    cells = range(lo, hi + 1)
-    return tuple(
-        tuple((p, s) for p, s in zip(cells, symbols) if s != BLANK)
-        for symbols in product(alphabet, repeat=len(cells))
-    )
+def _sides(alphabet: tuple, lo: int, hi: int, pinned: bool = False) -> tuple:
+    """Every assignment of ``alphabet`` to cells lo..hi (if ``pinned``, with
+    cell lo not blank) as (cells, ``_code``), cells the sorted (pos, symbol)
+    tuple with blanks left out."""
+    span = range(lo, hi + 1)
+    fills = (f for f in product(alphabet, repeat=len(span)) if not pinned or f[0] != BLANK)
+    sides = [tuple((p, s) for p, s in zip(span, fill) if s != BLANK) for fill in fills]
+    return tuple((cells, _code(alphabet, cells)) for cells in sides)
 
 
 def _cell(pos: int, symbol) -> tuple:
     return () if symbol in (BLANK, None) else ((pos, symbol),)
 
 
-def _expand(machine, pattern, intern: dict) -> set:
-    """Canonical key pairs of one pattern ``(d, (q1, s1), a, (q2, s2), b)``:
-    q1 reads s1 under a head at cell 0 and sees ``a`` at cell d, q2 reads
-    s2 under a head at cell d and sees ``b`` at cell 0 (``a`` and ``b`` are
-    None when d is 0), and every other window cell is shared.  Keys are
-    interned in ``intern``."""
-    d, (q1, s1), a, (q2, s2), b = pattern
-    h1, h2 = q1 == machine.halt, q2 == machine.halt
-    m1, ma, mb, m2 = _cell(0, s1), _cell(d, a), _cell(0, b), _cell(d, s2)
-    pairs = set()
-    for x1 in range(-2, 3 - d):
-        rights = _sides(machine.alphabet, d + 1, 3 - x1)
-        for left in _sides(machine.alphabet, -3 - x1, -1):
-            for mid in _sides(machine.alphabet, 1, d - 1):
-                l1 = left + m1 + mid + ma
-                l2 = left + mb + mid + m2
-                for right in rights:
-                    c1 = (h1, q1, 0, l1 + right)
-                    c2 = (h2, q2, d, l2 + right)
-                    c1 = intern.setdefault(c1, c1)
-                    c2 = intern.setdefault(c2, c2)
-                    pairs.add((c1, c2) if c1 < c2 else (c2, c1))
-    return pairs
+def _windows(machine, patterns) -> list:
+    """Canonical pairs of ``patterns`` in canonical order, as
+    (Configuration, Configuration).
+
+    In a pattern ``(d, (q1, s1), a, (q2, s2), b)``, q1 reads s1 under a head
+    at cell 0 and sees ``a`` at cell d, q2 reads s2 under a head at cell d
+    and sees ``b`` at cell 0 (``a`` and ``b`` are None when d is 0), and
+    every other window cell is shared.  Window translation x1 = -2 takes
+    every tape and x1 > -2 only tapes whose cell -3 - x1 is not blank (the
+    rest fit x1 - 1), so each pair is generated once.  A key is coded as the
+    rank of its (halted, state, head) above its ``_code`` and made a
+    ``Configuration`` once; a pair is coded ``lo * radix + hi``, so one sort
+    of integers orders all pairs.
+    """
+    alphabet, bits = machine.alphabet, _digits(machine.alphabet)[1]
+    ranked = sorted((q == machine.halt, q, h) for q in machine.states for h in range(3))
+    top = {(q, h): r << bits * WIDTH for r, (_, q, h) in enumerate(ranked)}
+    radix, seen, codes, make = len(top) << bits * WIDTH, {}, [], Configuration._make
+    for d, (q1, s1), a, (q2, s2), b in patterns:
+        h1, h2 = q1 == machine.halt, q2 == machine.halt
+        m1, ma, mb, m2 = _cell(0, s1), _cell(d, a), _cell(0, b), _cell(d, s2)
+        for x1 in range(-2, 3 - d):
+            rights = _sides(alphabet, d + 1, 3 - x1)
+            lefts = _sides(alphabet, -3 - x1, -1, x1 > -2)
+            for (left, _), (mid, _) in product(lefts, _sides(alphabet, 1, d - 1)):
+                l1, l2 = left + m1 + mid + ma, left + mb + mid + m2
+                k1 = top[q1, 0] | _code(alphabet, l1)
+                k2 = top[q2, d] | _code(alphabet, l2)
+                n1, n2 = bits * len(l1), bits * len(l2)
+                for right, code in rights:
+                    c1, c2 = k1 | code >> n1, k2 | code >> n2
+                    if c1 not in seen:
+                        seen[c1] = make((h1, q1, 0, l1 + right))
+                    if c2 not in seen:
+                        seen[c2] = make((h2, q2, d, l2 + right))
+                    codes.append(c1 * radix + c2 if c1 < c2 else c2 * radix + c1)
+    codes.sort()
+    return [(seen[c // radix], seen[c % radix]) for c in codes]
 
 
 def collision_candidates(spec: MachineSpec) -> Iterator[CollisionCandidatePair]:
@@ -179,10 +210,9 @@ def collision_candidates(spec: MachineSpec) -> Iterator[CollisionCandidatePair]:
         (0, k1, None, k2, None) for i, k1 in enumerate(keys) for k2 in keys[i + 1 :]
     )
     apart = product((1, 2), keys, alphabet, keys, alphabet)
-    make = Configuration._make
     for pattern in chain(same_head, apart):
-        for c1, c2 in sorted(_expand(spec, pattern, {})):
-            yield CollisionCandidatePair(make(c1), make(c2))
+        for c1, c2 in _windows(spec, (pattern,)):
+            yield CollisionCandidatePair(c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +251,7 @@ def _failing_windows(spec: MachineSpec, keys, tol: float) -> list:
         for (a, b), ip in _pattern_inner(spec.rules[k1], spec.rules[k2], d).items()
         if abs(ip) > tol
     ]
-    intern: dict = {}
-    pairs = set()
-    for pattern in failing:
-        pairs |= _expand(spec, pattern, intern)
-    make = Configuration._make
-    return [(make(c1), make(c2)) for c1, c2 in sorted(pairs)]
+    return _windows(spec, failing)
 
 
 def check_wellformed(
@@ -254,13 +279,7 @@ def check_wellformed(
         if abs(norm2 - 1.0) > tol:
             norm_violations.append((key, norm2))
 
-    witnesses = tuple(
-        CollisionWitness(c1, c2, spec)
-        for c1, c2 in _failing_windows(spec, have, tol)
-    )
-    verdict = (
-        "well_formed" if not norm_violations and not witnesses else "violation"
-    )
-    return WellformednessReport(
-        verdict, tuple(norm_violations), witnesses, missing
-    )
+    failing = _failing_windows(spec, have, tol)
+    witnesses = tuple(CollisionWitness(c1, c2, spec) for c1, c2 in failing)
+    verdict = "violation" if norm_violations or witnesses else "well_formed"
+    return WellformednessReport(verdict, tuple(norm_violations), witnesses, missing)

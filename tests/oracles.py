@@ -3,7 +3,8 @@
 Everything here is written straight from the definitions, with different
 data structures and control flow than the production code: dense product
 enumeration instead of pattern grouping, raw dict tapes instead of cell tuples,
-and numpy least squares instead of Gram-Schmidt.  The test suite asserts
+a set and a sort of nested key tuples instead of integer-coded keys, and numpy
+least squares instead of Gram-Schmidt.  The test suite asserts
 agreement and freezes the resulting counts as regression values.
 """
 
@@ -11,7 +12,8 @@ import itertools
 
 import numpy as np
 
-from qtmlab import BLANK, basis_image, states_through
+from qtmlab import BLANK, Configuration, basis_image, states_through
+from qtmlab.wellformed import _pattern_inner
 
 MOVE = {"L": -1, "N": 0, "R": 1}
 CELLS = range(-3, 4)
@@ -72,6 +74,61 @@ def dense_candidate_keys(spec):
                                 if key is not None:
                                     keys.add(key)
     return keys
+
+
+def _window_sides(alphabet, lo, hi):
+    cells = range(lo, hi + 1)
+    return [
+        tuple((p, s) for p, s in zip(cells, symbols) if s != BLANK)
+        for symbols in itertools.product(alphabet, repeat=len(cells))
+    ]
+
+
+def _window_cell(pos, symbol):
+    return () if symbol in (BLANK, None) else ((pos, symbol),)
+
+
+def pattern_key_pairs(spec, pattern):
+    """Canonical key pairs of one pattern ``(d, (q1, s1), a, (q2, s2), b)``
+    as a set: every translation x1 of the window fills all of its shared
+    cells, and the set drops the tapes two translations both produce."""
+    d, (q1, s1), a, (q2, s2), b = pattern
+    h1, h2 = q1 == spec.halt, q2 == spec.halt
+    m1, ma = _window_cell(0, s1), _window_cell(d, a)
+    mb, m2 = _window_cell(0, b), _window_cell(d, s2)
+    pairs = set()
+    for x1 in range(-2, 3 - d):
+        for left in _window_sides(spec.alphabet, -3 - x1, -1):
+            for mid in _window_sides(spec.alphabet, 1, d - 1):
+                for right in _window_sides(spec.alphabet, d + 1, 3 - x1):
+                    c1 = (h1, q1, 0, left + m1 + mid + ma + right)
+                    c2 = (h2, q2, d, left + mb + mid + m2 + right)
+                    pairs.add((c1, c2) if c1 < c2 else (c2, c1))
+    return pairs
+
+
+def failing_patterns(spec, keys, tol=1e-9):
+    """Every pattern over ``keys`` whose images, by the library's
+    ``_pattern_inner``, have inner product of modulus above ``tol``, in the
+    checker's sweep order."""
+    pairs = [(0, k1, k2) for i, k1 in enumerate(keys) for k2 in keys[i + 1 :]]
+    pairs += [(d, k1, k2) for d in (1, 2) for k1 in keys for k2 in keys]
+    return [
+        (d, k1, a, k2, b)
+        for d, k1, k2 in pairs
+        for (a, b), ip in _pattern_inner(spec.rules[k1], spec.rules[k2], d).items()
+        if abs(ip) > tol
+    ]
+
+
+def reference_failing_windows(spec, keys, tol=1e-9):
+    """The canonical window pairs of the failing patterns over ``keys``, by a
+    set of key pairs and one sort of the nested tuples."""
+    pairs = set()
+    for pattern in failing_patterns(spec, keys, tol):
+        pairs |= pattern_key_pairs(spec, pattern)
+    make = Configuration._make
+    return [(make(c1), make(c2)) for c1, c2 in sorted(pairs)]
 
 
 def make_imager(spec):

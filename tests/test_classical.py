@@ -215,6 +215,25 @@ class TestCheckReversible:
         assert [(w.c1, w.c2) for w in check_reversible(tm).witnesses] == core
 
 
+class TestQuantumTableRefused:
+    """Every classical entry point names the first row that is not one
+    amplitude-1 target instead of running a quantum table."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: run_classical(spec, "0", 3),
+            lambda spec: classical_trajectory(spec, "0", 3),
+            check_reversible,
+            lift_to_qtm,
+        ],
+        ids=["run_classical", "classical_trajectory", "check_reversible", "lift_to_qtm"],
+    )
+    def test_quantum_spec_raises(self, hadamard_halt, call):
+        with pytest.raises(ValueError, match=r"row \('q0', '0'\) is not one amplitude-1"):
+            call(hadamard_halt)
+
+
 class TestLift:
     @pytest.mark.parametrize("name", REVERSIBLE)
     def test_lifted_table_is_total_and_unit(self, request, name):
