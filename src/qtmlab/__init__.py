@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .classical import (
     ClassicalRun,
-    InjectivityWitness,
-    ReversibilityReport,
     check_reversible,
     classical_trajectory,
     lift_to_qtm,
@@ -64,8 +62,6 @@ from .parsing import (
     render_machine,
 )
 from .wellformed import (
-    CollisionCandidatePair,
-    CollisionWitness,
     WellformednessReport,
     basis_image,
     check_wellformed,
@@ -78,14 +74,11 @@ __all__ = [
     "BLANK",
     "BY_CONSTRUCTION",
     "ClassicalRun",
-    "CollisionCandidatePair",
-    "CollisionWitness",
     "ComparisonReport",
     "Configuration",
     "DEFAULT_TOL",
     "EvolutionTrace",
     "HaltOutcome",
-    "InjectivityWitness",
     "InputSpec",
     "MachineSpec",
     "MeasurementRecord",
@@ -95,7 +88,6 @@ __all__ = [
     "ParseError",
     "QtmError",
     "QuantumState",
-    "ReversibilityReport",
     "RuleTarget",
     "SampleReport",
     "Schedule",

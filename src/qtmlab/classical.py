@@ -13,18 +13,19 @@ The table preserves norm automatically; it is an isometry on running
 configurations exactly when the classical transition function is
 injective there.  ``check_reversible`` decides that with ``wellformed``'s
 pattern sweep over the running rows, and ``lift_to_qtm`` is that check: a
-reversible table is returned as the lifted machine.  A witness computes
-the successor its two members share only when read.  Collisions between a
-newly-halting image and the drift of an already-halted configuration are
-inherent to the halting scheme (see ``wellformed``) and are not counted
-against reversibility.
+reversible table is returned as the lifted machine.  A witness is the pair
+``(c1, c2)`` of running configurations, ``c1 < c2``; the successor they
+share is ``_image(spec, c1)``.  Collisions between a newly-halting image
+and the drift of an already-halted configuration are inherent to the
+halting scheme (see ``wellformed``) and are not counted against
+reversibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import NotReversibleError
+from .errors import MissingRuleError, NotReversibleError
 from .machine import (
     BLANK,
     Configuration,
@@ -43,26 +44,6 @@ class ClassicalRun:
     state: str
     cells: tuple
     head: int
-
-
-@dataclass(frozen=True, slots=True)
-class InjectivityWitness:
-    """Two distinct running configurations sharing one successor."""
-
-    c1: Configuration
-    c2: Configuration
-    spec: MachineSpec = field(repr=False, compare=False)
-
-    @property
-    def image(self) -> Configuration:
-        """The shared successor; computed per read."""
-        return _image(self.spec, self.c1)
-
-
-@dataclass(frozen=True)
-class ReversibilityReport:
-    reversible: bool
-    witnesses: tuple[InjectivityWitness, ...]
 
 
 def _require_classical(spec: MachineSpec) -> None:
@@ -110,16 +91,21 @@ def _image(spec: MachineSpec, cfg: Configuration) -> Configuration:
     # through a dict of the cells, apart from ``step``'s splice: the
     # classical trajectory is the reference ``step`` is tested against
     cells = dict(cfg.cells)
-    (t,) = spec.rules[cfg.state, cells.pop(cfg.head, BLANK)]
+    key = cfg.state, cells.pop(cfg.head, BLANK)
+    if key not in spec.rules:
+        raise MissingRuleError(*key)
+    (t,) = spec.rules[key]
     if t.write != BLANK:
         cells[cfg.head] = t.write
     return spec.config(t.state, tuple(sorted(cells.items())), cfg.head + MOVE_DELTA[t.move])
 
 
-def check_reversible(spec: MachineSpec) -> ReversibilityReport:
-    """Decide injectivity of the transition on running configurations:
-    ``wellformed``'s pattern sweep over the running rows of the amplitude-1
-    table, whose images fail orthogonality exactly when they coincide.
+def check_reversible(spec: MachineSpec) -> tuple[tuple[Configuration, Configuration], ...]:
+    """Decide injectivity of the transition on running configurations: the
+    colliding pairs ``(c1, c2)`` in canonical order, none when it is
+    injective.  They come from ``wellformed``'s pattern sweep over the
+    running rows of the amplitude-1 table, whose images fail orthogonality
+    exactly when they coincide.
     Pairs with a halted member are left out: halted configurations drift
     injectively, and a running one colliding with a halted one is the
     signature of the halting scheme, not of the machine.  A table with a
@@ -127,11 +113,7 @@ def check_reversible(spec: MachineSpec) -> ReversibilityReport:
     """
     _require_classical(spec)
     running = [k for k in spec.rules if k[0] != spec.halt]
-    witnesses = tuple(
-        InjectivityWitness(c1, c2, spec)
-        for c1, c2 in _failing_windows(spec, running, DEFAULT_TOL)
-    )
-    return ReversibilityReport(not witnesses, witnesses)
+    return tuple(_failing_windows(spec, running, DEFAULT_TOL))
 
 
 def lift_to_qtm(spec: MachineSpec) -> MachineSpec:
@@ -140,7 +122,7 @@ def lift_to_qtm(spec: MachineSpec) -> MachineSpec:
     Raises ``NotReversibleError`` when the classical transition is not
     injective on running configurations; the error carries the witnesses.
     """
-    report = check_reversible(spec)
-    if not report.reversible:
-        raise NotReversibleError(report.witnesses)
+    witnesses = check_reversible(spec)
+    if witnesses:
+        raise NotReversibleError(witnesses)
     return spec

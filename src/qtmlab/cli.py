@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from . import __version__
+from . import __version__, classical, wellformed
 from .classical import lift_to_qtm
 from .errors import NotReversibleError, ParseError, QtmError
 from .evolution import evolve
@@ -85,12 +85,14 @@ def _ser_config(cfg) -> dict:
     }
 
 
-def _ser_witness(w) -> dict:
+def _ser_witness(spec, c1, c2) -> dict:
+    # looked up on the module per call, where the benchmark's tracer times it
+    inner = wellformed.pair_image_inner(spec, c1, c2)
     return {
-        "c1": _ser_config(w.c1),
-        "c2": _ser_config(w.c2),
-        "inner": _ser_complex(w.inner),
-        "driftCollision": w.drift_collision,
+        "c1": _ser_config(c1),
+        "c2": _ser_config(c2),
+        "inner": _ser_complex(inner),
+        "driftCollision": c1.halted != c2.halted,
     }
 
 
@@ -178,7 +180,7 @@ def _cmd_check(args) -> int:
         "coreWitnessCount": len(report.core_witnesses),
         "driftWitnessCount": len(report.drift_witnesses),
         "witnessesTruncated": len(report.witnesses) > len(shown),
-        "orthogonalityWitnesses": [_ser_witness(w) for w in shown],
+        "orthogonalityWitnesses": [_ser_witness(spec, *w) for w in shown],
         "coreWellFormed": core_well_formed(report)
         and not any(v.kind == "row_norm" for v in structure),
     }
@@ -308,11 +310,11 @@ def _cmd_lift(args) -> int:
             "witnessesTruncated": len(exc.witnesses) > len(shown),
             "witnesses": [
                 {
-                    "c1": _ser_config(w.c1),
-                    "c2": _ser_config(w.c2),
-                    "image": _ser_config(w.image),
+                    "c1": _ser_config(c1),
+                    "c2": _ser_config(c2),
+                    "image": _ser_config(classical._image(tm, c1)),
                 }
-                for w in shown
+                for c1, c2 in shown
             ],
         }
         _emit(args, result)

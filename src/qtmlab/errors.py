@@ -34,7 +34,8 @@ class MissingRuleError(QtmError):
 
 
 class NotReversibleError(QtmError):
-    """A classical machine failed the injectivity check required for lifting."""
+    """A classical machine failed the injectivity check required for lifting;
+    ``witnesses`` are its colliding ``(c1, c2)`` configuration pairs."""
 
     def __init__(self, witnesses):
         super().__init__(

@@ -18,9 +18,9 @@ product, so the verdict needs only a sweep over patterns.  Each failing
 pattern is expanded into its canonical window pairs, each generated once,
 with every key coded as it is built as an integer in canonical order and
 made a ``Configuration`` once; one sort of integers orders the witnesses.
-A witness computes its image inner product, through ``pair_image_inner``,
-only when it is read, so a report that shows a few witnesses steps only
-those.
+A witness is the pair ``(c1, c2)`` itself, with ``c1 < c2``; its image inner
+product is ``pair_image_inner(spec, c1, c2)``, so a report that shows a few
+witnesses steps only those.
 
 A note on machines that can halt: a rule sending a running state into the
 halt state produces images identical to the drift of some already-halted
@@ -34,7 +34,7 @@ scheme itself while the latter indicate a genuinely broken rule table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from typing import Iterator
@@ -50,46 +50,20 @@ from .machine import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class CollisionCandidatePair:
-    """Two distinct window configurations whose images could overlap."""
-
-    c1: Configuration
-    c2: Configuration
-
-
-@dataclass(frozen=True, slots=True)
-class CollisionWitness:
-    """A candidate pair whose images failed orthogonality."""
-
-    c1: Configuration
-    c2: Configuration
-    spec: MachineSpec = field(repr=False, compare=False)
-
-    @property
-    def inner(self) -> complex:
-        """<U c1, U c2>, conjugate-linear in c1's image; computed per read."""
-        return pair_image_inner(self.spec, self.c1, self.c2)
-
-    @property
-    def drift_collision(self) -> bool:
-        """True when exactly one member is already halted."""
-        return self.c1.halted != self.c2.halted
-
-
 @dataclass(frozen=True)
 class WellformednessReport:
     verdict: str  # "well_formed" | "violation"
     norm_violations: tuple[tuple[tuple[str, str], float], ...]
-    witnesses: tuple[CollisionWitness, ...]
+    witnesses: tuple[tuple[Configuration, Configuration], ...]  # (c1, c2), c1 < c2
     missing_rule_keys: tuple[tuple[str, str], ...]
 
     @cached_property
-    def _partition(self) -> tuple[tuple[CollisionWitness, ...], ...]:
-        """(core, drift) witnesses, split in one pass and kept."""
+    def _partition(self) -> tuple[tuple, tuple]:
+        """(core, drift) witnesses, split in one pass on whether exactly one
+        member is halted, and kept."""
         parts: tuple[list, list] = ([], [])
         for w in self.witnesses:
-            parts[w.drift_collision].append(w)
+            parts[w[0].halted != w[1].halted].append(w)
         return tuple(parts[0]), tuple(parts[1])
 
     core_witnesses = property(lambda self: self._partition[0])
@@ -194,9 +168,10 @@ def _windows(machine, patterns) -> list:
     return [(seen[c // radix], seen[c % radix]) for c in codes]
 
 
-def collision_candidates(spec: MachineSpec) -> Iterator[CollisionCandidatePair]:
+def collision_candidates(spec: MachineSpec) -> Iterator[tuple[Configuration, Configuration]]:
     """Enumerate every unordered pair of distinct window configurations with
-    heads at distance <= 2 and tapes agreeing outside the head cells.
+    heads at distance <= 2 and tapes agreeing outside the head cells, as
+    ``(c1, c2)`` with ``c1 < c2``.
 
     Symbols are assigned to cells -3..3, heads range over -2..2, and pairs
     related by translating both members together are emitted once, in a
@@ -211,8 +186,7 @@ def collision_candidates(spec: MachineSpec) -> Iterator[CollisionCandidatePair]:
     )
     apart = product((1, 2), keys, alphabet, keys, alphabet)
     for pattern in chain(same_head, apart):
-        for c1, c2 in _windows(spec, (pattern,)):
-            yield CollisionCandidatePair(c1, c2)
+        yield from _windows(spec, (pattern,))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +239,8 @@ def check_wellformed(
 
     Keys without rules are skipped and listed in ``missing_rule_keys``; the
     verdict covers the part of the operator the rule table defines.
-    Witnesses are reported in canonical configuration order; each computes
-    its exact image inner product when read.
+    Witnesses are the failing pairs ``(c1, c2)`` in canonical configuration
+    order.
     """
     all_keys = [(q, s) for q in spec.states for s in spec.alphabet]
     have = [k for k in all_keys if k in spec.rules]
@@ -279,7 +253,6 @@ def check_wellformed(
         if abs(norm2 - 1.0) > tol:
             norm_violations.append((key, norm2))
 
-    failing = _failing_windows(spec, have, tol)
-    witnesses = tuple(CollisionWitness(c1, c2, spec) for c1, c2 in failing)
+    witnesses = tuple(_failing_windows(spec, have, tol))
     verdict = "violation" if norm_violations or witnesses else "well_formed"
     return WellformednessReport(verdict, tuple(norm_violations), witnesses, missing)

@@ -25,7 +25,7 @@ def config_key(cfg):
 
 
 def pair_key(pair):
-    return (config_key(pair.c1), config_key(pair.c2))
+    return (config_key(pair[0]), config_key(pair[1]))
 
 
 def _canon(halt, q1, tape1, x1, q2, tape2, x2):
@@ -177,8 +177,8 @@ def brute_force_witnesses(spec, pairs, tol=1e-9):
     image = make_imager(spec)
     witnesses = {}
     for pair in pairs:
-        u = image(pair.c1)
-        v = image(pair.c2)
+        u = image(pair[0])
+        v = image(pair[1])
         if u is None or v is None:
             continue
         if len(v) < len(u):

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import MACHINES, load_tm
 from qtmlab import (
+    MissingRuleError,
     NotReversibleError,
     RuleTarget,
     check_reversible,
@@ -12,6 +13,7 @@ from qtmlab import (
     lift_to_qtm,
     parse_classical,
     parse_input,
+    parse_machine,
     render_machine,
     run_classical,
     states_through,
@@ -19,6 +21,7 @@ from qtmlab import (
     tape_text,
     validate_structure,
 )
+from qtmlab.classical import _image
 
 REVERSIBLE = ("unary_inc", "flip_bits", "parity_mark", "seek_right")
 
@@ -182,28 +185,25 @@ class TestTrajectory:
 class TestCheckReversible:
     @pytest.mark.parametrize("name", REVERSIBLE)
     def test_reversible_fixtures(self, request, name):
-        report = check_reversible(request.getfixturevalue(name))
-        assert report.reversible
-        assert report.witnesses == ()
+        assert check_reversible(request.getfixturevalue(name)) == ()
 
     def test_collide_witness_count_frozen(self, collide):
-        report = check_reversible(collide)
-        assert not report.reversible
-        assert len(report.witnesses) == INJECTIVITY_WITNESSES
+        assert len(check_reversible(collide)) == INJECTIVITY_WITNESSES
 
     def test_collide_minimal_witness(self, collide):
         c1 = collide.config("q0", tape_cells("0"), 0)
         c2 = collide.config("q0", tape_cells("1"), 0)
-        by_pair = {(w.c1, w.c2): w.image for w in check_reversible(collide).witnesses}
-        image = by_pair[(c1, c2)]
+        assert (c1, c2) in check_reversible(collide)
+        image = _image(collide, c1)
+        assert _image(collide, c2) == image
         assert image.state == "qH"
         assert image.head == 1
         assert image.cells == tape_cells("1")
 
     def test_witnesses_pair_running_configurations(self, collide):
-        for w in check_reversible(collide).witnesses[:100]:
-            assert not w.c1.halted
-            assert not w.c2.halted
+        for c1, c2 in check_reversible(collide)[:100]:
+            assert not c1.halted
+            assert not c2.halted
 
     @pytest.mark.parametrize("name", REVERSIBLE + ("collide",))
     def test_witnesses_are_core_witnesses_of_unchecked_lift(self, request, name):
@@ -211,8 +211,7 @@ class TestCheckReversible:
         # TestEffectiveTable; here the sweep over its running rows is
         # checked against the full well-formedness check
         tm = request.getfixturevalue(name)
-        core = [(w.c1, w.c2) for w in check_wellformed(tm).core_witnesses]
-        assert [(w.c1, w.c2) for w in check_reversible(tm).witnesses] == core
+        assert check_reversible(tm) == check_wellformed(tm).core_witnesses
 
 
 class TestQuantumTableRefused:
@@ -232,6 +231,31 @@ class TestQuantumTableRefused:
     def test_quantum_spec_raises(self, hadamard_halt, call):
         with pytest.raises(ValueError, match=r"row \('q0', '0'\) is not one amplitude-1"):
             call(hadamard_halt)
+
+
+# an amplitude-1 table without a row for (q0, 1): classical, but not total
+PARTIAL_QTM = """qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+
+rule: q0 0 -> 1 : q0 0 R
+rule: qH * -> 1 : qH * R
+"""
+
+
+class TestMissingKey:
+    """A run that reads a key the table lacks names it, as ``step`` does."""
+
+    def test_run_classical_raises_missing_rule(self):
+        with pytest.raises(MissingRuleError, match=r"'q0' reading '1'"):
+            run_classical(parse_machine(PARTIAL_QTM), "01", 5)
+
+    def test_classical_trajectory_raises_missing_rule(self):
+        with pytest.raises(MissingRuleError) as err:
+            classical_trajectory(parse_machine(PARTIAL_QTM), "01", 5)
+        assert (err.value.state, err.value.symbol) == ("q0", "1")
 
 
 class TestLift:
@@ -263,7 +287,7 @@ class TestLift:
         with pytest.raises(NotReversibleError) as err:
             lift_to_qtm(collide)
         assert len(err.value.witnesses) == INJECTIVITY_WITNESSES
-        assert err.value.witnesses == check_reversible(collide).witnesses
+        assert err.value.witnesses == check_reversible(collide)
         assert "2673" in str(err.value)
 
     def test_shipped_lifted_file_matches(self, seek_right):

@@ -15,6 +15,7 @@ from qtmlab import (
     analyze_halting_subspace,
     check_wellformed,
     core_well_formed,
+    pair_image_inner,
     parse_input,
     parse_machine,
 )
@@ -45,7 +46,7 @@ def test_checker_matches_brute_force_sweep(name, request, candidate_pairs):
     report = check_wellformed(spec)
     brute = oracles.brute_force_witnesses(spec, candidate_pairs)
 
-    got = {oracles.pair_key(w): w.inner for w in report.witnesses}
+    got = {oracles.pair_key(w): pair_image_inner(spec, *w) for w in report.witnesses}
     assert set(got) == set(brute)
     assert all(abs(got[k] - brute[k]) <= 1e-12 for k in got)
 

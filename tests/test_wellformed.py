@@ -13,10 +13,14 @@ import math
 import pytest
 
 from qtmlab import (
+    Configuration,
+    NotReversibleError,
     basis_image,
+    check_reversible,
     check_wellformed,
     collision_candidates,
     core_well_formed,
+    lift_to_qtm,
     pair_image_inner,
     tape_cells,
 )
@@ -55,7 +59,7 @@ def test_frozen_reports(name, request):
 
 def test_naive_machine_minimal_witness(naive_report, hadamard_halt_naive):
     c1, c2 = minimal_pair(hadamard_halt_naive)
-    inners = {(w.c1, w.c2): w.inner for w in naive_report.witnesses}
+    inners = {w: pair_image_inner(hadamard_halt_naive, *w) for w in naive_report.witnesses}
     assert (c1, c2) in inners
     assert abs(inners[(c1, c2)]) == pytest.approx(R2, abs=1e-12)
 
@@ -63,24 +67,25 @@ def test_naive_machine_minimal_witness(naive_report, hadamard_halt_naive):
 def test_corrected_machine_zeroes_the_minimal_pair(corrected_report, hadamard_halt):
     c1, c2 = minimal_pair(hadamard_halt)
     assert pair_image_inner(hadamard_halt, c1, c2) == pytest.approx(0, abs=1e-12)
-    inners = {(w.c1, w.c2) for w in corrected_report.witnesses}
-    assert (c1, c2) not in inners
+    assert (c1, c2) not in set(corrected_report.witnesses)
 
 
 def test_corrected_machine_witnesses_are_all_drift(corrected_report):
-    assert all(w.drift_collision for w in corrected_report.witnesses)
-    assert all(w.c1.halted != w.c2.halted for w in corrected_report.witnesses)
+    assert corrected_report.drift_witnesses == corrected_report.witnesses
+    assert all(c1.halted != c2.halted for c1, c2 in corrected_report.witnesses)
 
 
-def test_naive_core_witnesses_join_two_running_configs(naive_report):
+def test_naive_core_witnesses_join_two_running_configs(naive_report, hadamard_halt_naive):
     core = naive_report.core_witnesses
     assert len(core) == 2673
-    assert all(not w.c1.halted and not w.c2.halted for w in core)
-    assert {round(abs(w.inner), 12) for w in core} == {round(R2, 12)}
+    assert all(not c1.halted and not c2.halted for c1, c2 in core)
+    inners = {round(abs(pair_image_inner(hadamard_halt_naive, *w)), 12) for w in core}
+    assert inners == {round(R2, 12)}
 
 
-def test_drift_witness_moduli(naive_report):
-    moduli = {round(abs(w.inner), 12) for w in naive_report.drift_witnesses}
+def test_drift_witness_moduli(naive_report, hadamard_halt_naive):
+    drift = naive_report.drift_witnesses
+    moduli = {round(abs(pair_image_inner(hadamard_halt_naive, *w)), 12) for w in drift}
     assert moduli == {round(R2, 12), 1.0}
 
 
@@ -93,33 +98,61 @@ def test_corpus_passes_core_gate(corpus):
 
 def test_minimal_pair_is_a_candidate(hadamard_halt, candidate_pairs):
     c1, c2 = minimal_pair(hadamard_halt)
-    assert any(p.c1 == c1 and p.c2 == c2 for p in candidate_pairs)
+    assert (c1, c2) in candidate_pairs
 
 
 def test_candidates_are_canonical(hadamard_halt):
-    for pair in itertools.islice(collision_candidates(hadamard_halt), 4000):
-        assert min(pair.c1.head, pair.c2.head) == 0
-        assert abs(pair.c1.head - pair.c2.head) <= 2
-        assert pair.c1 < pair.c2
-        positions = [p for p, _ in pair.c1.cells]
-        positions += [p for p, _ in pair.c2.cells]
+    for c1, c2 in itertools.islice(collision_candidates(hadamard_halt), 4000):
+        assert min(c1.head, c2.head) == 0
+        assert abs(c1.head - c2.head) <= 2
+        assert c1 < c2
+        positions = [p for p, _ in c1.cells]
+        positions += [p for p, _ in c2.cells]
         assert all(-5 <= p <= 5 for p in positions)
 
 
+def _refused_lift_witnesses(spec):
+    with pytest.raises(NotReversibleError) as err:
+        lift_to_qtm(spec)
+    return err.value.witnesses
+
+
+# every source of witnesses: (fixture, pairs of that fixture)
+WITNESS_SOURCES = {
+    "check_wellformed": ("hadamard_halt_naive", lambda spec: check_wellformed(spec).witnesses),
+    "check_reversible": ("collide", check_reversible),
+    "NotReversibleError": ("collide", _refused_lift_witnesses),
+    "collision_candidates": ("hadamard_halt", collision_candidates),
+}
+
+
+@pytest.mark.parametrize("source", sorted(WITNESS_SOURCES))
+def test_a_witness_is_an_ordered_configuration_pair(source, request):
+    name, pairs = WITNESS_SOURCES[source]
+    seen = 0
+    for w in itertools.islice(pairs(request.getfixturevalue(name)), 20000):
+        assert type(w) is tuple and len(w) == 2
+        c1, c2 = w
+        assert type(c1) is Configuration and type(c2) is Configuration
+        assert c1 < c2
+        seen += 1
+    assert seen > 0
+
+
 def test_witness_inner_matches_basis_images(naive_report, hadamard_halt_naive):
-    for w in itertools.islice(naive_report.witnesses, 200):
-        u = basis_image(hadamard_halt_naive, w.c1)
-        v = basis_image(hadamard_halt_naive, w.c2)
-        assert w.inner == u.inner(v)
+    for c1, c2 in itertools.islice(naive_report.witnesses, 200):
+        u = basis_image(hadamard_halt_naive, c1)
+        v = basis_image(hadamard_halt_naive, c2)
+        assert pair_image_inner(hadamard_halt_naive, c1, c2) == u.inner(v)
 
 
 def test_pair_image_inner_is_translation_invariant(naive_report, hadamard_halt_naive):
-    for w in itertools.islice(naive_report.witnesses, 50):
+    for c1, c2 in itertools.islice(naive_report.witnesses, 50):
         for offset in (-3, 4):
             shifted = pair_image_inner(
-                hadamard_halt_naive, w.c1.shifted(offset), w.c2.shifted(offset)
+                hadamard_halt_naive, c1.shifted(offset), c2.shifted(offset)
             )
-            assert shifted == w.inner
+            assert shifted == pair_image_inner(hadamard_halt_naive, c1, c2)
 
 
 def test_halted_image_is_pure_drift(hadamard_halt):
