@@ -65,7 +65,6 @@ from .wellformed import (
     WellformednessReport,
     basis_image,
     check_wellformed,
-    collision_candidates,
     core_well_formed,
     pair_image_inner,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "check_reversible",
     "check_wellformed",
     "classical_trajectory",
-    "collision_candidates",
     "compare_schedules",
     "core_well_formed",
     "evolve",

@@ -129,7 +129,7 @@ def _emit(args, result: dict) -> None:
         "parameters": parameters,
         "result": result,
     }
-    _write(args.json, json.dumps(doc, indent=2) + "\n")
+    _write(args.json, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _read(path: str) -> str:

@@ -26,14 +26,15 @@ amplitude, so ``step`` translates the halted tail of the state (halted keys
 sort last; translation keeps their order) in one pass without a rule lookup.
 
 ``trajectory`` is the one loop over ``step`` that every run, trace and
-experiment evolves through, and it owns the error raised when pruning or
-cancellation empties the state.
+experiment evolves through, and it owns the errors raised when pruning or
+cancellation empties the state and when its squared norm overflows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import isfinite
 from operator import itemgetter
 from typing import Iterator
 
@@ -115,13 +116,17 @@ def trajectory(
     """Yield ``(t, S_t)`` for t = start+1 .. stop, S_start being ``state``.
 
     Raises QtmError naming the step once pruning or cancellation leaves no
-    amplitude: the zero state has no halt-flag distribution to report.
+    amplitude, or once the squared norm overflows a double: neither state
+    has a halt-flag distribution to report.
     """
     for t in range(start + 1, stop + 1):
         state = step(spec, state, prune)
-        if state.norm2() <= 0.0:
+        norm2 = state.norm2()
+        if norm2 <= 0.0:
             cause = f"pruning below {prune!r}" if prune else "cancellation"
             raise QtmError(f"{cause} removed all amplitude at step {t}")
+        if not isfinite(norm2):
+            raise QtmError(f"squared norm overflowed at step {t}")
         yield t, state
 
 

@@ -72,17 +72,22 @@ def _parse_part(text: str, i: int) -> tuple[float, int]:
                 i += 1
                 if radicand < 1:
                     raise ParseError("sqrt argument must be >= 1", offset=i)
-                return sign * num / math.sqrt(radicand), i
-            i += 1
-            den, i = _parse_int(text, i)
-            if den == 0:
-                raise ParseError("division by zero", offset=i)
-            # Fraction instead of int division: correctly rounded even when
-            # the denominator alone is too large for a float (subnormals).
-            return sign * float(Fraction(num, den)), i
-        return sign * num, i
+                value = num / math.sqrt(radicand)
+            else:
+                i += 1
+                den, i = _parse_int(text, i)
+                if den == 0:
+                    raise ParseError("division by zero", offset=i)
+                # Fraction instead of int division: correctly rounded even when
+                # the denominator alone is too large for a float (subnormals).
+                value = float(Fraction(num, den))
+        else:
+            value = float(num)
+        if not math.isfinite(value * value):  # norms of rows and inputs sum squares
+            raise OverflowError
     except (OverflowError, ValueError):  # ValueError: int() digit limit
         raise ParseError("number too large to evaluate", offset=start) from None
+    return sign * value, i
 
 
 def _skip_ws(text: str, i: int) -> int:

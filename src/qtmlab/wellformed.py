@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from typing import Iterator
 
 from .evolution import step
 from .machine import (
@@ -166,27 +165,6 @@ def _windows(machine, patterns) -> list:
                     codes.append(c1 * radix + c2 if c1 < c2 else c2 * radix + c1)
     codes.sort()
     return [(seen[c // radix], seen[c % radix]) for c in codes]
-
-
-def collision_candidates(spec: MachineSpec) -> Iterator[tuple[Configuration, Configuration]]:
-    """Enumerate every unordered pair of distinct window configurations with
-    heads at distance <= 2 and tapes agreeing outside the head cells, as
-    ``(c1, c2)`` with ``c1 < c2``.
-
-    Symbols are assigned to cells -3..3, heads range over -2..2, and pairs
-    related by translating both members together are emitted once, in a
-    deterministic order: pattern by pattern (each canonical pair has exactly
-    one), each pattern's pairs in canonical order.  The checker itself only
-    expands the patterns that fail.
-    """
-    alphabet = spec.alphabet
-    keys = [(q, s) for q in spec.states for s in alphabet]
-    same_head = (
-        (0, k1, None, k2, None) for i, k1 in enumerate(keys) for k2 in keys[i + 1 :]
-    )
-    apart = product((1, 2), keys, alphabet, keys, alphabet)
-    for pattern in chain(same_head, apart):
-        yield from _windows(spec, (pattern,))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,10 @@
 
 from pathlib import Path
 
+import oracles
 import pytest
 
-from qtmlab import (
-    check_wellformed,
-    collision_candidates,
-    lift_to_qtm,
-    parse_classical,
-    parse_machine,
-)
+from qtmlab import check_wellformed, lift_to_qtm, parse_classical, parse_machine
 
 ROOT = Path(__file__).resolve().parents[1]
 MACHINES = ROOT / "machines"
@@ -97,12 +92,14 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def candidate_pairs(hadamard_halt):
-    """Full windowed candidate enumeration, shared because it takes seconds.
+    """Every window pair, as the keys ``(k1, k2)``, ``k1 < k2``, of the dense
+    oracle's dict of key-tuple pairs; shared because it takes a second.
 
     The candidate space depends only on states and alphabet, which all the
-    two-state three-symbol machines in machines/ share.
+    two-state three-symbol machines in machines/ share.  A ``Configuration``
+    is its key tuple, so a pair of them is looked up as it is.
     """
-    return list(collision_candidates(hadamard_halt))
+    return oracles.dense_candidate_keys(hadamard_halt)
 
 
 @pytest.fixture(scope="session")

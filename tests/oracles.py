@@ -28,32 +28,26 @@ def pair_key(pair):
     return (config_key(pair[0]), config_key(pair[1]))
 
 
-def _canon(halt, q1, tape1, x1, q2, tape2, x2):
-    """Canonical key for an unordered pair of raw window configurations."""
-    cells1 = tuple(sorted((p, s) for p, s in tape1.items() if s != BLANK))
-    cells2 = tuple(sorted((p, s) for p, s in tape2.items() if s != BLANK))
-    shift = -min(x1, x2)
-    if shift:
-        cells1 = tuple((p + shift, s) for p, s in cells1)
-        cells2 = tuple((p + shift, s) for p, s in cells2)
-        x1, x2 = x1 + shift, x2 + shift
-    k1 = (q1 == halt, q1, x1, cells1)
-    k2 = (q2 == halt, q2, x2, cells2)
-    if k1 == k2:
-        return None
-    return (k1, k2) if k1 <= k2 else (k2, k1)
-
-
 def dense_candidate_keys(spec):
     """Every distinct unordered window pair, by brute product enumeration.
 
     Members share all cells outside their two head positions, carry heads
-    at most two cells apart, and are deduplicated by translation.
+    at most two cells apart, and are deduplicated by translation: the lower
+    head goes to cell 0.  Each raw tape is made canonical once, and equal
+    keys are one tuple, so pairs that share a member share its object.
+
+    Returns a dict whose keys are the pairs ``(k1, k2)``, ``k1 < k2``, in the
+    order first generated: a sweep over a set, in hash order, touches memory
+    at random and takes about twice as long.
     """
     symbols = tuple(spec.alphabet)
-    states = tuple(spec.states)
-    halt = spec.halt
-    keys = set()
+    made = {}
+
+    def keys_at(head, tapes):
+        keyed = ((q == spec.halt, q, head, cells) for cells in tapes for q in spec.states)
+        return [made.setdefault(k, k) for k in keyed]
+
+    keys = {}
     for x1 in HEADS:
         for x2 in HEADS:
             if x2 < x1 or x2 - x1 > 2:
@@ -62,17 +56,14 @@ def dense_candidate_keys(spec):
             shared = [p for p in CELLS if p not in own]
             for shared_fill in itertools.product(symbols, repeat=len(shared)):
                 base = dict(zip(shared, shared_fill))
-                for fill1 in itertools.product(symbols, repeat=len(own)):
-                    tape1 = dict(base)
-                    tape1.update(zip(own, fill1))
-                    for fill2 in itertools.product(symbols, repeat=len(own)):
-                        tape2 = dict(base)
-                        tape2.update(zip(own, fill2))
-                        for q1 in states:
-                            for q2 in states:
-                                key = _canon(halt, q1, tape1, x1, q2, tape2, x2)
-                                if key is not None:
-                                    keys.add(key)
+                tapes = []
+                for fill in itertools.product(symbols, repeat=len(own)):
+                    tape = dict(base)
+                    tape.update(zip(own, fill))
+                    tapes.append(tuple(sorted((p - x1, s) for p, s in tape.items() if s != BLANK)))
+                for k1, k2 in itertools.product(keys_at(0, tapes), keys_at(x2 - x1, tapes)):
+                    if k1 != k2:
+                        keys[(k1, k2) if k1 < k2 else (k2, k1)] = None
     return keys
 
 
@@ -134,9 +125,10 @@ def reference_failing_windows(spec, keys, tol=1e-9):
 def make_imager(spec):
     """One-step image of a basis configuration, computed from raw dicts.
 
-    Returns a closure mapping a Configuration to {config_key: amplitude},
-    or None when the machine has no rule for the configuration.  Images
-    are cached because the candidate sweep revisits configurations often.
+    Returns a closure mapping a Configuration, or its key tuple, to
+    {config_key: amplitude}, or None when the machine has no rule for the
+    configuration.  Images are cached because the candidate sweep revisits
+    configurations often.
     """
     cache = {}
     rules = spec.rules
@@ -146,24 +138,25 @@ def make_imager(spec):
         got = cache.get(cfg, False)
         if got is not False:
             return got
-        tape = dict(cfg.cells)
-        symbol = tape.get(cfg.head, BLANK)
-        targets = rules.get((cfg.state, symbol))
+        _, state, head, cells = cfg
+        tape = dict(cells)
+        symbol = tape.get(head, BLANK)
+        targets = rules.get((state, symbol))
         if targets is None:
             cache[cfg] = None
             return None
         out = {}
         for t in targets:
-            cells = dict(tape)
+            written = dict(tape)
             if t.write == BLANK:
-                cells.pop(cfg.head, None)
+                written.pop(head, None)
             else:
-                cells[cfg.head] = t.write
+                written[head] = t.write
             key = (
                 t.state == halt,
                 t.state,
-                cfg.head + MOVE[t.move],
-                tuple(sorted(cells.items())),
+                head + MOVE[t.move],
+                tuple(sorted(written.items())),
             )
             out[key] = out.get(key, 0j) + t.amplitude
         cache[cfg] = out
@@ -173,7 +166,9 @@ def make_imager(spec):
 
 
 def brute_force_witnesses(spec, pairs, tol=1e-9):
-    """All candidate pairs whose one-step images fail to be orthogonal."""
+    """All candidate pairs whose one-step images fail to be orthogonal, as
+    {pair: inner product}; ``pairs`` are key-tuple pairs, as
+    ``dense_candidate_keys`` gives them."""
     image = make_imager(spec)
     witnesses = {}
     for pair in pairs:
@@ -187,7 +182,7 @@ def brute_force_witnesses(spec, pairs, tol=1e-9):
         else:
             ip = sum(a.conjugate() * v[k] for k, a in u.items() if k in v)
         if abs(ip) > tol:
-            witnesses[pair_key(pair)] = ip
+            witnesses[pair] = ip
     return witnesses
 
 

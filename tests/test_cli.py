@@ -252,6 +252,19 @@ rule: q1 * -> 1 : qH * R
 rule: qH * -> 1 : qH * R
 """
 
+# every running row doubles the amplitude: the squared norm is 4**t, which
+# overflows a double at step 512
+GROWING_MACHINE = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 _
+rule: q0 0 -> 2 : q0 0 R
+rule: q0 _ -> 2 : q0 _ R
+rule: qH * -> 1 : qH * R
+"""
+
 # a row of squared norm 1/2 and a halt-state row that rewrites its symbol
 STRUCTURE_VIOLATING_MACHINE = """\
 qtm-spec v1
@@ -535,6 +548,7 @@ class TestExitCodes:
             ("run", "machines/hadamard_halt.qtm", "--input", "1:0 +", "--steps", "3"),
             ("run", "machines/hadamard_halt.qtm", "--steps", "3",
              "--input", "1/sqrt(2):0 ++ 1/sqrt(2):1"),
+            ("run", "machines/hadamard_halt.qtm", "--steps", "2", "--input", "9" * 200 + ":0"),
         ],
     )
     def test_usage_and_runtime_errors_exit_one(self, args):
@@ -617,6 +631,44 @@ class TestExitCodes:
         assert p.stderr == (
             "qtmlab: error: cancellation removed all amplitude at step 1\n"
         )
+
+    @pytest.mark.parametrize("steps", ["600", "1100"])
+    @pytest.mark.parametrize(
+        "args",
+        [("run", "--schedule", "every"), ("compare", "--schedules", "every,end"), ("trace",)],
+        ids=lambda args: args[0],
+    )
+    def test_overflowing_norm_is_an_error(self, tmp_path, args, steps):
+        machine = tmp_path / "grow.qtm"
+        machine.write_text(GROWING_MACHINE)
+        p = qtmlab(args[0], str(machine), "--input", "0", "--steps", steps, *args[1:])
+        assert p.returncode == 1
+        assert p.stdout == ""
+        assert p.stderr == "qtmlab: error: squared norm overflowed at step 512\n"
+
+    def test_rule_amplitude_whose_square_overflows_is_an_error(self, tmp_path):
+        machine = tmp_path / "big.qtm"
+        machine.write_text(GROWING_MACHINE.replace("-> 2 :", f"-> {'9' * 200} :"))
+        p = qtmlab("check", str(machine))
+        assert p.returncode == 1
+        assert p.stdout == ""
+        assert p.stderr.startswith("qtmlab: error: bad amplitude: number too large")
+
+    def test_result_that_is_not_json_is_an_error(self, tmp_path):
+        # each amplitude's square is finite, the row's squared norm is not
+        big = "1" + "0" * 154
+        machine = tmp_path / "wide.qtm"
+        machine.write_text(
+            GROWING_MACHINE.replace("-> 2 : q0 0 R", f"-> {big} : q0 0 R | {big} : q0 0 L"
+                                    f" | {big} : qH 0 R")
+        )
+        out = tmp_path / "out.json"
+        for json_flag in ((), ("--json", str(out))):
+            p = qtmlab("check", str(machine), *json_flag)
+            assert p.returncode == 1
+            assert p.stdout == ""
+            assert p.stderr.startswith("qtmlab: error: ")
+        assert not out.exists()
 
     def test_error_messages_are_prefixed(self):
         p = qtmlab("check", "machines/does_not_exist.qtm")

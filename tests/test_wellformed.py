@@ -18,7 +18,6 @@ from qtmlab import (
     basis_image,
     check_reversible,
     check_wellformed,
-    collision_candidates,
     core_well_formed,
     lift_to_qtm,
     pair_image_inner,
@@ -101,16 +100,6 @@ def test_minimal_pair_is_a_candidate(hadamard_halt, candidate_pairs):
     assert (c1, c2) in candidate_pairs
 
 
-def test_candidates_are_canonical(hadamard_halt):
-    for c1, c2 in itertools.islice(collision_candidates(hadamard_halt), 4000):
-        assert min(c1.head, c2.head) == 0
-        assert abs(c1.head - c2.head) <= 2
-        assert c1 < c2
-        positions = [p for p, _ in c1.cells]
-        positions += [p for p, _ in c2.cells]
-        assert all(-5 <= p <= 5 for p in positions)
-
-
 def _refused_lift_witnesses(spec):
     with pytest.raises(NotReversibleError) as err:
         lift_to_qtm(spec)
@@ -122,7 +111,6 @@ WITNESS_SOURCES = {
     "check_wellformed": ("hadamard_halt_naive", lambda spec: check_wellformed(spec).witnesses),
     "check_reversible": ("collide", check_reversible),
     "NotReversibleError": ("collide", _refused_lift_witnesses),
-    "collision_candidates": ("hadamard_halt", collision_candidates),
 }
 
 
