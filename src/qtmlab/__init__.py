@@ -26,19 +26,16 @@ from .experiments import (
 )
 from .machine import (
     BLANK,
-    BY_CONSTRUCTION,
     DEFAULT_TOL,
     Configuration,
     InputSpec,
     MachineSpec,
     QuantumState,
     RuleTarget,
-    StructureViolation,
     initial_state,
     tape_cells,
     tape_text,
     validate_input,
-    validate_structure,
 )
 from .measurement import (
     ComparisonReport,
@@ -62,11 +59,14 @@ from .parsing import (
     render_machine,
 )
 from .wellformed import (
+    BY_CONSTRUCTION,
+    StructureViolation,
     WellformednessReport,
     basis_image,
     check_wellformed,
     core_well_formed,
     pair_image_inner,
+    validate_structure,
 )
 
 __all__ = [

@@ -31,7 +31,7 @@ from .classical import lift_to_qtm
 from .errors import NotReversibleError, ParseError, QtmError
 from .evolution import evolve
 from .experiments import analyze_halting_subspace, superposition_window
-from .machine import BY_CONSTRUCTION, DEFAULT_TOL, tape_text, validate_structure
+from .machine import DEFAULT_TOL, tape_text
 from .measurement import (
     UNHALTED,
     compare_schedules,
@@ -40,7 +40,7 @@ from .measurement import (
     sample_run,
 )
 from .parsing import parse_classical, parse_input, parse_machine, render_machine
-from .wellformed import check_wellformed, core_well_formed
+from .wellformed import BY_CONSTRUCTION, check_wellformed, core_well_formed, validate_structure
 
 WITNESS_CAP = 100
 
@@ -181,8 +181,7 @@ def _cmd_check(args) -> int:
         "driftWitnessCount": len(report.drift_witnesses),
         "witnessesTruncated": len(report.witnesses) > len(shown),
         "orthogonalityWitnesses": [_ser_witness(spec, *w) for w in shown],
-        "coreWellFormed": core_well_formed(report)
-        and not any(v.kind == "row_norm" for v in structure),
+        "coreWellFormed": core_well_formed(report),
     }
     _emit(args, result)
     return 0 if clean else 2

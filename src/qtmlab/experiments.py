@@ -15,12 +15,14 @@ residual means the halt projection keeps extracting amplitude that no
 bookkeeping of previously halted branches accounts for.
 
 When every halt row rewrites its symbol, moves R and has amplitude exactly
-1 (``MachineSpec.halt_translates``, true of every corpus machine and every
-lift), each image is its halted configuration translated one cell right.
-The report then follows without a Gram matrix: the deviation is 0.0 and
-every overlap is a lookup among the translated keys, summed in the order
-the general path sums them, so the report is the same to the bit.  Halt
-rows that move L or N take the general Gram/Gram-Schmidt path.
+1 with the same bits in every row (``MachineSpec.drift_amplitude``, set on
+every corpus machine and every lift), each image is its halted
+configuration translated one cell right.  The report then follows without
+a Gram matrix: the deviation is 0.0 and every overlap is a lookup among
+the translated keys, summed in the order the general path sums them, so
+the report is the same to the bit.  Halt rows that move L or N, or that
+differ in bits (``1`` and ``1 - 0i``), take the general Gram/Gram-Schmidt
+path.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def _combine(parts) -> QuantumState:
 
 
 def _translate_overlaps(halted_keys):
-    """Overlaps under ``MachineSpec.halt_translates``: the images are the
+    """Overlaps under ``MachineSpec.drift_amplitude``: the images are the
     basis vectors at the translated keys, so Gram-Schmidt is the identity
     and an overlap is the part's amplitude at such a key.  Translation keeps
     the sort order, so the nonzero terms come in image order, as
@@ -185,7 +187,7 @@ def analyze_halting_subspace(
     running_keys = {k for s in states[:-1] for k, _ in s.keyed_items() if not k[0]}
     running_sorted = [Configuration._make(k) for k in sorted(running_keys)]
 
-    if spec.halt_translates:
+    if spec.drift_amplitude is not None:
         gram_deviation, measure = _translate_overlaps(halted_keys)
     else:
         gram_deviation, measure = _gram_overlaps(spec, halted_keys, tol)
@@ -201,7 +203,10 @@ def analyze_halting_subspace(
         newly.append(cfg)
         overlaps, projections = measure(halted_part)
         max_overlap = max([max_overlap, *overlaps])
-        residual_sq = mass - sum(p ** 2 for p in projections)
+        projected = 0.0
+        for p in projections:  # left to right: float ``sum`` rounds otherwise on 3.12+
+            projected += p ** 2
+        residual_sq = mass - projected
         max_residual = max(max_residual, math.sqrt(max(residual_sq, 0.0)))
 
     if not halted_keys and not newly:

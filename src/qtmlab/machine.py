@@ -119,21 +119,15 @@ class MachineSpec:
         }
 
     @cached_property
-    def halt_translates(self) -> bool:
-        """Whether every halt row is exactly ``((True, halt, s, +1, 1),)`` for
-        each symbol ``s``: a halted configuration then steps to its own
-        translate one cell right, with amplitude exactly 1."""
-        return all(
-            self.step_rows.get((self.halt, s)) == ((True, self.halt, s, 1, 1),)
-            for s in self.alphabet
-        )
-
-    @cached_property
     def drift_amplitude(self) -> complex | None:
-        """The amplitude of every halt row when ``halt_translates`` holds and
-        the rows agree bit for bit (``1`` and ``1 - 0i`` do not); else None."""
-        if self.halt_translates:
-            amps = {repr(a): a for a in (self.step_rows[self.halt, s][0][4] for s in self.alphabet)}
+        """The amplitude of every halt row when each is exactly ``((True, halt,
+        s, +1, 1),)`` for its symbol ``s`` and the rows agree bit for bit
+        (``1`` and ``1 - 0i`` do not): a halted configuration then steps to
+        its own translate one cell right, its amplitude times this one.
+        Else None, and halted configurations step through the rule loop."""
+        rows = [self.step_rows.get((self.halt, s)) for s in self.alphabet]
+        if all(r == ((True, self.halt, s, 1, 1),) for r, s in zip(rows, self.alphabet)):
+            amps = {repr(r[0][4]): r[0][4] for r in rows}
             return amps.popitem()[1] if len(amps) == 1 else None
 
 
@@ -148,23 +142,13 @@ class InputSpec:
     terms: tuple[tuple[complex, str], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class StructureViolation:
-    kind: str  # "halt_rule" or "row_norm"
-    state: str
-    symbol: str
-    detail: str
-
-
-#: Structural conditions that hold for every parsed MachineSpec simply
-#: because of how rules are represented; the checker reports them as
-#: satisfied by construction rather than re-verifying them.
-BY_CONSTRUCTION = (
-    "rules depend only on (state, symbol under head), not on head position",
-    "each transition writes exactly one cell, the one under the head",
-    "head moves are restricted to L, N, R (at most one cell)",
-    "the halt flag of a configuration is derived from its internal state",
-)
+def _mass(pairs) -> float:
+    """Squared moduli of (key, amplitude) pairs summed left to right, as
+    ``sum`` of floats does not from Python 3.12 on."""
+    total = 0.0
+    for _, a in pairs:
+        total += a.real * a.real + a.imag * a.imag
+    return total
 
 
 class QuantumState:
@@ -197,7 +181,7 @@ class QuantumState:
         """State over a list of (key, amplitude) pairs, already sorted by key."""
         state = cls.__new__(cls)
         state._pairs = pairs
-        state._norm2 = sum((a.real * a.real + a.imag * a.imag for _, a in pairs), start=0.0)
+        state._norm2 = _mass(pairs)
         return state
 
     @classmethod
@@ -234,10 +218,7 @@ class QuantumState:
         return self._norm2
 
     def halted_mass(self) -> float:
-        return sum(
-            (a.real * a.real + a.imag * a.imag for _, a in self._pairs[self._halted_from():]),
-            start=0.0,
-        )
+        return _mass(self._pairs[self._halted_from():])
 
     def component(self, halted: bool) -> "QuantumState":
         i = self._halted_from()
@@ -268,54 +249,13 @@ class QuantumState:
 
 
 def initial_state(spec: MachineSpec, inp: InputSpec) -> QuantumState:
-    """Starting superposition for an input: head at cell 0, initial state."""
+    """Starting superposition for an input: head at cell 0, initial state,
+    leaving out terms of amplitude exactly 0, as ``step`` keeps no zero."""
     amps = {}
     for amplitude, text in inp.terms:
         cfg = spec.config(spec.initial, tape_cells(text), 0)
         amps[cfg] = amps.get(cfg, 0j) + amplitude
-    return QuantumState(amps)
-
-
-def validate_structure(spec: MachineSpec, tol: float = DEFAULT_TOL):
-    """Check the statically checkable transition conditions.
-
-    Returns a list of StructureViolation:
-
-    * ``halt_rule`` -- a rule whose source is the halt state must keep the
-      machine halted: exactly one target, amplitude 1, same state, and the
-      written symbol equal to the one read (the move is unconstrained).
-    * ``row_norm`` -- the amplitudes of every rule row must have squared
-      moduli summing to 1 (necessary for the step to be an isometry).
-    """
-    violations = []
-    for (state, symbol), targets in spec.rules.items():
-        if state == spec.halt:
-            ok = (
-                len(targets) == 1
-                and abs(targets[0].amplitude - 1) <= tol
-                and targets[0].state == spec.halt
-                and targets[0].write == symbol
-            )
-            if not ok:
-                violations.append(
-                    StructureViolation(
-                        "halt_rule",
-                        state,
-                        symbol,
-                        "halt-state rule must have a single amplitude-1 target "
-                        "that stays halted and rewrites the symbol it read",
-                    )
-                )
-        norm2 = sum(
-            t.amplitude.real ** 2 + t.amplitude.imag ** 2 for t in targets
-        )
-        if abs(norm2 - 1.0) > tol:
-            violations.append(
-                StructureViolation(
-                    "row_norm", state, symbol, f"squared row norm {norm2!r}"
-                )
-            )
-    return violations
+    return QuantumState({cfg: a for cfg, a in amps.items() if a != 0})
 
 
 def validate_input(spec: MachineSpec, inp: InputSpec, tol: float = DEFAULT_TOL):

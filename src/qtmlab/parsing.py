@@ -34,6 +34,7 @@ from .machine import (
     RuleTarget,
     validate_input,
 )
+from .wellformed import _row_norm2
 
 # Characters that would collide with the file and input grammars if they
 # appeared in a tape symbol.
@@ -300,7 +301,8 @@ def parse_machine(text: str) -> MachineSpec:
 
     ``*`` read symbols expand to one rule group per alphabet symbol; a key
     produced twice (directly or via expansion) is a duplicate-rule error, as
-    is a target repeated within one rule group.
+    is a target repeated within one rule group, and so is a row whose
+    squared norm overflows a double.
     """
     machine, rule_lines = _parse_headers(text, QTM_HEADER)
     rules: dict = {}
@@ -314,6 +316,8 @@ def parse_machine(text: str) -> MachineSpec:
                 )
             seen.add(target[1:])
         rules[key] = tuple(RuleTarget(*target) for target in targets)
+        if not math.isfinite(_row_norm2(rules[key])):
+            raise ParseError(f"squared norm of rule ({key[0]}, {key[1]}) overflows", line=lineno)
     return MachineSpec(*machine, rules)
 
 

@@ -18,6 +18,9 @@ product, so the verdict needs only a sweep over patterns.  Each failing
 pattern is expanded into its canonical window pairs, each generated once,
 with every key coded as it is built as an integer in canonical order and
 made a ``Configuration`` once; one sort of integers orders the witnesses.
+A rule row's squared norm is the same computation, the row's pattern with
+itself at offset 0, which ``validate_structure``, ``check_wellformed`` and
+the parser all read.
 A witness is the pair ``(c1, c2)`` itself, with ``c1 < c2``; its image inner
 product is ``pair_image_inner(spec, c1, c2)``, so a report that shows a few
 witnesses steps only those.
@@ -46,6 +49,25 @@ from .machine import (
     MachineSpec,
     MOVE_DELTA,
     QuantumState,
+)
+
+
+@dataclass(frozen=True, slots=True)
+class StructureViolation:
+    kind: str  # "halt_rule" or "row_norm"
+    state: str
+    symbol: str
+    detail: str
+
+
+#: Structural conditions that hold for every parsed MachineSpec simply
+#: because of how rules are represented; the checker reports them as
+#: satisfied by construction rather than re-verifying them.
+BY_CONSTRUCTION = (
+    "rules depend only on (state, symbol under head), not on head position",
+    "each transition writes exactly one cell, the one under the head",
+    "head moves are restricted to L, N, R (at most one cell)",
+    "the halt flag of a configuration is derived from its internal state",
 )
 
 
@@ -192,6 +214,12 @@ def _pattern_inner(rules1, rules2, d: int) -> dict:
     return totals
 
 
+def _row_norm2(row) -> float:
+    """A rule row's squared norm, its pattern with itself at offset 0: the
+    one computation of it, where coinciding targets add as in ``step``."""
+    return _pattern_inner(row, row, 0).get((None, None), 0j).real
+
+
 def _failing_windows(spec: MachineSpec, keys, tol: float) -> list:
     """Canonical window pairs, in canonical order, of every pattern over
     ``keys`` of ``spec.rules`` whose images have inner product of modulus
@@ -206,12 +234,40 @@ def _failing_windows(spec: MachineSpec, keys, tol: float) -> list:
     return _windows(spec, failing)
 
 
+def validate_structure(spec: MachineSpec, tol: float = DEFAULT_TOL):
+    """Check the statically checkable transition conditions.
+
+    Returns a list of StructureViolation:
+
+    * ``halt_rule`` -- a rule whose source is the halt state must keep the
+      machine halted: exactly one target, amplitude 1, same state, and the
+      written symbol equal to the one read (the move is unconstrained).
+    * ``row_norm`` -- every rule row must have squared norm 1 (necessary
+      for the step to be an isometry).
+    """
+    violations = []
+    for (state, symbol), targets in spec.rules.items():
+        if state == spec.halt and not (
+            len(targets) == 1
+            and abs(targets[0].amplitude - 1) <= tol
+            and (targets[0].state, targets[0].write) == (state, symbol)
+        ):
+            detail = ("halt-state rule must have a single amplitude-1 target "
+                      "that stays halted and rewrites the symbol it read")
+            violations.append(StructureViolation("halt_rule", state, symbol, detail))
+        norm2 = _row_norm2(targets)
+        if abs(norm2 - 1.0) > tol:
+            detail = f"squared row norm {norm2!r}"
+            violations.append(StructureViolation("row_norm", state, symbol, detail))
+    return violations
+
+
 def check_wellformed(
     spec: MachineSpec, tol: float = DEFAULT_TOL
 ) -> WellformednessReport:
     """Verdict plus explicit evidence.
 
-    * every rule row's image must have squared norm within ``tol`` of 1;
+    * every rule row must have squared norm within ``tol`` of 1;
     * every collision-candidate pair's images must have inner product of
       modulus <= ``tol``.
 
@@ -223,14 +279,8 @@ def check_wellformed(
     all_keys = [(q, s) for q in spec.states for s in spec.alphabet]
     have = [k for k in all_keys if k in spec.rules]
     missing = tuple(sorted(k for k in all_keys if k not in spec.rules))
-
-    norm_violations = []
-    for key in have:
-        rep = Configuration(key[0] == spec.halt, key[0], 0, _cell(0, key[1]))
-        norm2 = basis_image(spec, rep).norm2()
-        if abs(norm2 - 1.0) > tol:
-            norm_violations.append((key, norm2))
-
+    norms = ((key, _row_norm2(spec.rules[key])) for key in have)
+    norm_violations = tuple((key, n) for key, n in norms if abs(n - 1.0) > tol)
     witnesses = tuple(_failing_windows(spec, have, tol))
     verdict = "violation" if norm_violations or witnesses else "well_formed"
-    return WellformednessReport(verdict, tuple(norm_violations), witnesses, missing)
+    return WellformednessReport(verdict, norm_violations, witnesses, missing)

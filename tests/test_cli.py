@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,6 +277,20 @@ rule: q0 0 -> 1/2 : qH 0 R | 1/2 : qH 1 R
 rule: qH 0 -> 1 : qH 1 R
 """
 
+# a row of squared norm 1.01, whose sum in rule order and in the order of
+# its image's configurations are different floats
+THREE_TARGET_MACHINE = """\
+qtm-spec v1
+states: q0 q1 qH
+initial: q0
+halt: qH
+alphabet: 0 _
+rule: q0 0 -> 3/5 : q1 0 R | 4/5 : q0 _ R | 1/10 : q0 0 R
+rule: q1 * -> 1 : qH * R
+rule: q0 _ -> 1 : qH _ R
+rule: qH * -> 1 : qH * R
+"""
+
 
 def qtmlab(*args, env=None):
     return subprocess.run(
@@ -406,6 +421,18 @@ class TestCheckViolation:
         ]
         assert [list(v) for v in result["structureViolations"]] == [
             ["kind", "state", "symbol", "detail"]] * 2
+        assert result["coreWellFormed"] is False
+
+    def test_both_norm_reports_read_one_number(self, tmp_path, capsys):
+        machine = tmp_path / "three.qtm"
+        machine.write_text(THREE_TARGET_MACHINE)
+        assert cli.main(["check", str(machine), "--max-witnesses", "0"]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["structureViolations"] == [
+            {"kind": "row_norm", "state": "q0", "symbol": "0",
+             "detail": "squared row norm 1.01"},
+        ]
+        assert result["normViolations"] == [{"state": "q0", "symbol": "0", "norm2": 1.01}]
         assert result["coreWellFormed"] is False
 
 
@@ -654,7 +681,8 @@ class TestExitCodes:
         assert p.stdout == ""
         assert p.stderr.startswith("qtmlab: error: bad amplitude: number too large")
 
-    def test_result_that_is_not_json_is_an_error(self, tmp_path):
+    @pytest.mark.parametrize("command", [("check",), ("run", "--input", "0", "--steps", "1")])
+    def test_rule_row_whose_squared_norm_overflows_is_an_error(self, tmp_path, command):
         # each amplitude's square is finite, the row's squared norm is not
         big = "1" + "0" * 154
         machine = tmp_path / "wide.qtm"
@@ -662,13 +690,35 @@ class TestExitCodes:
             GROWING_MACHINE.replace("-> 2 : q0 0 R", f"-> {big} : q0 0 R | {big} : q0 0 L"
                                     f" | {big} : qH 0 R")
         )
+        p = qtmlab(command[0], str(machine), *command[1:])
+        assert p.returncode == 1
+        assert p.stdout == ""
+        assert p.stderr == "qtmlab: error: squared norm of rule (q0, 0) overflows (line 6)\n"
+
+    def test_result_that_is_not_json_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # a parsed machine gives no infinite field; one is stood in
+        monkeypatch.setattr(cli, "core_well_formed", lambda report: math.inf)
         out = tmp_path / "out.json"
         for json_flag in ((), ("--json", str(out))):
-            p = qtmlab("check", str(machine), *json_flag)
-            assert p.returncode == 1
-            assert p.stdout == ""
-            assert p.stderr.startswith("qtmlab: error: ")
+            assert cli.main(["check", str(MACHINES / "right_shift.qtm"), *json_flag]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("qtmlab: error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["trace", "subspace"])
+    def test_zero_amplitude_input_term_changes_nothing(self, monkeypatch, capsys, command):
+        # the zero term's configuration is not part of the state: subspace
+        # counts no newly halting vector for it, trace no support
+        monkeypatch.chdir(ROOT)
+        outputs = []
+        for text in ("1:0 + 0:1", "0"):
+            argv = [command, "machines/hadamard_halt.qtm", "--input", text, "--steps", "1"]
+            code = cli.main(argv)
+            outputs.append((code, capsys.readouterr().out))
+        if command == "subspace":  # the parameters echo differs
+            outputs = [(code, json.loads(out)["result"]) for code, out in outputs]
+        assert outputs[0] == outputs[1]
 
     def test_error_messages_are_prefixed(self):
         p = qtmlab("check", "machines/does_not_exist.qtm")

@@ -10,8 +10,6 @@ import pytest
 
 from conftest import ROOT
 
-tomllib = pytest.importorskip("tomllib")
-
 SOURCES = sorted((ROOT / "src" / "qtmlab").glob("*.py"))
 
 # (module file, name) imported but not used: perfbench's tracer rebinds these
@@ -59,6 +57,7 @@ def test_lines_are_at_most_100_characters(path):
 
 
 def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert project["project"]["dependencies"] == []
 

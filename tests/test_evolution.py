@@ -220,7 +220,7 @@ rule: qH * -> 1 : qH * R
 """
 
 # the eraser with a halt row that stays put steps halted configurations
-# through the rule loop, as every machine without halt_translates does
+# through the rule loop, as every machine without a drift_amplitude does
 STAYING_ERASER = ERASER.replace("qH * -> 1 : qH * R", "qH * -> 1 : qH * N")
 EXTRA = {"eraser": ERASER, "eraser_halt_stays": STAYING_ERASER}
 ORACLE_MACHINES = sorted(p.name for p in MACHINES.glob("*.qtm")) + sorted(EXTRA)
@@ -230,7 +230,7 @@ def _load(name):
     return parse_machine(EXTRA[name] if name in EXTRA else (MACHINES / name).read_text())
 
 
-DRIFTING_MACHINES = [name for name in ORACLE_MACHINES if _load(name).halt_translates]
+DRIFTING_MACHINES = [n for n in ORACLE_MACHINES if _load(n).drift_amplitude is not None]
 
 
 def mixed_states(spec):
@@ -307,7 +307,7 @@ def _bits(state):
 def _general(monkeypatch, spec):
     """A copy of ``spec`` that ``step`` takes through the rule loop alone."""
     slow = dataclasses.replace(spec)
-    monkeypatch.setitem(vars(slow), "halt_translates", False)
+    monkeypatch.setitem(vars(slow), "drift_amplitude", None)
     return slow
 
 
@@ -336,7 +336,7 @@ class TestBulkDrift:
     @given(data=st.data())
     def test_bulk_drift_matches_general_path(self, name, monkeypatch, data):
         spec = _load(name)
-        assert spec.halt_translates and spec.drift_amplitude is not None
+        assert spec.drift_amplitude is not None
         slow = _general(monkeypatch, spec)
         state = QuantumState(data.draw(mixed_states(spec)))
         try:
@@ -384,7 +384,7 @@ class TestBulkDrift:
 
     def test_halt_rows_differing_in_bits_take_the_general_path(self, monkeypatch):
         spec = parse_machine(MIXED_HALT_ROWS)
-        assert spec.halt_translates and spec.drift_amplitude is None
+        assert spec.drift_amplitude is None
         # 1 and 1 - 0i differ only in the sign of a zero, which shows in a
         # product's imaginary part: (x - 0j) * (1 + 0j) has +0.0, * (1 - 0j) -0.0
         on0 = spec.config("qH", tape_cells("0"), 0)

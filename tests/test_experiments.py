@@ -2,6 +2,7 @@
 
 import pytest
 from conftest import MACHINES
+from test_evolution import MIXED_HALT_ROWS
 
 from qtmlab import (
     ParseError,
@@ -141,17 +142,20 @@ class TestSubspacePaths:
     """The translate lookup agrees exactly with the Gram-Schmidt path."""
 
     @pytest.mark.parametrize(
-        "name", [p.name for p in sorted(MACHINES.glob("*.qtm"))] + ["overlapping"]
+        "name",
+        [p.name for p in sorted(MACHINES.glob("*.qtm"))] + ["overlapping", "mixed_halt_rows"],
     )
     def test_both_paths_give_equal_reports(self, monkeypatch, name):
         if name == "overlapping":
             text, inputs = OVERLAPPING, (OVERLAPPING_INPUT,)
         else:
-            text = (MACHINES / name).read_text()
+            text = MIXED_HALT_ROWS if name == "mixed_halt_rows" else (MACHINES / name).read_text()
             inputs = ("0", "1100", "1/sqrt(2):01 + 1/sqrt(2):1100")
-        fast, slow = parse_machine(text), parse_machine(text)
-        assert fast.halt_translates
-        monkeypatch.setitem(vars(slow), "halt_translates", False)
+        # halt rows 1 and 1 - 0i differ only in bits: as written they take
+        # the Gram path, made equal the translate lookup
+        fast, slow = parse_machine(text.replace("1 - 0i", "1")), parse_machine(text)
+        assert fast.drift_amplitude is not None
+        monkeypatch.setitem(vars(slow), "drift_amplitude", None)
         for inp in inputs:
             for steps in (3, 8):
                 report = analyze_halting_subspace(fast, parse_input(inp, fast), steps)

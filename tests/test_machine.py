@@ -1,5 +1,6 @@
 """Unit tests for tapes, configurations, states, and static validation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -14,7 +15,10 @@ from qtmlab import (
     ParseError,
     QuantumState,
     RuleTarget,
+    StructureViolation,
+    check_wellformed,
     initial_state,
+    step,
     tape_cells,
     tape_text,
     validate_input,
@@ -187,6 +191,10 @@ class TestInitialState:
         state = initial_state(hadamard_halt, inp)
         assert state.amplitude(cfg("q0", "0", 0)) == 1 + 0j
 
+    def test_zero_terms_are_left_out(self, hadamard_halt):
+        inp = InputSpec(((complex(1), "0"), (0j, "1")))
+        assert initial_state(hadamard_halt, inp) == QuantumState.of((cfg("q0", "0", 0), 1))
+
 
 class TestValidateStructure:
     def test_clean_machine_has_no_violations(self, hadamard_halt):
@@ -233,6 +241,19 @@ class TestValidateStructure:
             }
         )
         assert validate_structure(spec) == []
+
+    def test_repeated_targets_add_as_the_step_adds_them(self, hadamard_halt):
+        # a code-built row: the parser refuses a repeated target
+        r = complex(1 / math.sqrt(2))
+        rules = {**hadamard_halt.rules, ("q0", "0"): (RuleTarget(r, "qH", "0", "R"),) * 2}
+        spec = dataclasses.replace(hadamard_halt, rules=rules)
+        [(key, norm2)] = check_wellformed(spec).norm_violations
+        assert key == ("q0", "0") and norm2 == pytest.approx(2.0)
+        assert validate_structure(spec) == [
+            StructureViolation("row_norm", "q0", "0", f"squared row norm {norm2!r}")
+        ]
+        image = step(spec, QuantumState.of((cfg("q0", "0", 0), 1)))
+        assert image.norm2() == pytest.approx(norm2)
 
 
 class TestValidateInput:

@@ -57,7 +57,7 @@ def test_subspace_matches_projection_oracle(corpus, right_shift):
     seek = (MACHINES / "seek_right_lifted.qtm").read_text()
     for read, move in ((r"\S", "N"), (r"\S", "L"), ("_", "N")):
         spec = parse_machine(re.sub(rf"(qH {read} -> 1 : qH \S) R", rf"\1 {move}", seek))
-        assert not spec.halt_translates
+        assert spec.drift_amplitude is None
         cases.append((spec, "1/sqrt(2):01 + 1/sqrt(2):1100", 8))
     for spec, text, steps in cases:
         inp = parse_input(text, spec)
