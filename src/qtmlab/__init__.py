@@ -28,14 +28,12 @@ from .machine import (
     BLANK,
     DEFAULT_TOL,
     Configuration,
-    InputSpec,
     MachineSpec,
     QuantumState,
     RuleTarget,
     initial_state,
     tape_cells,
     tape_text,
-    validate_input,
 )
 from .measurement import (
     ComparisonReport,
@@ -78,7 +76,6 @@ __all__ = [
     "DEFAULT_TOL",
     "EvolutionTrace",
     "HaltOutcome",
-    "InputSpec",
     "MachineSpec",
     "MeasurementRecord",
     "MissingRuleError",
@@ -122,6 +119,5 @@ __all__ = [
     "superposition_window",
     "tape_cells",
     "tape_text",
-    "validate_input",
     "validate_structure",
 ]

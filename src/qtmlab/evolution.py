@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .errors import MissingRuleError, QtmError
-from .machine import BLANK, InputSpec, MachineSpec, QuantumState, initial_state
+from .machine import BLANK, MachineSpec, QuantumState
 
 _first = itemgetter(0)
 
@@ -151,18 +151,18 @@ class EvolutionTrace:
 
 def evolve(
     spec: MachineSpec,
-    inp: InputSpec,
+    state: QuantumState,
     steps: int,
     prune: float = 0.0,
 ) -> tuple[QuantumState, EvolutionTrace]:
-    """Run ``steps`` unmeasured steps from an input superposition.
+    """Run ``steps`` unmeasured steps from ``state``, such as the initial
+    state that ``parse_input`` returns.
 
     Returns the final state together with a per-step trace of support size,
-    squared norm, and halted mass (row 0 describes the initial state).
+    squared norm, and halted mass (row 0 describes ``state``).
     """
     if steps < 0:
         raise ValueError("step count must be non-negative")
-    state = initial_state(spec, inp)
     rows = [TraceRow(0, state.support_size(), state.norm2(), state.halted_mass())]
     for n, state in trajectory(spec, state, 0, steps, prune):
         rows.append(
@@ -172,8 +172,7 @@ def evolve(
 
 
 def states_through(
-    spec: MachineSpec, inp: InputSpec, steps: int
+    spec: MachineSpec, state: QuantumState, steps: int
 ) -> list[QuantumState]:
-    """All unmeasured states S_0..S_steps; S_0 is the input superposition."""
-    state = initial_state(spec, inp)
+    """All unmeasured states S_0..S_steps, S_0 being ``state``."""
     return [state] + [s for _, s in trajectory(spec, state, 0, steps)]

@@ -33,15 +33,7 @@ from itertools import chain
 
 # step is not called here; it stays a name because perfbench traces it
 from .evolution import states_through, step, trajectory  # noqa: F401
-from .machine import (
-    Configuration,
-    DEFAULT_TOL,
-    InputSpec,
-    MachineSpec,
-    QuantumState,
-    initial_state,
-    validate_input,
-)
+from .machine import DEFAULT_TOL, Configuration, MachineSpec, QuantumState, initial_state
 from .wellformed import basis_image
 
 
@@ -59,7 +51,7 @@ class SuperpositionReport:
 
 def _halt_step(spec: MachineSpec, text: str, budget: int, tol: float):
     """First step at which a single input's halted mass reaches one."""
-    state = initial_state(spec, InputSpec(((complex(1), text),)))
+    state = initial_state(spec, ((complex(1), text),))
     for t, state in chain([(0, state)], trajectory(spec, state, 0, budget)):
         if state.halted_mass() / state.norm2() >= 1.0 - tol:
             return t
@@ -76,12 +68,11 @@ def superposition_window(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if input_a == input_b:
-        inp = InputSpec(((complex(1), input_a),))
+        terms = ((complex(1), input_a),)
     else:
         r = complex(1.0 / math.sqrt(2.0))
-        inp = InputSpec(((r, input_a), (r, input_b)))
-    validate_input(spec, inp)
-    state = initial_state(spec, inp)
+        terms = ((r, input_a), (r, input_b))
+    state = initial_state(spec, terms)
     masses = [state.halted_mass()]
     for _, state in trajectory(spec, state, 0, budget):
         masses.append(state.halted_mass() / state.norm2())
@@ -126,7 +117,7 @@ def _combine(parts) -> QuantumState:
     for coeff, vec in parts:
         for key, amp in vec.keyed_items():
             amps[key] = amps.get(key, 0j) + coeff * amp
-    return QuantumState.keyed((k, a) for k, a in amps.items() if a != 0)
+    return QuantumState({k: a for k, a in amps.items() if a != 0})
 
 
 def _translate_overlaps(halted_keys):
@@ -175,13 +166,13 @@ def _gram_overlaps(spec, halted_keys, tol):
 
 def analyze_halting_subspace(
     spec: MachineSpec,
-    inp: InputSpec,
+    state: QuantumState,
     steps: int,
     tol: float = DEFAULT_TOL,
 ) -> SubspaceReport:
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    states = states_through(spec, inp, steps)
+    states = states_through(spec, state, steps)
 
     halted_keys = sorted({k for s in states for k, _ in s.keyed_items() if k[0]})
     running_keys = {k for s in states[:-1] for k, _ in s.keyed_items() if not k[0]}

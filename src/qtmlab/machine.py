@@ -14,6 +14,10 @@ A configuration has one layout, the named tuple ``Configuration(halted,
 state, head, cells)``, so it is its own sort key.  ``QuantumState`` stores
 such tuples, ``step`` builds them plain, the checker's window keys share
 the layout, and measured outcomes carry the same ``cells``.
+
+An input is its initial state.  ``initial_state`` checks the ``(amplitude,
+string)`` terms of an input superposition and returns S_0, the
+``QuantumState`` that every run, trace and experiment evolves from.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
 
@@ -131,17 +135,6 @@ class MachineSpec:
             return amps.popitem()[1] if len(amps) == 1 else None
 
 
-@dataclass(frozen=True)
-class InputSpec:
-    """Normalized superposition of classical input strings.
-
-    Each term lays its string on cells 0..len-1 with the head at cell 0 and
-    the machine in its initial state.
-    """
-
-    terms: tuple[tuple[complex, str], ...]
-
-
 def _mass(pairs) -> float:
     """Squared moduli of (key, amplitude) pairs summed left to right, as
     ``sum`` of floats does not from Python 3.12 on."""
@@ -162,19 +155,15 @@ class QuantumState:
     and ``inner`` and ``amplitude`` find keys by bisection, so no method
     hashes a key.  A key is a ``Configuration`` or the plain tuple that
     ``step`` builds; ``items`` and ``configurations`` give each one the
-    field names.
+    field names.  ``QuantumState({config: amplitude})`` builds a state; the
+    dict's keys are distinct, as the sorted list needs.
     """
 
     __slots__ = ("_pairs", "_norm2")
 
     def __init__(self, amps: dict):
-        state = QuantumState.keyed(amps.items())
-        self._pairs, self._norm2 = state._pairs, state._norm2
-
-    @classmethod
-    def keyed(cls, pairs) -> "QuantumState":
-        """State over (key, amplitude) pairs with distinct keys, in any order."""
-        return cls._sorted(sorted(pairs, key=_first))
+        self._pairs = sorted(amps.items(), key=_first)
+        self._norm2 = _mass(self._pairs)
 
     @classmethod
     def _sorted(cls, pairs: list) -> "QuantumState":
@@ -183,10 +172,6 @@ class QuantumState:
         state._pairs = pairs
         state._norm2 = _mass(pairs)
         return state
-
-    @classmethod
-    def of(cls, *pairs) -> "QuantumState":
-        return cls({c: complex(a) for c, a in pairs})
 
     def _halted_from(self) -> int:
         """Index of the first halted entry (``len`` when none is halted)."""
@@ -248,31 +233,32 @@ class QuantumState:
         return f"QuantumState({inner})"
 
 
-def initial_state(spec: MachineSpec, inp: InputSpec) -> QuantumState:
-    """Starting superposition for an input: head at cell 0, initial state,
-    leaving out terms of amplitude exactly 0, as ``step`` keeps no zero."""
+def initial_state(spec: MachineSpec, terms: Iterable[tuple[complex, str]]) -> QuantumState:
+    """The state S_0 of an input superposition, given as ``(amplitude,
+    string)`` terms: each string on cells 0..len-1, head at cell 0, the
+    machine in its initial state.
+
+    Raises ParseError on an empty or repeated string, a string with a blank
+    or a symbol outside the alphabet, or a squared norm more than
+    ``DEFAULT_TOL`` from 1.  Terms of amplitude exactly 0 are left out, as
+    ``step`` keeps no zero.
+    """
     amps = {}
-    for amplitude, text in inp.terms:
-        cfg = spec.config(spec.initial, tape_cells(text), 0)
-        amps[cfg] = amps.get(cfg, 0j) + amplitude
-    return QuantumState({cfg: a for cfg, a in amps.items() if a != 0})
-
-
-def validate_input(spec: MachineSpec, inp: InputSpec, tol: float = DEFAULT_TOL):
-    """Raise ParseError when an input specification is unusable."""
-    seen = set()
     total = 0.0
-    for amplitude, text in inp.terms:
+    for amplitude, text in terms:
         if text == "":
             raise ParseError("empty input string")
-        if text in seen:
+        if text in amps:
             raise ParseError(f"duplicate input string {text!r}")
-        seen.add(text)
         for ch in text:
             if ch == BLANK:
                 raise ParseError("input strings may not contain the blank symbol")
             if ch not in spec.alphabet:
                 raise ParseError(f"symbol {ch!r} is not in the machine alphabet")
+        amps[text] = amplitude + 0j  # complex, with +0.0 for a -0.0 part
         total += amplitude.real ** 2 + amplitude.imag ** 2
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > DEFAULT_TOL:
         raise ParseError(f"input amplitudes have squared norm {total!r}, expected 1")
+    return QuantumState(
+        {spec.config(spec.initial, tape_cells(t), 0): a for t, a in amps.items() if a != 0}
+    )

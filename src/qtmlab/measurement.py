@@ -26,12 +26,7 @@ from random import Random
 from .errors import ParseError
 # step is not called here; it stays a name because perfbench traces it
 from .evolution import step, trajectory  # noqa: F401
-from .machine import (
-    DEFAULT_TOL,
-    InputSpec,
-    MachineSpec,
-    initial_state,
-)
+from .machine import DEFAULT_TOL, MachineSpec, QuantumState
 
 
 class _Unhalted:
@@ -149,7 +144,7 @@ class OutputDistribution:
 
 def run_schedule(
     spec: MachineSpec,
-    inp: InputSpec,
+    state: QuantumState,
     schedule: Schedule,
     budget: int,
     prune: float = 0.0,
@@ -158,7 +153,6 @@ def run_schedule(
         raise ValueError("budget must be non-negative")
     if schedule.steps and schedule.steps[-1] > budget:
         raise ValueError(f"schedule step {schedule.steps[-1]} exceeds budget {budget}")
-    state = initial_state(spec, inp)
     live = 1.0
     entries = []  # in chain order: ascending step, each step's tapes in cell order
     records = []
@@ -209,7 +203,7 @@ class SampleReport:
 
 def sample_run(
     spec: MachineSpec,
-    inp: InputSpec,
+    state: QuantumState,
     schedule: Schedule,
     budget: int,
     seed: int,
@@ -224,7 +218,7 @@ def sample_run(
     """
     if samples < 0:
         raise ValueError("samples must be non-negative")
-    dist = run_schedule(spec, inp, schedule, budget, prune)
+    dist = run_schedule(spec, state, schedule, budget, prune)
     rng = Random(seed)
     counts = [0] * len(dist.entries)
     for _ in range(samples):
@@ -276,7 +270,7 @@ class ComparisonReport:
 
 def compare_schedules(
     spec: MachineSpec,
-    inp: InputSpec,
+    state: QuantumState,
     schedule_a: Schedule,
     schedule_b: Schedule,
     budget: int,
@@ -289,8 +283,8 @@ def compare_schedules(
     different times legitimately disagree about when mass is observed;
     what must agree for a norm-preserving machine is where it ends up.
     """
-    da = run_schedule(spec, inp, schedule_a, budget, prune)
-    db = run_schedule(spec, inp, schedule_b, budget, prune)
+    da = run_schedule(spec, state, schedule_a, budget, prune)
+    db = run_schedule(spec, state, schedule_b, budget, prune)
     ca, cb = da.coarsened(), db.coarsened()
     diffs = _coarsened_diffs(ca, cb)
     total = 0.0

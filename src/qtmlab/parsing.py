@@ -14,7 +14,8 @@ Amplitudes are exact-looking literals::
 ``*`` as a rule's read symbol expands the rule over the whole alphabet;
 ``*`` in the write slot means "write the symbol that was read".
 
-Both formats parse to a ``MachineSpec``.  A classical file becomes its
+Both formats parse to a ``MachineSpec``, and an input parses to its
+initial ``QuantumState``.  A classical file becomes its
 effective table: one amplitude-1 target for every (state, symbol) key,
 where a key without a declared rule, and every halt-state key, halts and
 moves right.
@@ -26,14 +27,7 @@ import math
 from fractions import Fraction
 
 from .errors import ParseError
-from .machine import (
-    BLANK,
-    MOVES,
-    InputSpec,
-    MachineSpec,
-    RuleTarget,
-    validate_input,
-)
+from .machine import BLANK, MOVES, MachineSpec, QuantumState, RuleTarget, initial_state
 from .wellformed import _row_norm2
 
 # Characters that would collide with the file and input grammars if they
@@ -208,6 +202,9 @@ def _common_header_fields(headers):
     lineno, states = headers["states"]
     if len(set(states)) != len(states) or not states:
         raise ParseError("states must be distinct and non-empty", line=lineno)
+    for name in states:  # '|' splits a quantum target, '->' a rule line
+        if "|" in name or "->" in name:
+            raise ParseError(f"state name {name!r} may not contain '|' or '->'", line=lineno)
     lineno, initial = headers["initial"]
     if len(initial) != 1 or initial[0] not in states:
         raise ParseError("initial must name exactly one declared state", line=lineno)
@@ -363,8 +360,9 @@ def parse_classical(text: str) -> MachineSpec:
 # ---------------------------------------------------------------------------
 # inputs
 
-def parse_input(text: str, spec: MachineSpec) -> InputSpec:
-    """Parse ``input ::= term ('+' term)*``, ``term ::= [amp ':'] string``.
+def parse_input(text: str, spec: MachineSpec) -> QuantumState:
+    """Parse ``input ::= term ('+' term)*``, ``term ::= [amp ':'] string``,
+    to its initial state (``initial_state``, which checks the terms).
 
     All text before a term's ``:`` is its amplitude, so a complex literal
     keeps its ``+``; a ``+`` ends a term only after the term's string.  A
@@ -388,7 +386,4 @@ def parse_input(text: str, spec: MachineSpec) -> InputSpec:
         terms.append((parse_amplitude(amp_text.strip()), string.strip()))
         if not plus:
             break
-
-    inp = InputSpec(tuple(terms))
-    validate_input(spec, inp)
-    return inp
+    return initial_state(spec, terms)

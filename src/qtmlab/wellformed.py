@@ -103,7 +103,7 @@ def core_well_formed(report: WellformednessReport) -> bool:
 
 def basis_image(spec: MachineSpec, config: Configuration) -> QuantumState:
     """One-step image of a single basis configuration."""
-    return step(spec, QuantumState.of((config, 1.0)))
+    return step(spec, QuantumState({config: complex(1.0)}))
 
 
 def pair_image_inner(

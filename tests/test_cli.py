@@ -519,6 +519,17 @@ class TestLift:
         assert first["c2"]["tape"] == {"text": "000001", "origin": -5}
         assert first["image"]["state"] == "qH"
 
+    def test_refuses_a_state_name_the_rule_grammar_splits(self, tmp_path):
+        # lifted, "q|0" would be a .qtm file that parse_machine refuses
+        source = tmp_path / "pipe.tm"
+        source.write_text((MACHINES / "flip_bits.tm").read_text().replace("q0", "q|0"))
+        out = tmp_path / "pipe.qtm"
+        p = qtmlab("lift", str(source), "-o", str(out))
+        assert p.returncode == 1
+        assert p.stdout == ""
+        assert p.stderr.startswith("qtmlab: error: ")
+        assert not out.exists()
+
 
 class TestOutputFiles:
     def test_json_flag_writes_file(self, tmp_path):

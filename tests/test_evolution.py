@@ -20,7 +20,6 @@ from qtmlab import (
     check_reversible,
     check_wellformed,
     evolve,
-    initial_state,
     parse_classical,
     parse_input,
     parse_machine,
@@ -78,7 +77,7 @@ class TestSingleSteps:
 
     def test_halted_configurations_drift_right(self, hadamard_halt):
         halted = hadamard_halt.config("qH", tape_cells("1"), 5)
-        out = step(hadamard_halt, QuantumState.of((halted, 1.0)))
+        out = step(hadamard_halt, QuantumState({halted: 1.0}))
         ((cfg, amp),) = list(out.items())
         assert cfg.state == "qH"
         assert cfg.head == 6
@@ -91,8 +90,8 @@ class TestSingleSteps:
         def config(state, text, head):
             return hadamard_halt.config(state, tape_cells(text), head)
 
-        state = QuantumState.of(
-            (config("q0", "0", 0), 0.1), (config("q0", "1", 0), 0.1), (config("qH", "0", 0), 0.6)
+        state = QuantumState(
+            {config("q0", "0", 0): 0.1, config("q0", "1", 0): 0.1, config("qH", "0", 0): 0.6}
         )
         r = hadamard_halt.step_rows["q0", "0"][0][4]
         x, y, z = complex(0.1) * r, complex(0.1) * r, complex(0.6)
@@ -102,23 +101,23 @@ class TestSingleSteps:
     def test_missing_rule_raises(self, hadamard_halt_naive):
         blank_read = hadamard_halt_naive.config("q0", (), 0)
         with pytest.raises(MissingRuleError) as err:
-            step(hadamard_halt_naive, QuantumState.of((blank_read, 1.0)))
+            step(hadamard_halt_naive, QuantumState({blank_read: 1.0}))
         assert err.value.state == "q0"
         assert err.value.symbol == "_"
 
     def test_prune_drops_small_amplitudes(self, right_shift):
         big = right_shift.config("q0", tape_cells("0"), 0)
         tiny = right_shift.config("q0", tape_cells("1"), 0)
-        state = QuantumState.of((big, 1.0), (tiny, 1e-15))
+        state = QuantumState({big: 1.0, tiny: 1e-15})
         assert step(right_shift, state, prune=1e-12).support_size() == 1
         assert step(right_shift, state).support_size() == 2
 
 
 class TestEvolve:
     def test_zero_steps_is_identity(self, hadamard_halt):
-        inp = parse_input("0", hadamard_halt)
-        state, trace = evolve(hadamard_halt, inp, 0)
-        assert state == initial_state(hadamard_halt, inp)
+        start = parse_input("0", hadamard_halt)
+        state, trace = evolve(hadamard_halt, start, 0)
+        assert state == start
         assert len(trace.rows) == 1
         assert trace.rows[0].step == 0
 
@@ -127,9 +126,9 @@ class TestEvolve:
             evolve(hadamard_halt, parse_input("0", hadamard_halt), -1)
 
     def test_two_steps_compose(self, hadamard_halt):
-        inp = parse_input("0", hadamard_halt)
-        state, _ = evolve(hadamard_halt, inp, 2)
-        assert state == step(hadamard_halt, step(hadamard_halt, initial_state(hadamard_halt, inp)))
+        start = parse_input("0", hadamard_halt)
+        state, _ = evolve(hadamard_halt, start, 2)
+        assert state == step(hadamard_halt, step(hadamard_halt, start))
 
     def test_states_through_prefixes_match_evolve(self, delayed_hadamard):
         inp = parse_input("10", delayed_hadamard)
@@ -296,7 +295,7 @@ class TestStepMatchesOracle:
         for q, s in gaps:
             cfg = spec.config(q, tape_cells(s), 0)
             with pytest.raises(MissingRuleError) as err:
-                step(spec, QuantumState.of((cfg, 1.0)))
+                step(spec, QuantumState({cfg: 1.0}))
             assert (err.value.state, err.value.symbol) == (q, s)
 
 
@@ -357,10 +356,12 @@ class TestBulkDrift:
         # halted configuration at cell 1 drifts; a third one drifts alone
         spec = parse_machine((MACHINES / "seek_right_lifted.qtm").read_text())
         tape = tape_cells("1")
-        state = QuantumState.of(
-            (spec.config("q0", tape, 1), arriving),
-            (spec.config("qH", tape, 1), drifting),
-            (spec.config("qH", tape, 5), 0.75),
+        state = QuantumState(
+            {
+                spec.config("q0", tape, 1): arriving,
+                spec.config("qH", tape, 1): drifting,
+                spec.config("qH", tape, 5): 0.75,
+            }
         )
         return spec, state, spec.config("qH", tape, 2)
 
@@ -372,7 +373,7 @@ class TestBulkDrift:
         assert _bits(got) == _bits(step(_general(monkeypatch, spec), state, prune=0.6))
         # each of the two terms alone is pruned
         for cfg, a in list(state.items())[:2]:
-            assert step(spec, QuantumState.of((cfg, a)), prune=0.6).support_size() == 0
+            assert step(spec, QuantumState({cfg: a}), prune=0.6).support_size() == 0
 
     def test_arrival_cancels_drift_to_zero(self, monkeypatch):
         spec, state, met = self._arrival_meets_drift(0.5, -0.5)
@@ -389,7 +390,7 @@ class TestBulkDrift:
         # product's imaginary part: (x - 0j) * (1 + 0j) has +0.0, * (1 - 0j) -0.0
         on0 = spec.config("qH", tape_cells("0"), 0)
         on1 = spec.config("qH", tape_cells("1"), 0)
-        state = QuantumState.of((on0, complex(0.6, -0.0)), (on1, complex(0.8, -0.0)))
+        state = QuantumState({on0: complex(0.6, -0.0), on1: complex(0.8, -0.0)})
         got = step(spec, state)
         assert [repr(a) for _, a in got.keyed_items()] == ["(0.6+0j)", "(0.8-0j)"]
         assert _bits(got) == _bits(step(_general(monkeypatch, spec), state))
@@ -432,7 +433,7 @@ def _count_builds(monkeypatch) -> list:
 class TestRepresentation:
     def test_trajectory_builds_no_configuration_or_tape(self, monkeypatch):
         spec = parse_machine((ROOT / "perfbench/machines/hadamard_walk.qtm").read_text())
-        state = initial_state(spec, parse_input("0110", spec))
+        state = parse_input("0110", spec)
         built = _count_builds(monkeypatch)
         for t, last in trajectory(spec, state, 0, 50):
             assert len(last) > 0
@@ -484,11 +485,14 @@ class TestRepresentation:
     )
     def test_stepping_hashes_no_key(self, path, text, steps, halted_mass):
         spec = parse_machine((ROOT / path).read_text())
-        start = initial_state(spec, parse_input(text, spec))
+        start = parse_input(text, spec)
         plain = list(trajectory(spec, start, 0, steps))[-1][1]
-        state = QuantumState.keyed(
-            ((h, q, head, _Unhashable(cells)), a)
-            for (h, q, head, cells), a in start.keyed_items()
+        # built from a sorted list: a dict would hash the cells
+        state = QuantumState._sorted(
+            [
+                ((h, q, head, _Unhashable(cells)), a)
+                for (h, q, head, cells), a in start.keyed_items()
+            ]
         )
         for t, state in trajectory(spec, state, 0, steps):
             pass
@@ -504,7 +508,7 @@ class TestRepresentation:
                 assert part.renormalized().norm2() == pytest.approx(1.0)
 
     def test_replaced_spec_steps_by_its_own_rules(self, hadamard_halt):
-        state = QuantumState.of((hadamard_halt.config("q0", tape_cells("1"), 0), 1.0))
+        state = QuantumState({hadamard_halt.config("q0", tape_cells("1"), 0): 1.0})
         before = step(hadamard_halt, state)  # fills the compiled-row cache
         negated = {
             key: tuple(

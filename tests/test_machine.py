@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qtmlab import (
     BLANK,
     Configuration,
-    InputSpec,
     MachineSpec,
     ParseError,
     QuantumState,
@@ -21,7 +20,6 @@ from qtmlab import (
     step,
     tape_cells,
     tape_text,
-    validate_input,
     validate_structure,
 )
 
@@ -100,11 +98,11 @@ class TestQuantumState:
         assert [c for c, _ in state.items()] == [b, a]
 
     def test_amplitude_defaults_to_zero(self):
-        state = QuantumState.of((cfg("q0", "1", 0), 1.0))
+        state = QuantumState({cfg("q0", "1", 0): 1.0})
         assert state.amplitude(cfg("q0", "0", 0)) == 0j
 
     def test_norm2_and_support(self):
-        state = QuantumState.of((cfg("q0", "1", 0), 0.6), (cfg("q0", "0", 0), 0.8j))
+        state = QuantumState({cfg("q0", "1", 0): 0.6, cfg("q0", "0", 0): 0.8j})
         assert state.norm2() == pytest.approx(1.0)
         assert state.support_size() == 2
         assert len(state) == 2
@@ -118,13 +116,13 @@ class TestQuantumState:
     def test_halted_mass_and_components(self):
         running = cfg("q0", "1", 0)
         halted = cfg("qH", "1", 1, halted=True)
-        state = QuantumState.of((running, 0.6), (halted, 0.8))
+        state = QuantumState({running: 0.6, halted: 0.8})
         assert state.halted_mass() == pytest.approx(0.64)
         assert list(state.component(True).configurations()) == [halted]
         assert list(state.component(False).configurations()) == [running]
 
     def test_renormalized(self):
-        state = QuantumState.of((cfg("q0", "1", 0), 0.5))
+        state = QuantumState({cfg("q0", "1", 0): 0.5})
         assert state.renormalized().norm2() == pytest.approx(1.0)
 
     def test_renormalizing_zero_state_raises(self):
@@ -133,14 +131,14 @@ class TestQuantumState:
 
     def test_inner_is_conjugate_linear_in_first_argument(self):
         a, b = cfg("q0", "1", 0), cfg("q0", "0", 0)
-        x = QuantumState.of((a, 1j), (b, 0.5))
-        y = QuantumState.of((a, 0.25), (b, 2.0 + 1j))
+        x = QuantumState({a: 1j, b: 0.5})
+        y = QuantumState({a: 0.25, b: 2.0 + 1j})
         assert x.inner(y) == pytest.approx((1j).conjugate() * 0.25 + 0.5 * (2 + 1j))
         assert x.inner(y) == pytest.approx(y.inner(x).conjugate())
 
     def test_inner_of_disjoint_supports_is_zero(self):
-        x = QuantumState.of((cfg("q0", "1", 0), 1.0))
-        y = QuantumState.of((cfg("q0", "0", 0), 1.0))
+        x = QuantumState({cfg("q0", "1", 0): 1.0})
+        y = QuantumState({cfg("q0", "0", 0): 1.0})
         assert x.inner(y) == 0
 
     @given(
@@ -183,17 +181,12 @@ class TestQuantumState:
 
 class TestInitialState:
     def test_single_string(self, hadamard_halt):
-        state = initial_state(hadamard_halt, InputSpec(((complex(1), "10"),)))
+        state = initial_state(hadamard_halt, ((complex(1), "10"),))
         assert list(state.items()) == [(cfg("q0", "10", 0), 1 + 0j)]
 
-    def test_duplicate_terms_merge(self, hadamard_halt):
-        inp = InputSpec(((complex(0.5), "0"), (complex(0.5), "0")))
-        state = initial_state(hadamard_halt, inp)
-        assert state.amplitude(cfg("q0", "0", 0)) == 1 + 0j
-
     def test_zero_terms_are_left_out(self, hadamard_halt):
-        inp = InputSpec(((complex(1), "0"), (0j, "1")))
-        assert initial_state(hadamard_halt, inp) == QuantumState.of((cfg("q0", "0", 0), 1))
+        terms = ((complex(1), "0"), (0j, "1"))
+        assert initial_state(hadamard_halt, terms) == QuantumState({cfg("q0", "0", 0): 1})
 
 
 class TestValidateStructure:
@@ -252,14 +245,15 @@ class TestValidateStructure:
         assert validate_structure(spec) == [
             StructureViolation("row_norm", "q0", "0", f"squared row norm {norm2!r}")
         ]
-        image = step(spec, QuantumState.of((cfg("q0", "0", 0), 1)))
+        image = step(spec, QuantumState({cfg("q0", "0", 0): 1}))
         assert image.norm2() == pytest.approx(norm2)
 
 
 class TestValidateInput:
     def test_accepts_unit_superposition(self, hadamard_halt):
         r = complex(1 / math.sqrt(2))
-        validate_input(hadamard_halt, InputSpec(((r, "0"), (r, "1"))))
+        state = initial_state(hadamard_halt, ((r, "0"), (r, "1")))
+        assert state.norm2() == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "terms, message",
@@ -273,4 +267,4 @@ class TestValidateInput:
     )
     def test_rejections(self, hadamard_halt, terms, message):
         with pytest.raises(ParseError, match=message):
-            validate_input(hadamard_halt, InputSpec(terms))
+            initial_state(hadamard_halt, terms)

@@ -17,6 +17,7 @@ from qtmlab import (
     parse_schedule,
     run_schedule,
     sample_run,
+    states_through,
     tape_cells,
 )
 from qtmlab.measurement import _Unhalted
@@ -155,6 +156,21 @@ class TestRunSchedule:
     def test_negative_budget_rejected(self, hadamard_halt):
         with pytest.raises(ValueError):
             dist(hadamard_halt, "0", every(-1), -1)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_run_resumes_from_any_state_of_the_run(self, k):
+        # the 01 branch halts at step 3, the 1100 branch at step 5
+        spec = load_qtm("seek_right_lifted")
+        n = 6
+        start = parse_input("1/sqrt(2):01 + 1/sqrt(2):1100", spec)
+        whole = run_schedule(spec, start, end(n), n)
+        s_k = states_through(spec, start, k)[-1]
+        rest = run_schedule(spec, s_k, end(n - k), n - k)
+        assert [(o.step + k, o.cells, repr(p)) for o, p in rest.entries[:-1]] == [
+            (o.step, o.cells, repr(p)) for o, p in whole.entries[:-1]
+        ]
+        assert len(whole.entries) == 3
+        assert repr(rest.entries[-1][1]) == repr(whole.entries[-1][1])
 
     def test_unhalted_sentinel_is_a_singleton(self):
         assert _Unhalted() is UNHALTED

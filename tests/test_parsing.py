@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import MACHINES, load_qtm
 from qtmlab import (
+    Configuration,
     ParseError,
+    QuantumState,
     RuleTarget,
     parse_amplitude,
     parse_classical,
@@ -16,6 +18,7 @@ from qtmlab import (
     parse_machine,
     render_amplitude,
     render_machine,
+    tape_cells,
 )
 
 R2 = 1 / math.sqrt(2)
@@ -196,6 +199,14 @@ class TestParseMachine:
         assert err.value.line == 3
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("name", ["q|0", "q->0", "|", "->"])
+    def test_state_names_holding_a_rule_separator_are_refused(self, name):
+        # "q|0" would split a quantum target, and "q->0" a rule line
+        for text, parse in ((MINIMAL_QTM, parse_machine), (MINIMAL_TM, parse_classical)):
+            with pytest.raises(ParseError) as err:
+                parse(text.replace("states: q0 qH", f"states: q0 qH {name}"))
+            assert str(err.value) == f"state name {name!r} may not contain '|' or '->' (line 2)"
+
 
 class TestRenderMachine:
     @pytest.mark.parametrize(
@@ -279,21 +290,33 @@ class TestParseClassical:
             assert tm.halt in tm.states
 
 
+def start(spec, amps):
+    """The hand-built initial state: each string at cells 0.., head 0."""
+    return QuantumState(
+        {spec.config(spec.initial, tape_cells(text), 0): a for text, a in amps.items()}
+    )
+
+
 class TestParseInput:
     def test_bare_string(self, hadamard_halt):
-        inp = parse_input("10", hadamard_halt)
-        assert inp.terms == ((1 + 0j, "10"),)
+        state = parse_input("10", hadamard_halt)
+        assert state == start(hadamard_halt, {"10": 1 + 0j})
 
     def test_bare_string_is_trimmed(self, hadamard_halt):
-        assert parse_input(" 10 ", hadamard_halt).terms == ((1 + 0j, "10"),)
+        assert parse_input(" 10 ", hadamard_halt) == start(hadamard_halt, {"10": 1 + 0j})
 
     def test_uniform_superposition(self, hadamard_halt):
-        inp = parse_input("1/sqrt(2):0 + 1/sqrt(2):1", hadamard_halt)
-        assert inp.terms == ((complex(R2), "0"), (complex(R2), "1"))
+        state = parse_input("1/sqrt(2):0 + 1/sqrt(2):1", hadamard_halt)
+        assert state == QuantumState(
+            {
+                Configuration(False, "q0", 0, ((0, "0"),)): complex(R2),
+                Configuration(False, "q0", 0, ((0, "1"),)): complex(R2),
+            }
+        )
 
     def test_complex_amplitudes_keep_their_plus_signs(self, hadamard_halt):
-        inp = parse_input("1/2 + 1/2i : 0 + 1/2 - 1/2i : 1", hadamard_halt)
-        assert inp.terms == ((0.5 + 0.5j, "0"), (0.5 - 0.5j, "1"))
+        state = parse_input("1/2 + 1/2i : 0 + 1/2 - 1/2i : 1", hadamard_halt)
+        assert state == start(hadamard_halt, {"0": 0.5 + 0.5j, "1": 0.5 - 0.5j})
 
     @pytest.mark.parametrize(
         "text, message",
@@ -315,7 +338,7 @@ class TestParseInput:
         [("0 + 1i : 0", 1j), ("1 + 0i : 0", 1 + 0j), ("0+1i:0", 1j)],
     )
     def test_amplitude_with_a_leading_digit_is_one_term(self, hadamard_halt, text, amplitude):
-        assert parse_input(text, hadamard_halt).terms == ((amplitude, "0"),)
+        assert parse_input(text, hadamard_halt) == start(hadamard_halt, {"0": amplitude})
 
     @pytest.mark.parametrize(
         "text, message",
@@ -388,6 +411,9 @@ def mutated(draw, texts):
     return "\n".join(lines)
 
 
+# flip_bits.tm with a state name that the .qtm target grammar would split
+FLIP_BITS_PIPE = (MACHINES / "flip_bits.tm").read_text().replace("q0", "q|0")
+
 INPUTS = ("0", "1", "01", "1100", "1/sqrt(2):0 + 1/sqrt(2):1",
           "1/2 + 1/2i : 0 + 1/2 - 1/2i : 1", "3/5:01 + 4/5:1100")
 
@@ -411,6 +437,17 @@ class TestAnyTextParsesOrRaisesParseError:
                 parse(text)
             except ParseError:
                 pass
+
+    @PROPERTY
+    @given(mutated(CORPUS_TEXTS))
+    @example(FLIP_BITS_PIPE)
+    def test_accepted_machines_render_and_parse_back(self, text):
+        for parse in (parse_machine, parse_classical):
+            try:
+                spec = parse(text)
+            except ParseError:
+                continue
+            assert parse_machine(render_machine(spec)) == spec
 
     @PROPERTY
     @given(st.sampled_from(["hadamard_halt", "right_shift"]), mutated(INPUTS))
