@@ -208,11 +208,11 @@ def _cmd_run(args) -> int:
     spec = _load_qtm(args.machine)
     inp = parse_input(args.input, spec)
     schedule = parse_schedule(args.schedule, args.steps)
-    dist = run_schedule(spec, inp, schedule, args.steps, args.prune)
+    dist = run_schedule(spec, inp, schedule, args.prune)
     halted, unhalted = _dist_outcomes(dist)
     result = {
-        "schedule": dist.schedule_label,
-        "steps": dist.budget,
+        "schedule": schedule.label,
+        "steps": schedule.budget,
         "outcomes": halted,
         "unhalted": unhalted,
         "maxNormDrift": dist.max_norm_drift,
@@ -226,9 +226,7 @@ def _cmd_sample(args) -> int:
     spec = _load_qtm(args.machine)
     inp = parse_input(args.input, spec)
     schedule = parse_schedule(args.schedule, args.steps)
-    report = sample_run(
-        spec, inp, schedule, args.steps, args.seed, args.samples, args.prune
-    )
+    report = sample_run(spec, inp, schedule, args.seed, args.samples, args.prune)
     probability = dict(report.distribution.entries)
     counts = []
     for outcome, count in report.counts:
@@ -244,8 +242,8 @@ def _cmd_sample(args) -> int:
         entry["probability"] = probability[outcome]
         counts.append(entry)
     result = {
-        "schedule": report.distribution.schedule_label,
-        "steps": args.steps,
+        "schedule": schedule.label,
+        "steps": schedule.budget,
         "seed": report.seed,
         "samples": report.samples,
         "counts": counts,
@@ -268,13 +266,11 @@ def _cmd_compare(args) -> int:
     spec = _load_qtm(args.machine)
     inp = parse_input(args.input, spec)
     sched_a, sched_b = _split_schedules(args.schedules, args.steps)
-    report = compare_schedules(
-        spec, inp, sched_a, sched_b, args.steps, args.tol, args.prune
-    )
+    report = compare_schedules(spec, inp, sched_a, sched_b, args.tol, args.prune)
     result = {
-        "scheduleA": report.dist_a.schedule_label,
-        "scheduleB": report.dist_b.schedule_label,
-        "steps": args.steps,
+        "scheduleA": sched_a.label,
+        "scheduleB": sched_b.label,
+        "steps": sched_a.budget,
         "tvDistance": report.tv_distance,
         "maxAbsDiff": report.max_abs_diff,
         "maxNormDrift": max(

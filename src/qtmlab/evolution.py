@@ -35,13 +35,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import isfinite
-from operator import itemgetter
 from typing import Iterator
 
 from .errors import MissingRuleError, QtmError
-from .machine import BLANK, MachineSpec, QuantumState
-
-_first = itemgetter(0)
+from .machine import BLANK, MachineSpec, QuantumState, _first
 
 
 def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumState:
@@ -163,11 +160,9 @@ def evolve(
     """
     if steps < 0:
         raise ValueError("step count must be non-negative")
-    rows = [TraceRow(0, state.support_size(), state.norm2(), state.halted_mass())]
+    rows = [TraceRow(0, len(state), state.norm2(), state.halted_mass())]
     for n, state in trajectory(spec, state, 0, steps, prune):
-        rows.append(
-            TraceRow(n, state.support_size(), state.norm2(), state.halted_mass())
-        )
+        rows.append(TraceRow(n, len(state), state.norm2(), state.halted_mass()))
     return state, EvolutionTrace(tuple(rows))
 
 

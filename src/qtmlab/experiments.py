@@ -49,13 +49,17 @@ class SuperpositionReport:
     halt_step_b: int | None
 
 
+def _halted_fractions(spec: MachineSpec, state: QuantumState, budget: int):
+    """The halted share of S_t's squared norm for t = 0 .. budget, lazily."""
+    for _, state in chain([(0, state)], trajectory(spec, state, 0, budget)):
+        yield state.halted_mass() / state.norm2()
+
+
 def _halt_step(spec: MachineSpec, text: str, budget: int, tol: float):
     """First step at which a single input's halted mass reaches one."""
     state = initial_state(spec, ((complex(1), text),))
-    for t, state in chain([(0, state)], trajectory(spec, state, 0, budget)):
-        if state.halted_mass() / state.norm2() >= 1.0 - tol:
-            return t
-    return None
+    fractions = enumerate(_halted_fractions(spec, state, budget))
+    return next((t for t, m in fractions if m >= 1.0 - tol), None)
 
 
 def superposition_window(
@@ -72,10 +76,7 @@ def superposition_window(
     else:
         r = complex(1.0 / math.sqrt(2.0))
         terms = ((r, input_a), (r, input_b))
-    state = initial_state(spec, terms)
-    masses = [state.halted_mass()]
-    for _, state in trajectory(spec, state, 0, budget):
-        masses.append(state.halted_mass() / state.norm2())
+    masses = list(_halted_fractions(spec, initial_state(spec, terms), budget))
     ambiguous = [
         t for t, m in enumerate(masses) if tol < m < 1.0 - tol
     ]

@@ -196,9 +196,6 @@ class QuantumState:
     def amplitude(self, config: Configuration) -> complex:
         return self._find(config, 0j)
 
-    def support_size(self) -> int:
-        return len(self._pairs)
-
     def norm2(self) -> float:
         return self._norm2
 
@@ -217,10 +214,14 @@ class QuantumState:
 
     def inner(self, other: "QuantumState") -> complex:
         """<self|other>, conjugate-linear in ``self``."""
-        if other.support_size() < self.support_size():
+        if len(other) < len(self):
             return other.inner(self).conjugate()
         find = other._find
-        return sum(a.conjugate() * b for k, a in self._pairs if (b := find(k)) is not None)
+        total = 0  # by hand from int 0, as 3.11's ``sum``: later ones may round otherwise
+        for k, a in self._pairs:
+            if (b := find(k)) is not None:
+                total += a.conjugate() * b
+        return total
 
     def __eq__(self, other):
         return isinstance(other, QuantumState) and self._pairs == other._pairs

@@ -10,10 +10,14 @@ moment of measurement, which keeps every reported distribution summing to
 one even on rule tables that fail to preserve norm; the worst norm drift
 seen between measurements is recorded so such machines can be flagged.
 
-A schedule is one record, ``Schedule(label, steps)``: its label and the
-ascending steps at which the flag is read.  ``parse_schedule`` is the only
-builder; ``every`` keeps its steps as a ``range``, so walking a long
-budget costs memory only for the steps actually evolved.
+A schedule is the whole plan of a run, one record ``Schedule(label,
+steps, budget)``: its label, the ascending steps at which the flag is read
+and the step budget.  ``parse_schedule`` is the only builder; ``every``
+keeps its steps as a ``range``, so walking a long budget costs memory only
+for the steps actually evolved.  Under ``MachineSpec.drift_amplitude`` a
+run stops stepping once no configuration is running, whatever the
+schedule: from there a step only translates the state, so every remaining
+measurement and the norm drift are already fixed.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import merge
+from itertools import chain
 from random import Random
 
 from .errors import ParseError
@@ -59,13 +64,13 @@ class HaltOutcome:
 
 @dataclass(frozen=True, slots=True)
 class Schedule:
-    """The steps at which the halt flag is read, ascending and distinct.
-
-    ``every`` holds a ``range``, so a long budget is never materialized.
-    """
+    """The steps at which the halt flag is read, ascending and distinct, and
+    the budget a run steps to.  ``every`` holds a ``range``, so a long
+    budget is never materialized."""
 
     label: str
     steps: Sequence[int]
+    budget: int
 
 
 def _step(text: str, part: str) -> int:
@@ -78,18 +83,17 @@ def _step(text: str, part: str) -> int:
 def parse_schedule(text: str, budget: int) -> Schedule:
     """Schedule strings: ``every``, ``end``, ``end:N``, ``at:N,N,...``.
 
-    Each step N is ASCII digits.  Bare ``end`` measures at the step budget
-    of the surrounding run; ``at:`` steps are sorted and de-duplicated and
-    must be >= 1.  Whether a step fits the budget is checked by
-    ``run_schedule``, against the budget it is run with.
+    Each step N is ASCII digits.  Bare ``end`` measures at ``budget``, which
+    the schedule keeps; ``at:`` steps are sorted and de-duplicated and must
+    be >= 1.  Whether a step fits the budget is checked by ``run_schedule``.
     """
     if text == "every":
-        return Schedule("every", range(1, budget + 1))
+        return Schedule("every", range(1, budget + 1), budget)
     if text.startswith("at:"):
         at = sorted({_step(text, p) for p in text[3:].split(",")})
         if at[0] < 1:
             raise ParseError(f"bad schedule {text!r}")
-        return Schedule("at:" + ",".join(map(str, at)), tuple(at))
+        return Schedule("at:" + ",".join(map(str, at)), tuple(at), budget)
     if text == "end":
         n = budget
     elif text.startswith("end:"):
@@ -97,7 +101,7 @@ def parse_schedule(text: str, budget: int) -> Schedule:
     else:
         raise ParseError(f"unknown schedule {text!r}")
     # a step-0 measurement is a no-op: fresh inputs are never halted
-    return Schedule(f"end:{n}", (n,) if n >= 1 else ())
+    return Schedule(f"end:{n}", (n,) if n >= 1 else (), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +127,7 @@ class OutputDistribution:
 
     entries: tuple  # ((HaltOutcome, probability), ..., (UNHALTED, p)), in chain order
     max_norm_drift: float
-    budget: int
-    schedule_label: str
+    schedule: Schedule
     records: tuple = field(repr=False, compare=False)
 
     def probability(self, outcome) -> float:
@@ -146,9 +149,9 @@ def run_schedule(
     spec: MachineSpec,
     state: QuantumState,
     schedule: Schedule,
-    budget: int,
     prune: float = 0.0,
 ) -> OutputDistribution:
+    budget = schedule.budget
     if budget < 0:
         raise ValueError("budget must be non-negative")
     if schedule.steps and schedule.steps[-1] > budget:
@@ -158,9 +161,16 @@ def run_schedule(
     records = []
     max_drift = 0.0
     start = 0
-    for t in schedule.steps:
-        for _, state in trajectory(spec, state, start, t, prune):
+    # None: the unhalted lineage runs on to the budget, so max_drift sees every step
+    for t in chain(schedule.steps, (None,)):
+        for _, state in trajectory(spec, state, start, budget if t is None else t, prune):
             max_drift = max(max_drift, abs(state.norm2() - 1.0))
+            # halted keys sort last: a halted first key means nothing runs, and
+            # under drift_amplitude later steps only translate the state
+            if spec.drift_amplitude is not None and next(state.keyed_items())[0][0]:
+                break
+        if t is None:
+            break
         start = t
         halted = state.component(True)
         h = halted.norm2()
@@ -180,14 +190,8 @@ def run_schedule(
             if unhalted.norm2() <= 0.0:
                 break
             state = unhalted.renormalized()
-    else:
-        # the unhalted lineage runs on to the budget, so max_drift sees every step
-        for _, state in trajectory(spec, state, start, budget, prune):
-            max_drift = max(max_drift, abs(state.norm2() - 1.0))
     entries.append((UNHALTED, live))
-    return OutputDistribution(
-        tuple(entries), max_drift, budget, schedule.label, tuple(records)
-    )
+    return OutputDistribution(tuple(entries), max_drift, schedule, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,6 @@ def sample_run(
     spec: MachineSpec,
     state: QuantumState,
     schedule: Schedule,
-    budget: int,
     seed: int,
     samples: int,
     prune: float = 0.0,
@@ -214,11 +217,11 @@ def sample_run(
 
     Each sample consumes one uniform draw per measurement reached, plus
     one more when the halted branch is taken, so reports are reproducible
-    byte for byte from (machine, input, schedule, budget, seed, samples).
+    byte for byte from (machine, input, schedule, seed, samples).
     """
     if samples < 0:
         raise ValueError("samples must be non-negative")
-    dist = run_schedule(spec, state, schedule, budget, prune)
+    dist = run_schedule(spec, state, schedule, prune)
     rng = Random(seed)
     counts = [0] * len(dist.entries)
     for _ in range(samples):
@@ -273,7 +276,6 @@ def compare_schedules(
     state: QuantumState,
     schedule_a: Schedule,
     schedule_b: Schedule,
-    budget: int,
     tol: float = DEFAULT_TOL,
     prune: float = 0.0,
 ) -> ComparisonReport:
@@ -282,9 +284,12 @@ def compare_schedules(
     Coarsening drops the halting step, because schedules that measure at
     different times legitimately disagree about when mass is observed;
     what must agree for a norm-preserving machine is where it ends up.
+    Both schedules must hold the same budget.
     """
-    da = run_schedule(spec, state, schedule_a, budget, prune)
-    db = run_schedule(spec, state, schedule_b, budget, prune)
+    if schedule_a.budget != schedule_b.budget:
+        raise ValueError(f"budgets differ: {schedule_a.budget} and {schedule_b.budget}")
+    da = run_schedule(spec, state, schedule_a, prune)
+    db = run_schedule(spec, state, schedule_b, prune)
     ca, cb = da.coarsened(), db.coarsened()
     diffs = _coarsened_diffs(ca, cb)
     total = 0.0

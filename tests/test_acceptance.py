@@ -109,8 +109,8 @@ def test_criterion_3_schedule_equivalence(gated_corpus):
             inp = parse_input(text, spec)
             for n in BUDGETS:
                 every, end = parse_schedule("every", n), parse_schedule(f"end:{n}", n)
-                a = run_schedule(spec, inp, every, n).coarsened()
-                b = run_schedule(spec, inp, end, n).coarsened()
+                a = run_schedule(spec, inp, every).coarsened()
+                b = run_schedule(spec, inp, end).coarsened()
                 keys = set(a) | set(b)
                 tv = 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
                 worst = max(worst, tv)
@@ -126,7 +126,7 @@ def test_criterion_4_cumulative_halt_identity(gated_corpus):
         for text in inputs:
             inp = parse_input(text, spec)
             for n in BUDGETS:
-                dist = run_schedule(spec, inp, parse_schedule("every", n), n)
+                dist = run_schedule(spec, inp, parse_schedule("every", n))
                 cumulative = 1.0 - dist.probability(UNHALTED)
                 state, _ = evolve(spec, inp, n)
                 worst = max(worst, abs(cumulative - state.halted_mass()))
@@ -169,7 +169,7 @@ def test_criterion_7_lift_fidelity():
             classical = run_classical(tm, text, budget=100)
             dist = run_schedule(
                 spec, parse_input(text, spec),
-                parse_schedule("every", classical.steps), classical.steps,
+                parse_schedule("every", classical.steps),
             )
             expected = HaltOutcome(classical.steps, classical.cells)
             point_mass = dist.probability(expected)
@@ -215,13 +215,13 @@ def test_criterion_9_subspace_matches_projection_oracle(gated_corpus):
 def test_criterion_10_sampler_consistency(hadamard_halt):
     inp = parse_input("0", hadamard_halt)
     every = parse_schedule("every", 5)
-    report = sample_run(hadamard_halt, inp, every, 5, seed=1, samples=10_000)
+    report = sample_run(hadamard_halt, inp, every, seed=1, samples=10_000)
     empirical = {o: c / report.samples for o, c in report.counts}
     exact = dict(report.distribution.entries)
     keys = set(empirical) | set(exact)
     tv = 0.5 * sum(abs(empirical.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
 
-    again = sample_run(hadamard_halt, inp, every, 5, seed=1, samples=10_000)
+    again = sample_run(hadamard_halt, inp, every, seed=1, samples=10_000)
     args = (
         "sample", "machines/hadamard_halt.qtm", "--input", "0",
         "--steps", "5", "--seed", "1", "--samples", "10000",

@@ -292,13 +292,14 @@ rule: qH * -> 1 : qH * R
 """
 
 
-def qtmlab(*args, env=None):
+def qtmlab(*args, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "qtmlab.cli", *args],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
         env=None if env is None else {**os.environ, **env},
+        timeout=timeout,
     )
 
 
@@ -491,6 +492,40 @@ class TestCompare:
         assert result["maxNormDrift"] == 0.7071067811865475
         assert result["normFlag"] is True
         assert result["equivalent"] is False
+
+
+class TestHaltedRunStops:
+    """Once every branch has halted and only drifts, no schedule steps on:
+    a 20-digit budget answers as a small one does."""
+
+    @pytest.mark.parametrize(
+        "command, option, code",
+        [
+            ("run", ("--schedule", "end:1"), 0),
+            ("sample", ("--schedule", "end:1", "--seed", "1"), 0),
+            # end:1 reads the flag before the branch halts at step 3
+            ("compare", ("--schedules", "end:1,end"), 2),
+        ],
+    )
+    def test_huge_budget_returns_the_small_budget_answer(self, command, option, code):
+        def result(steps):
+            p = qtmlab(
+                command, "machines/seek_right_lifted.qtm", "--input", "01",
+                "--steps", steps, *option, timeout=60,
+            )
+            assert p.returncode == code, p.stderr
+            return json.loads(p.stdout)["result"]
+
+        huge, small = result("99999999999999999999"), result("999")
+        assert huge.pop("steps") == 99999999999999999999
+        assert small.pop("steps") == 999
+        if command == "compare":  # bare end names the budget
+            assert (huge.pop("scheduleB"), small.pop("scheduleB")) == (
+                "end:99999999999999999999", "end:999",
+            )
+            for side in ("coarsenedA", "coarsenedB"):
+                assert huge[side] == small[side]
+        assert huge == small
 
 
 class TestLift:

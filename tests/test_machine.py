@@ -104,7 +104,6 @@ class TestQuantumState:
     def test_norm2_and_support(self):
         state = QuantumState({cfg("q0", "1", 0): 0.6, cfg("q0", "0", 0): 0.8j})
         assert state.norm2() == pytest.approx(1.0)
-        assert state.support_size() == 2
         assert len(state) == 2
 
     def test_empty_state_sums_are_floats(self):

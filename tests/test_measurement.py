@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from conftest import load_qtm
+from conftest import CLASSICAL_NAMES, CORPUS_INPUTS, MACHINES, load_qtm, load_tm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,9 @@ from qtmlab import (
     ParseError,
     Schedule,
     compare_schedules,
+    lift_to_qtm,
     parse_input,
+    parse_machine,
     parse_schedule,
     run_schedule,
     sample_run,
@@ -25,8 +27,8 @@ from qtmlab.measurement import _Unhalted
 R2 = 1 / math.sqrt(2)
 
 
-def dist(spec, text, schedule, budget):
-    return run_schedule(spec, parse_input(text, spec), schedule, budget)
+def dist(spec, text, schedule):
+    return run_schedule(spec, parse_input(text, spec), schedule)
 
 
 def every(budget):
@@ -39,7 +41,7 @@ def end(n):
 
 class TestSchedules:
     def test_every_step(self):
-        assert every(4) == Schedule("every", range(1, 5))
+        assert every(4) == Schedule("every", range(1, 5), 4)
         assert list(every(4).steps) == [1, 2, 3, 4]
         assert not every(0).steps
 
@@ -48,32 +50,32 @@ class TestSchedules:
 
     def test_at_steps_sorts_and_dedupes(self):
         s = parse_schedule("at:3,1,2,2", budget=5)
-        assert s == Schedule("at:1,2,3", (1, 2, 3))
+        assert s == Schedule("at:1,2,3", (1, 2, 3), 5)
 
     def test_at_steps_rejects_nonpositive(self):
         with pytest.raises(ParseError, match="bad schedule"):
             parse_schedule("at:0,2", budget=5)
 
     def test_end_only(self):
-        assert parse_schedule("end:4", budget=6) == Schedule("end:4", (4,))
-        assert parse_schedule("end:0", budget=6) == Schedule("end:0", ())
-        assert parse_schedule("end", budget=6) == Schedule("end:6", (6,))
+        assert parse_schedule("end:4", budget=6) == Schedule("end:4", (4,), 6)
+        assert parse_schedule("end:0", budget=6) == Schedule("end:0", (), 6)
+        assert parse_schedule("end", budget=6) == Schedule("end:6", (6,), 6)
 
     @pytest.mark.parametrize("text", ["at:9", "end:9", "at:1,9"])
     def test_steps_beyond_budget_rejected_when_run(self, hadamard_halt, text):
         # parsing accepts them: the budget check belongs to run_schedule
         schedule = parse_schedule(text, budget=3)
         with pytest.raises(ValueError, match="schedule step 9 exceeds budget 3"):
-            dist(hadamard_halt, "0", schedule, 3)
+            dist(hadamard_halt, "0", schedule)
 
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("every", Schedule("every", range(1, 8))),
-            ("end", Schedule("end:7", (7,))),
-            ("end:3", Schedule("end:3", (3,))),
-            ("at:3,1,2", Schedule("at:1,2,3", (1, 2, 3))),
-            ("at:03", Schedule("at:3", (3,))),
+            ("every", Schedule("every", range(1, 8), 7)),
+            ("end", Schedule("end:7", (7,), 7)),
+            ("end:3", Schedule("end:3", (3,), 7)),
+            ("at:3,1,2", Schedule("at:1,2,3", (1, 2, 3), 7)),
+            ("at:03", Schedule("at:3", (3,), 7)),
         ],
     )
     def test_parse(self, text, expected):
@@ -94,14 +96,14 @@ class TestSchedules:
 
 class TestRunSchedule:
     def test_hadamard_every_step(self, hadamard_halt):
-        d = dist(hadamard_halt, "0", every(5), 5)
+        d = dist(hadamard_halt, "0", every(5))
         assert d.entries == (
             (HaltOutcome(1, tape_cells("0")), 0.5),
             (HaltOutcome(1, tape_cells("1")), 0.5),
             (UNHALTED, 0.0),
         )
         assert d.max_norm_drift == 2.220446049250313e-16
-        assert d.schedule_label == "every"
+        assert d.schedule == every(5)
         assert len(d.records) == 1
         rec = d.records[0]
         assert rec.step == 1
@@ -113,11 +115,11 @@ class TestRunSchedule:
 
     def test_every_step_walks_only_until_the_lineage_empties(self, hadamard_halt):
         # the state has fully halted at step 1; no step list of the budget's length
-        huge = dist(hadamard_halt, "0", every(10**12), 10**12)
-        assert huge.entries == dist(hadamard_halt, "0", every(5), 5).entries
+        huge = dist(hadamard_halt, "0", every(10**12))
+        assert huge.entries == dist(hadamard_halt, "0", every(5)).entries
 
     def test_hadamard_end_only_agrees_up_to_halt_step(self, hadamard_halt):
-        d = dist(hadamard_halt, "0", end(5), 5)
+        d = dist(hadamard_halt, "0", end(5))
         assert d.entries == (
             (HaltOutcome(5, tape_cells("0")), 0.5),
             (HaltOutcome(5, tape_cells("1")), 0.5),
@@ -125,13 +127,13 @@ class TestRunSchedule:
         )
 
     def test_interference_on_superposed_input(self, hadamard_halt):
-        d = dist(hadamard_halt, "1/sqrt(2):0 + 1/sqrt(2):1", every(4), 4)
+        d = dist(hadamard_halt, "1/sqrt(2):0 + 1/sqrt(2):1", every(4))
         coarse = d.coarsened()
         assert coarse[tape_cells("0")] == pytest.approx(1.0)
         assert coarse[UNHALTED] == pytest.approx(0.0, abs=1e-12)
 
     def test_delayed_hadamard_two_branches(self, delayed_hadamard):
-        d = dist(delayed_hadamard, "10", every(4), 4)
+        d = dist(delayed_hadamard, "10", every(4))
         assert d.entries == (
             (HaltOutcome(2, tape_cells("10")), 0.5),
             (HaltOutcome(2, tape_cells("11")), 0.5),
@@ -139,23 +141,23 @@ class TestRunSchedule:
         )
 
     def test_nonhalting_machine_reports_unhalted(self, right_shift):
-        d = dist(right_shift, "0", every(10), 10)
+        d = dist(right_shift, "0", every(10))
         assert d.entries == ((UNHALTED, 1.0),)
         assert d.records == ()
         assert d.probability(UNHALTED) == 1.0
 
     def test_zero_measurements_leave_everything_live(self, hadamard_halt):
-        d = dist(hadamard_halt, "0", parse_schedule("end:0", 5), 5)
+        d = dist(hadamard_halt, "0", parse_schedule("end:0", 5))
         assert d.entries == ((UNHALTED, 1.0),)
 
     def test_probability_accessor(self, hadamard_halt):
-        d = dist(hadamard_halt, "0", every(5), 5)
+        d = dist(hadamard_halt, "0", every(5))
         assert d.probability(HaltOutcome(1, tape_cells("0"))) == 0.5
         assert d.probability(HaltOutcome(3, tape_cells("0"))) == 0.0
 
     def test_negative_budget_rejected(self, hadamard_halt):
         with pytest.raises(ValueError):
-            dist(hadamard_halt, "0", every(-1), -1)
+            dist(hadamard_halt, "0", every(-1))
 
     @pytest.mark.parametrize("k", range(6))
     def test_run_resumes_from_any_state_of_the_run(self, k):
@@ -163,9 +165,9 @@ class TestRunSchedule:
         spec = load_qtm("seek_right_lifted")
         n = 6
         start = parse_input("1/sqrt(2):01 + 1/sqrt(2):1100", spec)
-        whole = run_schedule(spec, start, end(n), n)
+        whole = run_schedule(spec, start, end(n))
         s_k = states_through(spec, start, k)[-1]
-        rest = run_schedule(spec, s_k, end(n - k), n - k)
+        rest = run_schedule(spec, s_k, end(n - k))
         assert [(o.step + k, o.cells, repr(p)) for o, p in rest.entries[:-1]] == [
             (o.step, o.cells, repr(p)) for o, p in whole.entries[:-1]
         ]
@@ -180,7 +182,7 @@ class TestRunSchedule:
 class TestSampling:
     def test_seeded_counts_frozen(self, hadamard_halt):
         report = sample_run(
-            hadamard_halt, parse_input("0", hadamard_halt), every(5), 5,
+            hadamard_halt, parse_input("0", hadamard_halt), every(5),
             seed=7, samples=2000,
         )
         assert report.counts == (
@@ -190,26 +192,26 @@ class TestSampling:
 
     def test_identical_seeds_identical_reports(self, delayed_hadamard):
         inp = parse_input("10", delayed_hadamard)
-        a = sample_run(delayed_hadamard, inp, every(6), 6, seed=123, samples=500)
-        b = sample_run(delayed_hadamard, inp, every(6), 6, seed=123, samples=500)
+        a = sample_run(delayed_hadamard, inp, every(6), seed=123, samples=500)
+        b = sample_run(delayed_hadamard, inp, every(6), seed=123, samples=500)
         assert a == b
 
     def test_different_seeds_differ(self, hadamard_halt):
         inp = parse_input("0", hadamard_halt)
-        a = sample_run(hadamard_halt, inp, every(5), 5, seed=1, samples=200)
-        b = sample_run(hadamard_halt, inp, every(5), 5, seed=2, samples=200)
+        a = sample_run(hadamard_halt, inp, every(5), seed=1, samples=200)
+        b = sample_run(hadamard_halt, inp, every(5), seed=2, samples=200)
         assert a.counts != b.counts
 
     def test_nonhalting_samples_are_unhalted(self, right_shift):
         report = sample_run(
-            right_shift, parse_input("0", right_shift), every(5), 5,
+            right_shift, parse_input("0", right_shift), every(5),
             seed=0, samples=50,
         )
         assert report.counts == ((UNHALTED, 50),)
 
     def test_zero_samples(self, hadamard_halt):
         report = sample_run(
-            hadamard_halt, parse_input("0", hadamard_halt), every(5), 5,
+            hadamard_halt, parse_input("0", hadamard_halt), every(5),
             seed=0, samples=0,
         )
         assert report.counts == ()
@@ -217,7 +219,7 @@ class TestSampling:
     def test_negative_samples_rejected(self, hadamard_halt):
         with pytest.raises(ValueError):
             sample_run(
-                hadamard_halt, parse_input("0", hadamard_halt), every(5), 5,
+                hadamard_halt, parse_input("0", hadamard_halt), every(5),
                 seed=0, samples=-1,
             )
 
@@ -240,7 +242,7 @@ class TestOutcomeOrder:
     def test_entries_come_in_chain_order(self, name, text, schedule):
         spec = load_qtm(name)
         report = sample_run(
-            spec, parse_input(text, spec), parse_schedule(schedule, 8), 8,
+            spec, parse_input(text, spec), parse_schedule(schedule, 8),
             seed=0, samples=300,
         )
         entries = [outcome for outcome, _ in report.distribution.entries]
@@ -256,7 +258,7 @@ class TestCompare:
     def test_well_behaved_machine_is_schedule_invariant(self, hadamard_halt):
         report = compare_schedules(
             hadamard_halt, parse_input("0", hadamard_halt),
-            every(6), end(6), 6,
+            every(6), end(6),
         )
         assert report.tv_distance == 0.0
         assert not report.norm_flag
@@ -265,7 +267,7 @@ class TestCompare:
     def test_norm_breaking_machine_is_flagged(self, hadamard_halt_naive):
         inp = parse_input("1/sqrt(2):0 + 1/sqrt(2):1", hadamard_halt_naive)
         report = compare_schedules(
-            hadamard_halt_naive, inp, every(6), end(6), 6,
+            hadamard_halt_naive, inp, every(6), end(6),
         )
         assert report.tv_distance == 0.0
         assert report.max_abs_diff == 0.0
@@ -277,7 +279,7 @@ class TestCompare:
         # The distribution itself still sums to 1; only the flag reveals
         # that the machine inflated the norm along the way.
         inp = parse_input("1/sqrt(2):0 + 1/sqrt(2):1", hadamard_halt_naive)
-        d = run_schedule(hadamard_halt_naive, inp, every(6), 6)
+        d = run_schedule(hadamard_halt_naive, inp, every(6))
         coarse = d.coarsened()
         assert sum(coarse.values()) == pytest.approx(1.0, abs=1e-12)
         assert coarse[tape_cells("0")] == pytest.approx(0.14644660940672619)
@@ -287,7 +289,7 @@ class TestCompare:
         # the 11 branch halts at step 3 and the 0000 branch at step 5, but
         # 0000 comes first in cell order; compare prints in this order
         spec = load_qtm("seek_right_lifted")
-        d = dist(spec, "1/sqrt(2):11 + 1/sqrt(2):0000", every(9), 9)
+        d = dist(spec, "1/sqrt(2):11 + 1/sqrt(2):0000", every(9))
         assert [o.cells for o, _ in d.entries[:-1]] == [tape_cells("11"), tape_cells("0000")]
         assert list(d.coarsened()) == [tape_cells("0000"), tape_cells("11"), UNHALTED]
 
@@ -299,7 +301,56 @@ class TestCompare:
         schedule = parse_schedule("at:" + ",".join(map(str, extra | {budget})), budget)
         report = compare_schedules(
             delayed_hadamard, parse_input("10", delayed_hadamard),
-            schedule, end(budget), budget,
+            schedule, end(budget),
         )
         assert report.tv_distance <= 1e-9
         assert report.equivalent
+
+
+# (loader, inputs) for every corpus .qtm file and every lift
+CORPUS_AND_LIFTS = [
+    *(pytest.param(lambda n=n: load_qtm(n), QTM_INPUTS[n], id=n) for n in QTM_INPUTS),
+    *(
+        pytest.param(lambda n=n: lift_to_qtm(load_tm(n)), CORPUS_INPUTS[n], id=f"{n}.tm")
+        for n in CLASSICAL_NAMES
+    ),
+]
+
+
+class TestStopRule:
+    """Under drift_amplitude a run stops stepping once nothing runs; the
+    answer is the one that stepping every halted configuration through the
+    rule loop to the budget gives."""
+
+    @pytest.mark.parametrize("load, inputs", CORPUS_AND_LIFTS)
+    def test_early_stop_equals_full_stepping(self, monkeypatch, load, inputs):
+        fast, slow = load(), load()
+        assert fast.drift_amplitude is not None
+        monkeypatch.setitem(vars(slow), "drift_amplitude", None)
+        for text in inputs:
+            for budget in (8, 40):
+                for label in ("every", "end", "end:1", "end:3", "at:1,4,7"):
+                    schedule = parse_schedule(label, budget)
+                    for prune in (0.0, 0.1):
+                        got = run_schedule(fast, parse_input(text, fast), schedule, prune)
+                        want = run_schedule(slow, parse_input(text, slow), schedule, prune)
+                        assert got == want
+                        assert got.records == want.records
+
+    def test_halt_row_that_is_not_pure_drift_steps_to_the_budget(self):
+        # amplitude 1/2 on the blank: the halted branch loses norm each step
+        text = (MACHINES / "seek_right_lifted.qtm").read_text()
+        spec = parse_machine(text.replace("qH _ -> 1 : qH _ R", "qH _ -> 1/2 : qH _ R"))
+        assert spec.drift_amplitude is None
+        inp = parse_input("01", spec)
+        drifts = [
+            run_schedule(spec, inp, parse_schedule("end:1", budget)).max_norm_drift
+            for budget in (3, 4, 5, 8)
+        ]
+        assert drifts[0] == 0.0
+        assert all(a < b for a, b in zip(drifts, drifts[1:]))
+
+    def test_compare_refuses_schedules_with_different_budgets(self, hadamard_halt):
+        inp = parse_input("0", hadamard_halt)
+        with pytest.raises(ValueError, match="budgets differ: 6 and 5"):
+            compare_schedules(hadamard_halt, inp, every(6), end(5))
