@@ -10,14 +10,13 @@ probing what halting means for superposed inputs.
 __version__ = "0.1.0"
 
 from .classical import (
-    ClassicalRun,
     check_reversible,
     classical_trajectory,
     lift_to_qtm,
     run_classical,
 )
 from .errors import MissingRuleError, NotReversibleError, ParseError, QtmError
-from .evolution import EvolutionTrace, TraceRow, evolve, states_through, step
+from .evolution import TraceRow, evolve, step, trajectory
 from .experiments import (
     SubspaceReport,
     SuperpositionReport,
@@ -70,11 +69,9 @@ from .wellformed import (
 __all__ = [
     "BLANK",
     "BY_CONSTRUCTION",
-    "ClassicalRun",
     "ComparisonReport",
     "Configuration",
     "DEFAULT_TOL",
-    "EvolutionTrace",
     "HaltOutcome",
     "MachineSpec",
     "MeasurementRecord",
@@ -114,10 +111,10 @@ __all__ = [
     "run_classical",
     "run_schedule",
     "sample_run",
-    "states_through",
     "step",
     "superposition_window",
     "tape_cells",
     "tape_text",
+    "trajectory",
     "validate_structure",
 ]

@@ -23,8 +23,6 @@ reversibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import MissingRuleError, NotReversibleError
 from .machine import (
     BLANK,
@@ -35,15 +33,6 @@ from .machine import (
     tape_cells,
 )
 from .wellformed import _failing_windows
-
-
-@dataclass(frozen=True, slots=True)
-class ClassicalRun:
-    halted: bool
-    steps: int
-    state: str
-    cells: tuple
-    head: int
 
 
 def _require_classical(spec: MachineSpec) -> None:
@@ -65,8 +54,9 @@ def _start(spec: MachineSpec, text: str, count: int) -> Configuration:
     return spec.config(spec.initial, tape_cells(text), 0)
 
 
-def run_classical(spec: MachineSpec, text: str, budget: int) -> ClassicalRun:
-    """Run from head 0 on ``text`` until halting or exhausting ``budget``.
+def run_classical(spec: MachineSpec, text: str, budget: int) -> tuple[Configuration, int]:
+    """Run from head 0 on ``text`` until halting or exhausting ``budget``;
+    returns the last configuration and the number of steps taken.
 
     Entering the halt state consumes the step that got there; the run stops
     at that point rather than drifting on.
@@ -74,7 +64,7 @@ def run_classical(spec: MachineSpec, text: str, budget: int) -> ClassicalRun:
     cfg, steps = _start(spec, text, budget), 0
     while steps < budget and not cfg.halted:
         cfg, steps = _image(spec, cfg), steps + 1
-    return ClassicalRun(cfg.halted, steps, cfg.state, cfg.cells, cfg.head)
+    return cfg, steps
 
 
 def classical_trajectory(

@@ -231,8 +231,8 @@ def _cmd_sample(args) -> int:
     counts = []
     for outcome, count in report.counts:
         entry = {"count": count}
-        if report.samples:
-            entry["frequency"] = count / report.samples
+        if args.samples:
+            entry["frequency"] = count / args.samples
         if outcome is UNHALTED:
             entry["outcome"] = "unhalted"
         else:
@@ -244,8 +244,8 @@ def _cmd_sample(args) -> int:
     result = {
         "schedule": schedule.label,
         "steps": schedule.budget,
-        "seed": report.seed,
-        "samples": report.samples,
+        "seed": args.seed,
+        "samples": args.samples,
         "counts": counts,
     }
     _emit(args, result)
@@ -288,8 +288,11 @@ def _cmd_compare(args) -> int:
 def _cmd_trace(args) -> int:
     spec = _load_qtm(args.machine)
     inp = parse_input(args.input, spec)
-    _, trace = evolve(spec, inp, args.steps, args.prune)
-    _write(args.csv, trace.to_csv())
+    _, rows = evolve(spec, inp, args.steps, args.prune)
+    lines = ["step,support,norm2,halted_mass"]
+    for r in rows:
+        lines.append(f"{r.step},{r.support},{r.norm2!r},{r.halted_mass!r}")
+    _write(args.csv, "\n".join(lines) + "\n")
     return 0
 
 
@@ -323,15 +326,16 @@ def _cmd_myers(args) -> int:
     report = superposition_window(
         spec, args.input_a, args.input_b, args.steps, args.tol
     )
+    lo, hi = report.window or (0, -1)
     result = {
-        "inputA": report.input_a,
-        "inputB": report.input_b,
-        "steps": report.budget,
+        "inputA": args.input_a,
+        "inputB": args.input_b,
+        "steps": args.steps,
         "haltStepA": report.halt_step_a,
         "haltStepB": report.halt_step_b,
         "perStep": [[t, m] for t, m in enumerate(report.per_step)],
-        "window": list(report.window) if report.window else None,
-        "windowMasses": list(report.window_masses),
+        "window": [lo, hi] if report.window else None,
+        "windowMasses": list(report.per_step[lo : hi + 1]),
     }
     _emit(args, result)
     return 0
@@ -343,7 +347,7 @@ def _cmd_subspace(args) -> int:
     report = analyze_halting_subspace(spec, inp, args.steps, args.tol)
     shown = report.newly_halting[:WITNESS_CAP]
     result = {
-        "windowSteps": report.steps,
+        "windowSteps": args.steps,
         "haltedBasisCount": report.halted_basis_count,
         "newlyHaltingVectors": len(report.newly_halting),
         "newlyHalting": [_ser_config(c) for c in shown],

@@ -110,7 +110,8 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
 def trajectory(
     spec: MachineSpec, state: QuantumState, start: int, stop: int, prune: float = 0.0
 ) -> Iterator[tuple[int, QuantumState]]:
-    """Yield ``(t, S_t)`` for t = start+1 .. stop, S_start being ``state``.
+    """Yield ``(t, S_t)`` for t = start+1 .. stop, S_start being ``state``,
+    calling ``step`` once per item taken.
 
     Raises QtmError naming the step once pruning or cancellation leaves no
     amplitude, or once the squared norm overflows a double: neither state
@@ -135,39 +136,21 @@ class TraceRow:
     halted_mass: float
 
 
-@dataclass(frozen=True)
-class EvolutionTrace:
-    rows: tuple[TraceRow, ...]
-
-    def to_csv(self) -> str:
-        lines = ["step,support,norm2,halted_mass"]
-        for r in self.rows:
-            lines.append(f"{r.step},{r.support},{r.norm2!r},{r.halted_mass!r}")
-        return "\n".join(lines) + "\n"
-
-
 def evolve(
     spec: MachineSpec,
     state: QuantumState,
     steps: int,
     prune: float = 0.0,
-) -> tuple[QuantumState, EvolutionTrace]:
+) -> tuple[QuantumState, tuple[TraceRow, ...]]:
     """Run ``steps`` unmeasured steps from ``state``, such as the initial
     state that ``parse_input`` returns.
 
-    Returns the final state together with a per-step trace of support size,
-    squared norm, and halted mass (row 0 describes ``state``).
+    Returns the final state together with one ``TraceRow`` per step of
+    support size, squared norm, and halted mass (row 0 describes ``state``).
     """
     if steps < 0:
         raise ValueError("step count must be non-negative")
     rows = [TraceRow(0, len(state), state.norm2(), state.halted_mass())]
     for n, state in trajectory(spec, state, 0, steps, prune):
         rows.append(TraceRow(n, len(state), state.norm2(), state.halted_mass()))
-    return state, EvolutionTrace(tuple(rows))
-
-
-def states_through(
-    spec: MachineSpec, state: QuantumState, steps: int
-) -> list[QuantumState]:
-    """All unmeasured states S_0..S_steps, S_0 being ``state``."""
-    return [state] + [s for _, s in trajectory(spec, state, 0, steps)]
+    return state, tuple(rows)

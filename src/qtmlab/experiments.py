@@ -32,19 +32,15 @@ from dataclasses import dataclass
 from itertools import chain
 
 # step is not called here; it stays a name because perfbench traces it
-from .evolution import states_through, step, trajectory  # noqa: F401
+from .evolution import step, trajectory  # noqa: F401
 from .machine import DEFAULT_TOL, Configuration, MachineSpec, QuantumState, initial_state
 from .wellformed import basis_image
 
 
 @dataclass(frozen=True)
 class SuperpositionReport:
-    input_a: str
-    input_b: str
-    budget: int
     per_step: tuple[float, ...]  # halted mass after 0..budget steps
-    window: tuple[int, int] | None
-    window_masses: tuple[float, ...]
+    window: tuple[int, int] | None  # first and last step with mass in (tol, 1 - tol)
     halt_step_a: int | None
     halt_step_b: int | None
 
@@ -81,18 +77,9 @@ def superposition_window(
         t for t, m in enumerate(masses) if tol < m < 1.0 - tol
     ]
     window = (ambiguous[0], ambiguous[-1]) if ambiguous else None
-    window_masses = (
-        tuple(masses[t] for t in range(window[0], window[1] + 1))
-        if window
-        else ()
-    )
     return SuperpositionReport(
-        input_a,
-        input_b,
-        budget,
         tuple(masses),
         window,
-        window_masses,
         _halt_step(spec, input_a, budget, tol),
         _halt_step(spec, input_b, budget, tol),
     )
@@ -103,7 +90,6 @@ def superposition_window(
 
 @dataclass(frozen=True)
 class SubspaceReport:
-    steps: int
     halted_basis_count: int
     newly_halting: tuple[Configuration, ...]
     gram_deviation: float
@@ -173,10 +159,14 @@ def analyze_halting_subspace(
 ) -> SubspaceReport:
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    states = states_through(spec, state, steps)
-
-    halted_keys = sorted({k for s in states for k, _ in s.keyed_items() if k[0]})
-    running_keys = {k for s in states[:-1] for k, _ in s.keyed_items() if not k[0]}
+    halted_set, running_keys = set(), set()
+    for t, s in chain([(0, state)], trajectory(spec, state, 0, steps)):
+        for k, _ in s.keyed_items():
+            if k[0]:
+                halted_set.add(k)
+            elif t < steps:  # a running key of S_steps steps out of the window
+                running_keys.add(k)
+    halted_keys = sorted(halted_set)
     running_sorted = [Configuration._make(k) for k in sorted(running_keys)]
 
     if spec.drift_amplitude is not None:
@@ -208,7 +198,6 @@ def analyze_halting_subspace(
     else:
         verdict = "no_gap_found"
     return SubspaceReport(
-        steps,
         len(halted_keys),
         tuple(newly),
         gram_deviation,

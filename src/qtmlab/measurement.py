@@ -127,7 +127,6 @@ class OutputDistribution:
 
     entries: tuple  # ((HaltOutcome, probability), ..., (UNHALTED, p)), in chain order
     max_norm_drift: float
-    schedule: Schedule
     records: tuple = field(repr=False, compare=False)
 
     def probability(self, outcome) -> float:
@@ -191,7 +190,7 @@ def run_schedule(
                 break
             state = unhalted.renormalized()
     entries.append((UNHALTED, live))
-    return OutputDistribution(tuple(entries), max_drift, schedule, tuple(records))
+    return OutputDistribution(tuple(entries), max_drift, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +199,6 @@ def run_schedule(
 @dataclass(frozen=True)
 class SampleReport:
     distribution: OutputDistribution
-    seed: int
-    samples: int
     counts: tuple  # ((HaltOutcome | UNHALTED, count), ...)
 
 
@@ -227,7 +224,7 @@ def sample_run(
     for _ in range(samples):
         counts[_walk(dist.records, rng)] += 1
     ordered = tuple((o, n) for (o, _), n in zip(dist.entries, counts) if n)
-    return SampleReport(dist, seed, samples, ordered)
+    return SampleReport(dist, ordered)
 
 
 def _walk(records, rng: Random) -> int:

@@ -97,24 +97,22 @@ def parse_amplitude(text: str) -> complex:
     first, i = _parse_part(text, i)
     i = _skip_ws(text, i)
     if i < len(text) and text[i] == "i":
+        value = complex(0.0, first)
         i = _skip_ws(text, i + 1)
-        if i != len(text):
-            raise ParseError("trailing characters after amplitude", offset=i)
-        return complex(0.0, first)
-    if i < len(text) and text[i] in "+-":
+    elif i < len(text) and text[i] in "+-":
         sign = 1.0 if text[i] == "+" else -1.0
         i = _skip_ws(text, i + 1)
         second, i = _parse_part(text, i)
         i = _skip_ws(text, i)
         if i >= len(text) or text[i] != "i":
             raise ParseError("expected 'i' after imaginary part", offset=i)
+        value = complex(first, sign * second)
         i = _skip_ws(text, i + 1)
-        if i != len(text):
-            raise ParseError("trailing characters after amplitude", offset=i)
-        return complex(first, sign * second)
+    else:
+        value = complex(first, 0.0)
     if i != len(text):
         raise ParseError("trailing characters after amplitude", offset=i)
-    return complex(first, 0.0)
+    return value
 
 
 def _render_real(x: float) -> str:

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from qtmlab import BLANK, Configuration, basis_image, states_through
+from qtmlab import BLANK, Configuration, basis_image, trajectory
 from qtmlab.wellformed import _pattern_inner
 
 MOVE = {"L": -1, "N": 0, "R": 1}
@@ -195,9 +195,9 @@ def projection_subspace(spec, inp, steps, tol=1e-9):
     (halted count, newly halting configs, gram deviation, max overlap,
     max residual, verdict).
     """
-    trajectory = states_through(spec, inp, steps)
+    states = [inp, *(s for _, s in trajectory(spec, inp, 0, steps))]
     halted, running = set(), set()
-    for t, state in enumerate(trajectory):
+    for t, state in enumerate(states):
         for cfg in state.configurations():
             if cfg.halted:
                 halted.add(cfg)

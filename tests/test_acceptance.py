@@ -143,8 +143,8 @@ def test_criterion_5_halted_mass_monotone(gated_corpus):
     ok = True
     for _, spec, inputs in gated_corpus:
         for text in inputs:
-            _, trace = evolve(spec, parse_input(text, spec), 50)
-            for prev, cur in zip(trace.rows, trace.rows[1:]):
+            _, rows = evolve(spec, parse_input(text, spec), 50)
+            for prev, cur in zip(rows, rows[1:]):
                 if cur.halted_mass < prev.halted_mass - 1e-12:
                     ok = False
     assert _report(5, "halted mass never decreases over 50 steps", ok)
@@ -166,14 +166,12 @@ def test_criterion_7_lift_fidelity():
         tm = load_tm(name)
         spec = lift_to_qtm(tm)
         for text in CORPUS_INPUTS[name]:
-            classical = run_classical(tm, text, budget=100)
+            cfg, steps = run_classical(tm, text, budget=100)
             dist = run_schedule(
-                spec, parse_input(text, spec),
-                parse_schedule("every", classical.steps),
+                spec, parse_input(text, spec), parse_schedule("every", steps)
             )
-            expected = HaltOutcome(classical.steps, classical.cells)
-            point_mass = dist.probability(expected)
-            if not classical.halted or abs(point_mass - 1.0) > 1e-9:
+            point_mass = dist.probability(HaltOutcome(steps, cfg.cells))
+            if not cfg.halted or abs(point_mass - 1.0) > 1e-9:
                 ok = False
     assert _report(
         7, "lifted machines halt on the classical tape with probability 1", ok
@@ -189,8 +187,7 @@ def test_criterion_8_two_halting_times_window(seek_right):
         and report.halt_step_a is not None
         and report.halt_step_b is not None
         and report.halt_step_a <= lo <= hi < report.halt_step_b
-        and all(abs(m - 0.5) <= 1e-9 for m in report.window_masses)
-        and len(report.window_masses) == hi - lo + 1
+        and all(abs(m - 0.5) <= 1e-9 for m in report.per_step[lo : hi + 1])
     )
     assert _report(
         8, "superposed halting times hold the halt flag at mass 1/2 in between", ok
@@ -215,13 +212,14 @@ def test_criterion_9_subspace_matches_projection_oracle(gated_corpus):
 def test_criterion_10_sampler_consistency(hadamard_halt):
     inp = parse_input("0", hadamard_halt)
     every = parse_schedule("every", 5)
-    report = sample_run(hadamard_halt, inp, every, seed=1, samples=10_000)
-    empirical = {o: c / report.samples for o, c in report.counts}
+    samples = 10_000
+    report = sample_run(hadamard_halt, inp, every, seed=1, samples=samples)
+    empirical = {o: c / samples for o, c in report.counts}
     exact = dict(report.distribution.entries)
     keys = set(empirical) | set(exact)
     tv = 0.5 * sum(abs(empirical.get(k, 0.0) - exact.get(k, 0.0)) for k in keys)
 
-    again = sample_run(hadamard_halt, inp, every, seed=1, samples=10_000)
+    again = sample_run(hadamard_halt, inp, every, seed=1, samples=samples)
     args = (
         "sample", "machines/hadamard_halt.qtm", "--input", "0",
         "--steps", "5", "--seed", "1", "--samples", "10000",

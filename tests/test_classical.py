@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import MACHINES, load_tm
+from conftest import CLASSICAL_NAMES, CORPUS_INPUTS, MACHINES, load_tm
 from qtmlab import (
     MissingRuleError,
     NotReversibleError,
@@ -16,9 +16,9 @@ from qtmlab import (
     parse_machine,
     render_machine,
     run_classical,
-    states_through,
     tape_cells,
     tape_text,
+    trajectory,
     validate_structure,
 )
 from qtmlab.classical import _image
@@ -53,33 +53,41 @@ class TestRunClassical:
     )
     def test_frozen_runs(self, request, name, text, steps, out):
         tm = request.getfixturevalue(name)
-        run = run_classical(tm, text, budget=20)
-        assert run.halted
-        assert run.steps == steps
-        assert run.state == tm.halt
-        assert tape_text(run.cells) == (out, 0)
+        cfg, taken = run_classical(tm, text, budget=20)
+        assert cfg.halted
+        assert taken == steps
+        assert cfg.state == tm.halt
+        assert tape_text(cfg.cells) == (out, 0)
 
     def test_budget_zero_does_not_move(self, seek_right):
-        run = run_classical(seek_right, "0", budget=0)
-        assert not run.halted
-        assert run.steps == 0
-        assert run.state == "q0"
-        assert run.head == 0
+        cfg, steps = run_classical(seek_right, "0", budget=0)
+        assert not cfg.halted
+        assert steps == 0
+        assert cfg.state == "q0"
+        assert cfg.head == 0
 
     def test_budget_exhausted_before_halt(self, seek_right):
-        run = run_classical(seek_right, "0000", budget=3)
-        assert not run.halted
-        assert run.steps == 3
-        assert run.head == 3
+        cfg, steps = run_classical(seek_right, "0000", budget=3)
+        assert not cfg.halted
+        assert steps == 3
+        assert cfg.head == 3
 
     def test_missing_rule_halts_in_place(self, collide):
         # collide has no (q0, _) rule; reading a blank falls back to the
         # halt-and-drift convention and costs one step.
-        run = run_classical(collide, "", budget=5)
-        assert run.halted
-        assert run.steps == 1
-        assert run.cells == ()
-        assert run.head == 1
+        cfg, steps = run_classical(collide, "", budget=5)
+        assert cfg.halted
+        assert steps == 1
+        assert cfg.cells == ()
+        assert cfg.head == 1
+
+    @pytest.mark.parametrize("name", CLASSICAL_NAMES)
+    def test_stops_on_the_trajectory(self, request, name):
+        tm = request.getfixturevalue(name)
+        for text in CORPUS_INPUTS[name]:
+            for budget in range(21):
+                cfg, steps = run_classical(tm, text, budget)
+                assert cfg == classical_trajectory(tm, text, steps)[-1]
 
     def test_rejects_bad_symbols(self, seek_right):
         with pytest.raises(ValueError, match="alphabet"):
@@ -177,7 +185,8 @@ class TestTrajectory:
         spec = lift_to_qtm(tm)
         for text in ("1", "10", "0110"):
             chain = classical_trajectory(tm, text, 7)
-            states = states_through(spec, parse_input(text, spec), 7)
+            start = parse_input(text, spec)
+            states = [start, *(s for _, s in trajectory(spec, start, 0, 7))]
             for cfg, state in zip(chain, states):
                 assert list(state.items()) == [(cfg, 1 + 0j)]
 

@@ -1,9 +1,10 @@
-"""Step operator tests: hand-computed images, laws, and trace output."""
+"""Step operator tests: hand-computed images, laws, and trace rows."""
 
 import dataclasses
 import json
 import math
 import sys
+from itertools import chain, islice
 
 import pytest
 from conftest import MACHINES, ROOT
@@ -17,30 +18,21 @@ from qtmlab import (
     MissingRuleError,
     QuantumState,
     RuleTarget,
+    TraceRow,
     check_reversible,
     check_wellformed,
     evolve,
     parse_classical,
     parse_input,
     parse_machine,
-    states_through,
     step,
     tape_cells,
     tape_text,
+    trajectory,
 )
 from qtmlab import cli
-from qtmlab.evolution import trajectory
 
 R2 = 1 / math.sqrt(2)
-
-TRACE_CSV = (
-    "step,support,norm2,halted_mass\n"
-    "0,1,1.0,0.0\n"
-    "1,2,0.9999999999999998,0.9999999999999998\n"
-    "2,2,0.9999999999999998,0.9999999999999998\n"
-    "3,2,0.9999999999999998,0.9999999999999998\n"
-)
-
 
 def one(spec, text, steps=1):
     state, _ = evolve(spec, parse_input(text, spec), steps)
@@ -116,10 +108,10 @@ class TestSingleSteps:
 class TestEvolve:
     def test_zero_steps_is_identity(self, hadamard_halt):
         start = parse_input("0", hadamard_halt)
-        state, trace = evolve(hadamard_halt, start, 0)
+        state, rows = evolve(hadamard_halt, start, 0)
         assert state == start
-        assert len(trace.rows) == 1
-        assert trace.rows[0].step == 0
+        assert len(rows) == 1
+        assert rows[0].step == 0
 
     def test_negative_steps_rejected(self, hadamard_halt):
         with pytest.raises(ValueError):
@@ -130,31 +122,52 @@ class TestEvolve:
         state, _ = evolve(hadamard_halt, start, 2)
         assert state == step(hadamard_halt, step(hadamard_halt, start))
 
-    def test_states_through_prefixes_match_evolve(self, delayed_hadamard):
+    def test_trajectory_prefixes_match_evolve(self, delayed_hadamard):
         inp = parse_input("10", delayed_hadamard)
-        chain = states_through(delayed_hadamard, inp, 4)
-        assert len(chain) == 5
-        for n in (0, 2, 4):
-            assert chain[n] == evolve(delayed_hadamard, inp, n)[0]
+        states = list(trajectory(delayed_hadamard, inp, 0, 4))
+        assert [t for t, _ in states] == [1, 2, 3, 4]
+        for n in (2, 4):
+            assert states[n - 1][1] == evolve(delayed_hadamard, inp, n)[0]
 
     def test_trajectory_resumes_mid_run(self, delayed_hadamard):
         # run_schedule resumes the evolution after each measurement
-        chain = states_through(delayed_hadamard, parse_input("10", delayed_hadamard), 4)
-        resumed = list(trajectory(delayed_hadamard, chain[2], 2, 4))
-        assert resumed == [(3, chain[3]), (4, chain[4])]
+        states = dict(trajectory(delayed_hadamard, parse_input("10", delayed_hadamard), 0, 4))
+        resumed = list(trajectory(delayed_hadamard, states[2], 2, 4))
+        assert resumed == [(3, states[3]), (4, states[4])]
 
-    def test_trace_csv_golden(self, hadamard_halt):
-        _, trace = evolve(hadamard_halt, parse_input("0", hadamard_halt), 3)
-        assert trace.to_csv() == TRACE_CSV
+    def test_trajectory_is_lazy(self, monkeypatch, right_shift):
+        # right_shift never halts, so an unbounded stop would never return
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr("qtmlab.evolution.step", counted)
+        start = parse_input("0", right_shift)
+        taken = list(islice(trajectory(right_shift, start, 0, 10**18), 3))
+        assert [t for t, _ in taken] == [1, 2, 3]
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("path", sorted(MACHINES.glob("*.qtm")), ids=lambda p: p.stem)
+    def test_rows_are_the_trajectory(self, path):
+        spec = parse_machine(path.read_text())
+        for text in ("0", "1/sqrt(2):0 + 1/sqrt(2):1"):
+            start = parse_input(text, spec)
+            expected = tuple(
+                TraceRow(t, len(s), s.norm2(), s.halted_mass())
+                for t, s in chain([(0, start)], trajectory(spec, start, 0, 6))
+            )
+            assert evolve(spec, start, 6)[1] == expected
 
     def test_norm_preserved_by_well_formed_machine(self, right_shift):
-        _, trace = evolve(right_shift, parse_input("0110", right_shift), 50)
-        for row in trace.rows:
+        _, rows = evolve(right_shift, parse_input("0110", right_shift), 50)
+        for row in rows:
             assert row.norm2 == pytest.approx(1.0, abs=1e-12)
 
     def test_halted_mass_monotone(self, delayed_hadamard):
-        _, trace = evolve(delayed_hadamard, parse_input("10", delayed_hadamard), 30)
-        for prev, cur in zip(trace.rows, trace.rows[1:]):
+        _, rows = evolve(delayed_hadamard, parse_input("10", delayed_hadamard), 30)
+        for prev, cur in zip(rows, rows[1:]):
             assert cur.halted_mass >= prev.halted_mass - 1e-12
 
 

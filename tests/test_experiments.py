@@ -10,9 +10,9 @@ from qtmlab import (
     lift_to_qtm,
     parse_input,
     parse_machine,
-    states_through,
     superposition_window,
     tape_cells,
+    trajectory,
 )
 from qtmlab.experiments import _gram_overlaps, _translate_overlaps
 from qtmlab.wellformed import basis_image
@@ -48,20 +48,18 @@ class TestSuperpositionWindow:
         assert report.halt_step_a == 2
         assert report.halt_step_b == 5
         assert report.window == (2, 4)
-        assert report.window_masses == (0.5, 0.5, 0.5)
 
     def test_window_is_strictly_between_the_halt_steps(self, seek_lifted):
         report = superposition_window(seek_lifted, "0", "0000", 8)
         lo, hi = report.window
         assert report.halt_step_a <= lo
         assert hi < report.halt_step_b
-        assert all(0.0 < m < 1.0 for m in report.window_masses)
+        assert all(0.0 < m < 1.0 for m in report.per_step[lo : hi + 1])
 
     def test_equal_inputs_have_no_window(self, seek_lifted):
         report = superposition_window(seek_lifted, "0", "0", 4)
         assert report.per_step == (0.0, 0.0, 1.0, 1.0, 1.0)
         assert report.window is None
-        assert report.window_masses == ()
         assert report.halt_step_a == 2
         assert report.halt_step_b == 2
 
@@ -91,7 +89,6 @@ class TestHaltingSubspace:
         report = analyze_halting_subspace(
             hadamard_halt, parse_input("0", hadamard_halt), 3
         )
-        assert report.steps == 3
         assert report.halted_basis_count == 6
         assert report.newly_halting == (
             hadamard_halt.config("q0", tape_cells("0"), 0),
@@ -168,7 +165,8 @@ class TestSubspacePaths:
     def test_overlaps_agree_for_every_halted_part(self):
         # the report keeps only maxima; compare what each part feeds them
         spec = parse_machine(OVERLAPPING)
-        states = states_through(spec, parse_input(OVERLAPPING_INPUT, spec), 4)
+        start = parse_input(OVERLAPPING_INPUT, spec)
+        states = [start, *(s for _, s in trajectory(spec, start, 0, 4))]
         halted = sorted({k for s in states for k, _ in s.keyed_items() if k[0]})
         _, lookup = _translate_overlaps(halted)
         _, gram = _gram_overlaps(spec, halted, 1e-9)
