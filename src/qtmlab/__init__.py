@@ -10,7 +10,6 @@ probing what halting means for superposed inputs.
 __version__ = "0.1.0"
 
 from .classical import (
-    check_reversible,
     classical_trajectory,
     lift_to_qtm,
     run_classical,
@@ -39,7 +38,6 @@ from .measurement import (
     HaltOutcome,
     MeasurementRecord,
     OutputDistribution,
-    SampleReport,
     Schedule,
     UNHALTED,
     compare_schedules,
@@ -82,7 +80,6 @@ __all__ = [
     "QtmError",
     "QuantumState",
     "RuleTarget",
-    "SampleReport",
     "Schedule",
     "StructureViolation",
     "SubspaceReport",
@@ -92,7 +89,6 @@ __all__ = [
     "WellformednessReport",
     "analyze_halting_subspace",
     "basis_image",
-    "check_reversible",
     "check_wellformed",
     "classical_trajectory",
     "compare_schedules",

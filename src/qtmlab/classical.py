@@ -11,14 +11,14 @@ configurations.
 
 The table preserves norm automatically; it is an isometry on running
 configurations exactly when the classical transition function is
-injective there.  ``check_reversible`` decides that with ``wellformed``'s
-pattern sweep over the running rows, and ``lift_to_qtm`` is that check: a
-reversible table is returned as the lifted machine.  A witness is the pair
-``(c1, c2)`` of running configurations, ``c1 < c2``; the successor they
-share is ``_image(spec, c1)``.  Collisions between a newly-halting image
-and the drift of an already-halted configuration are inherent to the
-halting scheme (see ``wellformed``) and are not counted against
-reversibility.
+injective there.  ``lift_to_qtm`` decides that with ``wellformed``'s
+pattern sweep over the running rows: a reversible table is returned as the
+lifted machine, and any other raises with the colliding pairs.  A witness
+is the pair ``(c1, c2)`` of running configurations, ``c1 < c2``; the
+successor they share is ``_image(spec, c1)``.  Collisions between a
+newly-halting image and the drift of an already-halted configuration are
+inherent to the halting scheme (see ``wellformed``) and are not counted
+against reversibility.
 """
 
 from __future__ import annotations
@@ -90,29 +90,22 @@ def _image(spec: MachineSpec, cfg: Configuration) -> Configuration:
     return spec.config(t.state, tuple(sorted(cells.items())), cfg.head + MOVE_DELTA[t.move])
 
 
-def check_reversible(spec: MachineSpec) -> tuple[tuple[Configuration, Configuration], ...]:
-    """Decide injectivity of the transition on running configurations: the
-    colliding pairs ``(c1, c2)`` in canonical order, none when it is
-    injective.  They come from ``wellformed``'s pattern sweep over the
-    running rows of the amplitude-1 table, whose images fail orthogonality
-    exactly when they coincide.
-    Pairs with a halted member are left out: halted configurations drift
-    injectively, and a running one colliding with a halted one is the
-    signature of the halting scheme, not of the machine.  A table with a
-    row that is not one amplitude-1 target raises ``ValueError``.
-    """
-    _require_classical(spec)
-    running = [k for k in spec.rules if k[0] != spec.halt]
-    return tuple(_failing_windows(spec, running, DEFAULT_TOL))
-
-
 def lift_to_qtm(spec: MachineSpec) -> MachineSpec:
     """The classical table itself, once it is checked to be reversible.
 
-    Raises ``NotReversibleError`` when the classical transition is not
-    injective on running configurations; the error carries the witnesses.
+    The check is ``wellformed``'s pattern sweep over the running rows of the
+    amplitude-1 table, whose images fail orthogonality exactly when they
+    coincide.  When the transition is not injective on running
+    configurations it raises ``NotReversibleError``, whose ``witnesses``
+    are the colliding pairs ``(c1, c2)`` in canonical order.  Pairs with a
+    halted member are left out: halted configurations drift injectively,
+    and a running one colliding with a halted one is the signature of the
+    halting scheme, not of the machine.  A table with a row that is not one
+    amplitude-1 target raises ``ValueError``.
     """
-    witnesses = check_reversible(spec)
+    _require_classical(spec)
+    running = [k for k in spec.rules if k[0] != spec.halt]
+    witnesses = tuple(_failing_windows(spec, running, DEFAULT_TOL))
     if witnesses:
         raise NotReversibleError(witnesses)
     return spec

@@ -64,7 +64,15 @@ def _nonnegative(convert):
     return parse
 
 
-_count = _nonnegative(int)
+def _int(text):
+    # int() would also take spaces, underscores, '+' and non-ASCII digits
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # keeps "invalid int value: ..."
+_count = _nonnegative(_int)
 
 
 def _ser_complex(z: complex) -> dict:
@@ -187,33 +195,19 @@ def _cmd_check(args) -> int:
     return 0 if clean else 2
 
 
-def _dist_outcomes(dist) -> tuple[list, float]:
-    halted = []
-    unhalted = 0.0
-    for outcome, p in dist.entries:
-        if outcome is UNHALTED:
-            unhalted = p
-        else:
-            halted.append(
-                {
-                    "haltStep": outcome.step,
-                    "tape": _ser_tape(outcome.cells),
-                    "probability": p,
-                }
-            )
-    return halted, unhalted
-
-
 def _cmd_run(args) -> int:
     spec = _load_qtm(args.machine)
     inp = parse_input(args.input, spec)
     schedule = parse_schedule(args.schedule, args.steps)
     dist = run_schedule(spec, inp, schedule, args.prune)
-    halted, unhalted = _dist_outcomes(dist)
+    *halted, (_, unhalted) = dist.entries  # UNHALTED is always last
     result = {
         "schedule": schedule.label,
         "steps": schedule.budget,
-        "outcomes": halted,
+        "outcomes": [
+            {"haltStep": o.step, "tape": _ser_tape(o.cells), "probability": p}
+            for o, p in halted
+        ],
         "unhalted": unhalted,
         "maxNormDrift": dist.max_norm_drift,
         "normFlag": dist.max_norm_drift > args.tol,
@@ -226,10 +220,11 @@ def _cmd_sample(args) -> int:
     spec = _load_qtm(args.machine)
     inp = parse_input(args.input, spec)
     schedule = parse_schedule(args.schedule, args.steps)
-    report = sample_run(spec, inp, schedule, args.seed, args.samples, args.prune)
-    probability = dict(report.distribution.entries)
-    counts = []
-    for outcome, count in report.counts:
+    dist, counts = sample_run(spec, inp, schedule, args.seed, args.samples, args.prune)
+    shown = []
+    for (outcome, p), count in zip(dist.entries, counts):
+        if not count:
+            continue
         entry = {"count": count}
         if args.samples:
             entry["frequency"] = count / args.samples
@@ -239,14 +234,14 @@ def _cmd_sample(args) -> int:
             entry["outcome"] = "halted"
             entry["haltStep"] = outcome.step
             entry["tape"] = _ser_tape(outcome.cells)
-        entry["probability"] = probability[outcome]
-        counts.append(entry)
+        entry["probability"] = p
+        shown.append(entry)
     result = {
         "schedule": schedule.label,
         "steps": schedule.budget,
         "seed": args.seed,
         "samples": args.samples,
-        "counts": counts,
+        "counts": shown,
     }
     _emit(args, result)
     return 0
@@ -371,7 +366,7 @@ OPTIONS = {
     "steps": (("--steps",), dict(type=_count, required=True, help="evolution step budget")),
     "schedule": (("--schedule",), dict(default="end", help="every | end | end:N | at:N,N,...")),
     "schedules": (("--schedules",), dict(required=True, metavar="A,B", help="e.g. every,end")),
-    "seed": (("--seed",), dict(type=int, required=True)),
+    "seed": (("--seed",), dict(type=_int, required=True)),
     "samples": (("--samples",), dict(type=_count, default=1000)),
     "prune": (
         ("--prune",),

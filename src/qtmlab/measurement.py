@@ -196,12 +196,6 @@ def run_schedule(
 # ---------------------------------------------------------------------------
 # sampling and comparison
 
-@dataclass(frozen=True)
-class SampleReport:
-    distribution: OutputDistribution
-    counts: tuple  # ((HaltOutcome | UNHALTED, count), ...)
-
-
 def sample_run(
     spec: MachineSpec,
     state: QuantumState,
@@ -209,8 +203,10 @@ def sample_run(
     seed: int,
     samples: int,
     prune: float = 0.0,
-) -> SampleReport:
-    """Draw seeded samples by walking the measurement chain.
+) -> tuple[OutputDistribution, list[int]]:
+    """Draw seeded samples by walking the measurement chain: the exact
+    distribution and, for each of its ``entries`` by position, how many
+    samples landed there (zeros included).
 
     Each sample consumes one uniform draw per measurement reached, plus
     one more when the halted branch is taken, so reports are reproducible
@@ -223,8 +219,7 @@ def sample_run(
     counts = [0] * len(dist.entries)
     for _ in range(samples):
         counts[_walk(dist.records, rng)] += 1
-    ordered = tuple((o, n) for (o, _), n in zip(dist.entries, counts) if n)
-    return SampleReport(dist, ordered)
+    return dist, counts
 
 
 def _walk(records, rng: Random) -> int:

@@ -43,7 +43,7 @@ TM_HEADER = "tm-spec v1"
 
 def _parse_int(text: str, i: int) -> tuple[int, int]:
     start = i
-    while i < len(text) and text[i].isdecimal():
+    while i < len(text) and "0" <= text[i] <= "9":  # ASCII only, unlike isdecimal
         i += 1
     if i == start:
         raise ParseError("expected an integer", offset=start)

@@ -1196,3 +1196,42 @@ class TestParserPerProcess:
         assert "--steps" in err
         assert cli.main(list(self.RUN)) == 0
         assert capsys.readouterr().out == RUN_HADAMARD
+
+
+class TestIntegerOptions:
+    """Integer options take an optional ``-`` and ASCII digits, as schedule
+    steps do; ``int()`` alone would also take spaces, underscores, ``+``
+    and non-ASCII digits."""
+
+    RUN = ("run", "machines/hadamard_halt.qtm", "--input", "0")
+    SAMPLE = ("sample", "machines/hadamard_halt.qtm", "--input", "0", "--steps", "3")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ((*RUN, "--steps", " 1_0 "), "--steps"),
+            ((*RUN, "--steps", "1_0"), "--steps"),
+            ((*RUN, "--steps", "+3"), "--steps"),
+            ((*RUN, "--steps", "\u0661\u0662"), "--steps"),
+            ((*SAMPLE, "--seed", " \u0661\u0662 "), "--seed"),
+            ((*SAMPLE, "--seed", "1", "--samples", "1_0"), "--samples"),
+            (("check", "machines/hadamard_halt.qtm", "--max-witnesses", " 3"),
+             "--max-witnesses"),
+        ],
+        ids=["steps-spaced", "steps-underscore", "steps-plus", "steps-arabic",
+             "seed-arabic", "samples-underscore", "max-witnesses-spaced"],
+    )
+    def test_other_integer_spellings_rejected(self, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(ROOT)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"qtmlab: error: argument {flag}: invalid int value: {argv[-1]!r}" in err
+
+    def test_minus_and_ascii_digits_accepted(self):
+        ns = cli.build_parser().parse_args(
+            ["sample", "m", "--input", "0", "--steps", "010", "--seed", "-12", "--samples", "7"]
+        )
+        assert (ns.steps, ns.seed, ns.samples) == (10, -12, 7)

@@ -16,12 +16,13 @@ from qtmlab import (
     BLANK,
     Configuration,
     MissingRuleError,
+    NotReversibleError,
     QuantumState,
     RuleTarget,
     TraceRow,
-    check_reversible,
     check_wellformed,
     evolve,
+    lift_to_qtm,
     parse_classical,
     parse_input,
     parse_machine,
@@ -462,7 +463,8 @@ class TestRepresentation:
         tm = parse_classical((MACHINES / "collide.tm").read_text())
         built = _count_builds(monkeypatch)
         assert check_wellformed(qtm).witnesses
-        assert check_reversible(tm)
+        with pytest.raises(NotReversibleError):
+            lift_to_qtm(tm)
         assert "tape_text" not in built
         del built[:]
         code = cli.main(["check", str(MACHINES / "delayed_hadamard.qtm"), "--max-witnesses", "3"])

@@ -9,6 +9,7 @@ from qtmlab import (
     analyze_halting_subspace,
     lift_to_qtm,
     parse_input,
+    QuantumState,
     parse_machine,
     superposition_window,
     tape_cells,
@@ -34,6 +35,19 @@ rule: q1 1 -> 1 : qH 1 R
 rule: qH * -> 1 : qH * R
 """
 OVERLAPPING_INPUT = "1/sqrt(3):0 + 1/sqrt(3):00 + 1/sqrt(3):01"
+
+# Halt rows whose drift images overlap in part: the image of |qH, 0, "1">
+# is 3/5 of the image of |qH, 0, "0"> plus 4/5 of a new direction.
+SKEWED_HALT = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 * -> 1 : qH * R
+rule: qH 0 -> 1 : qH 0 R
+rule: qH 1 -> 3/5 : qH 0 R | 4/5 : qH 1 R
+"""
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +192,16 @@ class TestSubspacePaths:
             assert sum(p ** 2 for p in projections) == sum(p ** 2 for p in g_projections)
             hits.append(len(projections))
         assert max(hits) == 3
+
+    def test_gram_schmidt_removes_the_shared_direction(self):
+        spec = parse_machine(SKEWED_HALT)
+        assert spec.drift_amplitude is None
+        keys = [spec.config("qH", tape_cells(text), 0) for text in "01"]
+        deviation, measure = _gram_overlaps(spec, keys, 1e-9)
+        assert deviation == pytest.approx(0.6)
+        overlaps, projections = measure(
+            QuantumState({spec.config("qH", tape_cells("1"), 1): 1 + 0j})
+        )
+        assert overlaps == pytest.approx([0.0, 0.8])
+        # w - c*e leaves the new direction alone; w + c*e would give 0.5547
+        assert projections == pytest.approx([0.0, 1.0])

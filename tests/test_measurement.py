@@ -180,14 +180,15 @@ class TestRunSchedule:
 
 class TestSampling:
     def test_seeded_counts_frozen(self, hadamard_halt):
-        report = sample_run(
+        dist, counts = sample_run(
             hadamard_halt, parse_input("0", hadamard_halt), every(5),
             seed=7, samples=2000,
         )
-        assert report.counts == (
+        assert [(o, n) for (o, _), n in zip(dist.entries, counts)] == [
             (HaltOutcome(1, tape_cells("0")), 1011),
             (HaltOutcome(1, tape_cells("1")), 989),
-        )
+            (UNHALTED, 0),
+        ]
 
     def test_identical_seeds_identical_reports(self, delayed_hadamard):
         inp = parse_input("10", delayed_hadamard)
@@ -199,21 +200,22 @@ class TestSampling:
         inp = parse_input("0", hadamard_halt)
         a = sample_run(hadamard_halt, inp, every(5), seed=1, samples=200)
         b = sample_run(hadamard_halt, inp, every(5), seed=2, samples=200)
-        assert a.counts != b.counts
+        assert a[1] != b[1]
 
     def test_nonhalting_samples_are_unhalted(self, right_shift):
-        report = sample_run(
+        dist, counts = sample_run(
             right_shift, parse_input("0", right_shift), every(5),
             seed=0, samples=50,
         )
-        assert report.counts == ((UNHALTED, 50),)
+        assert [o for o, _ in dist.entries] == [UNHALTED]
+        assert counts == [50]
 
     def test_zero_samples(self, hadamard_halt):
-        report = sample_run(
+        dist, counts = sample_run(
             hadamard_halt, parse_input("0", hadamard_halt), every(5),
             seed=0, samples=0,
         )
-        assert report.counts == ()
+        assert counts == [0] * len(dist.entries)
 
     def test_negative_samples_rejected(self, hadamard_halt):
         with pytest.raises(ValueError):
@@ -240,17 +242,16 @@ class TestOutcomeOrder:
     )
     def test_entries_come_in_chain_order(self, name, text, schedule):
         spec = load_qtm(name)
-        report = sample_run(
+        dist, counts = sample_run(
             spec, parse_input(text, spec), parse_schedule(schedule, 8),
             seed=0, samples=300,
         )
-        entries = [outcome for outcome, _ in report.distribution.entries]
+        entries = [outcome for outcome, _ in dist.entries]
         assert entries[-1] is UNHALTED
         keys = [(o.step, o.cells) for o in entries[:-1]]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        counted = iter(entries)
-        assert all(any(o == e for e in counted) for o, _ in report.counts)
-        assert sum(n for _, n in report.counts) == 300
+        assert len(counts) == len(entries)
+        assert sum(counts) == 300
 
 
 class TestCompare:

@@ -9,7 +9,8 @@ import re
 
 import oracles
 import pytest
-from conftest import MACHINES
+from conftest import MACHINES, load_qtm
+from test_measurement import QTM_INPUTS
 
 from qtmlab import (
     analyze_halting_subspace,
@@ -71,3 +72,18 @@ def test_subspace_matches_projection_oracle(corpus, right_shift):
         assert report.max_overlap == pytest.approx(overlap, abs=1e-9)
         assert report.max_residual == pytest.approx(residual, abs=1e-9)
         assert report.verdict == verdict
+
+
+@pytest.mark.parametrize("name", sorted(QTM_INPUTS))
+def test_subspace_window_edges_match_projection_oracle(name):
+    # short windows: a running key of S_steps has not stepped inside the
+    # window, so it must not count as newly halting
+    spec = load_qtm(name)
+    for text in QTM_INPUTS[name]:
+        inp = parse_input(text, spec)
+        for steps in range(5):
+            report = analyze_halting_subspace(spec, inp, steps)
+            count, newly, *_, verdict = oracles.projection_subspace(spec, inp, steps)
+            assert report.halted_basis_count == count, (text, steps)
+            assert set(report.newly_halting) == set(newly), (text, steps)
+            assert report.verdict == verdict, (text, steps)

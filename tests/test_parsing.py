@@ -85,6 +85,14 @@ class TestParseAmplitude:
         with pytest.raises(ParseError, match=message):
             parse_amplitude(text)
 
+    @pytest.mark.parametrize(
+        "text", ["\u0661/sqrt(\u0662)", "1/sqrt(\u0662)", "1/\u0662", "\uff11"]
+    )
+    def test_only_ascii_digits(self, text):
+        # str.isdecimal and int() take any Unicode decimal digit
+        with pytest.raises(ParseError, match="expected an integer"):
+            parse_amplitude(text)
+
     def test_error_carries_offset(self):
         with pytest.raises(ParseError) as err:
             parse_amplitude("1/x")
@@ -332,6 +340,11 @@ class TestParseInput:
     def test_rejections(self, hadamard_halt, text, message):
         with pytest.raises(ParseError, match=message):
             parse_input(text, hadamard_halt)
+
+    def test_norm_just_outside_tolerance_rejected(self, hadamard_halt):
+        # squared norm 1.000000012464104: off by about 1.2e-8
+        with pytest.raises(ParseError, match="squared norm"):
+            parse_input("1/sqrt(2):0 + 70710679/100000000:1", hadamard_halt)
 
     @pytest.mark.parametrize(
         "text, amplitude",

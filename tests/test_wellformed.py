@@ -16,7 +16,6 @@ from qtmlab import (
     Configuration,
     NotReversibleError,
     basis_image,
-    check_reversible,
     check_wellformed,
     core_well_formed,
     lift_to_qtm,
@@ -109,7 +108,6 @@ def _refused_lift_witnesses(spec):
 # every source of witnesses: (fixture, pairs of that fixture)
 WITNESS_SOURCES = {
     "check_wellformed": ("hadamard_halt_naive", lambda spec: check_wellformed(spec).witnesses),
-    "check_reversible": ("collide", check_reversible),
     "NotReversibleError": ("collide", _refused_lift_witnesses),
 }
 

@@ -28,7 +28,7 @@ QTM_NAMES = sorted(p.stem for p in MACHINES.glob("*.qtm"))
 TM_NAMES = ("collide", "flip_bits", "parity_mark", "seek_right", "unary_inc")
 
 # Total pairs over the failing patterns, as check_wellformed sweeps a table
-# ("check") and as check_reversible sweeps its running rows ("lift").
+# ("check") and as lift_to_qtm sweeps its running rows ("lift").
 TOTALS = {
     ("delayed_hadamard", "check"): 13365,
     ("hadamard_halt", "check"): 10692,
