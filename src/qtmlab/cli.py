@@ -6,10 +6,10 @@ redirects the document to a file.  ``parameters`` echoes the command
 name followed by the command's options in declaration order, camelCased
 (``--max-witnesses`` as ``maxWitnesses``), except ``--prune`` and where
 the output goes (``--json``, ``--csv``, ``--output``).  Keys are emitted
-in a fixed order and floats use the shortest round-trip representation,
-so identical invocations produce byte-identical output.  ``trace`` emits
-CSV and ``lift`` emits a machine file, since those are the formats their
-results feed into.
+in a fixed order and the bytes are those of ``json.dumps(doc, indent=2)``
+(written by ``_json`` on 3.10-3.12), with shortest round-trip floats, so
+identical invocations produce byte-identical output.  ``trace`` emits CSV
+and ``lift`` a machine file, the formats their results feed into.
 
 Exit status: 0 for a clean result, 2 when the analysis itself found
 something (a well-formedness violation, schedule distributions differing
@@ -20,11 +20,12 @@ to ``lift``, a subspace gap), 1 for usage, parse, or runtime errors.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
 from dataclasses import asdict
+from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, classical, wellformed
 from .classical import lift_to_qtm
@@ -124,6 +125,32 @@ def _write(path, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` for str keys, byte for byte."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, float):
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+# json.dumps indents in pure Python before 3.13, slower than _json; from 3.13 in C, faster
+_dumps = _json if sys.version_info < (3, 13) else partial(json.dumps, indent=2, allow_nan=False)
+
+
 def _emit(args, result: dict) -> None:
     _, _, options = COMMANDS[args.command]
     parameters = {"command": args.command}
@@ -137,7 +164,7 @@ def _emit(args, result: dict) -> None:
         "parameters": parameters,
         "result": result,
     }
-    _write(args.json, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _write(args.json, _dumps(doc) + "\n")
 
 
 def _read(path: str) -> str:
@@ -404,7 +431,7 @@ COMMANDS = {
 # Built once per process, on first use: the tree depends only on the constants
 # above, and argparse keeps no parse state in it (each parse_args fills a fresh
 # namespace; usage and help read the terminal width when they are printed).
-@functools.cache
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qtmlab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qtmlab {__version__}")

@@ -174,7 +174,7 @@ def run_schedule(
         halted = state.component(True)
         h = halted.norm2()
         if h > 0.0:
-            p_halt = min(h / state.norm2(), 1.0)
+            p_halt = h / state.norm2()  # <= 1: norm2 adds h's terms to running ones
             mass_by_cells: dict = {}
             for (_, _, _, cells), amp in halted.keyed_items():
                 mass_by_cells[cells] = mass_by_cells.get(cells, 0.0) + abs(amp) ** 2

@@ -4,10 +4,13 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MACHINES, ROOT
 from qtmlab import classical, cli, wellformed
@@ -1235,3 +1238,84 @@ class TestIntegerOptions:
             ["sample", "m", "--input", "0", "--steps", "010", "--seed", "-12", "--samples", "7"]
         )
         assert (ns.steps, ns.seed, ns.samples) == (10, -12, 7)
+
+
+# every code point, lone surrogates and control characters included, with the
+# ones JSON escapes specially drawn often
+_TEXT = st.text(
+    st.one_of(
+        st.characters(),
+        st.characters(categories=["Cs"]),
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\xe9\u2028\U0001f600'),
+    ),
+    max_size=6,
+)
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e308, -1e308, 1e-7, 0.1]),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**200), 2**200), _FINITE, _TEXT
+)
+
+
+def _documents(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=3).map(tuple),
+            st.dictionaries(_TEXT, kids, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+class TestJsonEmitter:
+    """``cli._json`` writes what ``json.dumps(doc, indent=2, allow_nan=False)``
+    writes; ``_emit`` uses it where the stdlib indents in pure Python."""
+
+    def test_selected_where_json_dumps_indents_in_python(self):
+        assert (cli._dumps is cli._json) == (sys.version_info < (3, 13))
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_documents(_LEAVES))
+    def test_bytes_equal_json_dumps(self, doc):
+        assert cli._json(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_documents(st.one_of(_LEAVES, st.sampled_from([math.nan, math.inf, -math.inf]))))
+    def test_non_finite_floats_refused_where_json_dumps_refuses(self, doc):
+        try:
+            expected = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                cli._json(doc)
+        else:
+            assert cli._json(doc) == expected
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda x: x, lambda x: [x], lambda x: {"a": [1, {"b": (x,)}]}, lambda x: [[], {}, [x]]],
+        ids=["top", "list", "nested", "last"],
+    )
+    def test_non_finite_float_at_any_depth(self, bad, wrap):
+        with pytest.raises(ValueError) as want:
+            json.dumps(wrap(bad), indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            cli._json(wrap(bad))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [b"x"], {"a": 1j}])
+    def test_other_types_refused(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2, allow_nan=False)
+        with pytest.raises(TypeError) as got:
+            cli._json(doc)
+        assert str(got.value) == str(want.value)
+
+    def test_non_str_keys_refused(self):
+        # json.dumps would write the key 1 as "1"; no document has such a key
+        with pytest.raises(TypeError):
+            cli._json({1: "int key"})

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from qtmlab import (
     UNHALTED,
+    Configuration,
     HaltOutcome,
     ParseError,
+    QuantumState,
     Schedule,
     compare_schedules,
+    initial_state,
     lift_to_qtm,
     parse_input,
     parse_machine,
@@ -22,7 +25,7 @@ from qtmlab import (
     tape_cells,
     trajectory,
 )
-from qtmlab.measurement import _Unhalted
+from qtmlab.measurement import MeasurementRecord, _Unhalted, _walk
 
 R2 = 1 / math.sqrt(2)
 
@@ -223,6 +226,60 @@ class TestSampling:
                 hadamard_halt, parse_input("0", hadamard_halt), every(5),
                 seed=0, samples=-1,
             )
+
+    def test_walk_falls_back_to_the_last_outcome_when_fracs_sum_short(self):
+        # ten fracs of 0.1 sum to 0.9999999999999999, so a draw of 1 - 2**-53
+        # is below no partial sum and the walk takes the record's last outcome
+        outcomes = tuple((tape_cells("0" * n), 0.1) for n in range(1, 11))
+        assert sum(frac for _, frac in outcomes) == 1 - 2**-53
+        draws = iter([0.0, 1 - 2**-53])
+
+        class Draws:
+            def random(self):
+                return next(draws)
+
+        assert _walk([MeasurementRecord(1, 1.0, outcomes)], Draws()) == 9
+
+
+# running amplitudes from 1e-170, whose squares underflow to 0.0, up to 1e-5,
+# whose squares an input's norm tolerance still admits
+TINY = st.floats(-170, -5).map(lambda e: 10.0**e)
+
+
+class TestHaltProbabilityBound:
+    """``p_halt`` is ``h / norm2`` with no clamp: ``norm2`` adds the halted
+    terms that make ``h`` onto the running mass, left to right, each term
+    >= 0, and rounding is monotone, so ``h <= norm2``."""
+
+    @given(
+        halted=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=6),
+        running=st.lists(TINY, max_size=3),
+    )
+    def test_halted_mass_within_norm2(self, halted, running):
+        amps = {Configuration(True, "qH", i, ()): a for i, a in enumerate(halted)}
+        amps |= {Configuration(False, "q0", i, ()): a for i, a in enumerate(running)}
+        state = QuantumState(amps)
+        assert state.halted_mass() <= state.norm2()
+        assert state.component(True).norm2() == state.halted_mass()
+        if state.norm2() > 0.0:
+            assert state.halted_mass() / state.norm2() <= 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),
+        tiny=TINY,
+    )
+    def test_p_halt_at_most_one(self, weights, tiny):
+        # strings of lengths 1..4 halt at steps 2..5; the 12-symbol one runs
+        spec = load_qtm("seek_right_lifted")
+        total = sum(weights)
+        terms = [(math.sqrt(w / total), "1" * n) for n, w in enumerate(weights, start=1)]
+        state = initial_state(spec, [*terms, (tiny, "0" * 12)])
+        for _, s in trajectory(spec, state, 0, 8):
+            assert s.halted_mass() <= s.norm2()
+        d = run_schedule(spec, state, every(8))
+        assert len(d.records) == len(weights)
+        assert all(0.0 < rec.p_halt <= 1.0 for rec in d.records)
 
 
 # every corpus .qtm file with inputs that halt at different steps
