@@ -212,8 +212,8 @@ def _cmd_check(args) -> int:
             {"state": q, "symbol": s} for q, s in report.missing_rule_keys
         ],
         "witnessTotal": len(report.witnesses),
-        "coreWitnessCount": len(report.core_witnesses),
-        "driftWitnessCount": len(report.drift_witnesses),
+        "coreWitnessCount": report.core_count,
+        "driftWitnessCount": len(report.witnesses) - report.core_count,
         "witnessesTruncated": len(report.witnesses) > len(shown),
         "orthogonalityWitnesses": [_ser_witness(spec, *w) for w in shown],
         "coreWellFormed": core_well_formed(report),

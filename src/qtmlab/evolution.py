@@ -26,8 +26,9 @@ amplitude, so ``step`` translates the halted tail of the state (halted keys
 sort last; translation keeps their order) in one pass without a rule lookup.
 
 ``trajectory`` is the one loop over ``step`` that every run, trace and
-experiment evolves through, and it owns the errors raised when pruning or
-cancellation empties the state and when its squared norm overflows.
+experiment evolves through, and it owns the errors raised when a budget
+ends before its start, when pruning or cancellation empties the state and
+when its squared norm overflows.
 """
 
 from __future__ import annotations
@@ -113,10 +114,13 @@ def trajectory(
     """Yield ``(t, S_t)`` for t = start+1 .. stop, S_start being ``state``,
     calling ``step`` once per item taken.
 
-    Raises QtmError naming the step once pruning or cancellation leaves no
+    Raises ValueError at the first item taken when ``stop < start``, and
+    QtmError naming the step once pruning or cancellation leaves no
     amplitude, or once the squared norm overflows a double: neither state
     has a halt-flag distribution to report.
     """
+    if stop < start:
+        raise ValueError(f"step budget {stop} is below the start step {start}")
     for t in range(start + 1, stop + 1):
         state = step(spec, state, prune)
         norm2 = state.norm2()
@@ -148,8 +152,6 @@ def evolve(
     Returns the final state together with one ``TraceRow`` per step of
     support size, squared norm, and halted mass (row 0 describes ``state``).
     """
-    if steps < 0:
-        raise ValueError("step count must be non-negative")
     rows = [TraceRow(0, len(state), state.norm2(), state.halted_mass())]
     for n, state in trajectory(spec, state, 0, steps, prune):
         rows.append(TraceRow(n, len(state), state.norm2(), state.halted_mass()))

@@ -65,8 +65,6 @@ def superposition_window(
     budget: int,
     tol: float = DEFAULT_TOL,
 ) -> SuperpositionReport:
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
     if input_a == input_b:
         terms = ((complex(1), input_a),)
     else:
@@ -157,8 +155,6 @@ def analyze_halting_subspace(
     steps: int,
     tol: float = DEFAULT_TOL,
 ) -> SubspaceReport:
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
     halted_set, running_keys = set(), set()
     for t, s in chain([(0, state)], trajectory(spec, state, 0, steps)):
         for k, _ in s.keyed_items():

@@ -151,8 +151,6 @@ def run_schedule(
     prune: float = 0.0,
 ) -> OutputDistribution:
     budget = schedule.budget
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
     if schedule.steps and schedule.steps[-1] > budget:
         raise ValueError(f"schedule step {schedule.steps[-1]} exceeds budget {budget}")
     live = 1.0

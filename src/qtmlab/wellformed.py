@@ -29,16 +29,17 @@ A note on machines that can halt: a rule sending a running state into the
 halt state produces images identical to the drift of some already-halted
 configuration (halted configurations keep moving their head, covering every
 halted configuration).  Such machines therefore always carry witnesses
-pairing one running and one halted member.  The report keeps these
-``drift_witnesses`` separate from ``core_witnesses`` (collisions between
-two running members), because the former are a property of the halting
-scheme itself while the latter indicate a genuinely broken rule table.
+pairing one running and one halted member.  The report counts apart, as
+``core_count``, the core witnesses, whose members are both running or both
+halted, because drift witnesses are a property of the halting scheme itself
+while core witnesses indicate a genuinely broken rule table (two halted
+members collide only when the halt rows themselves are not injective).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, product
 
 from .evolution import step
@@ -77,18 +78,7 @@ class WellformednessReport:
     norm_violations: tuple[tuple[tuple[str, str], float], ...]
     witnesses: tuple[tuple[Configuration, Configuration], ...]  # (c1, c2), c1 < c2
     missing_rule_keys: tuple[tuple[str, str], ...]
-
-    @cached_property
-    def _partition(self) -> tuple[tuple, tuple]:
-        """(core, drift) witnesses, split in one pass on whether exactly one
-        member is halted, and kept."""
-        parts: tuple[list, list] = ([], [])
-        for w in self.witnesses:
-            parts[w[0].halted != w[1].halted].append(w)
-        return tuple(parts[0]), tuple(parts[1])
-
-    core_witnesses = property(lambda self: self._partition[0])
-    drift_witnesses = property(lambda self: self._partition[1])
+    core_count: int  # witnesses whose members are both running or both halted
 
 
 def core_well_formed(report: WellformednessReport) -> bool:
@@ -98,7 +88,7 @@ def core_well_formed(report: WellformednessReport) -> bool:
     fresh input, because an input branch never occupies the halted
     configuration a newly-halting image would collide with.
     """
-    return not report.norm_violations and not report.core_witnesses
+    return not report.norm_violations and not report.core_count
 
 
 def basis_image(spec: MachineSpec, config: Configuration) -> QuantumState:
@@ -282,5 +272,6 @@ def check_wellformed(
     norms = ((key, _row_norm2(spec.rules[key])) for key in have)
     norm_violations = tuple((key, n) for key, n in norms if abs(n - 1.0) > tol)
     witnesses = tuple(_failing_windows(spec, have, tol))
+    core_count = sum(c1.halted == c2.halted for c1, c2 in witnesses)
     verdict = "violation" if norm_violations or witnesses else "well_formed"
-    return WellformednessReport(verdict, norm_violations, witnesses, missing)
+    return WellformednessReport(verdict, norm_violations, witnesses, missing, core_count)

@@ -51,6 +51,27 @@ def delayed_hadamard():
     return load_qtm("delayed_hadamard")
 
 
+# Every halted configuration reading 1 stays put, so it and the drift of
+# its left neighbour reading 0 or blank land on one configuration: the halt
+# rows themselves are not injective, and each such pair has two halted members.
+HALT_ROWS_COLLIDE = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 * -> 1 : qH * R
+rule: qH 0 -> 1 : qH 0 R
+rule: qH 1 -> 1 : qH 1 N
+rule: qH _ -> 1 : qH _ R
+"""
+
+
+@pytest.fixture(scope="session")
+def halt_rows_collide():
+    return parse_machine(HALT_ROWS_COLLIDE)
+
+
 @pytest.fixture(scope="session")
 def unary_inc():
     return load_tm("unary_inc")

@@ -92,7 +92,7 @@ def test_criterion_2_corrected_machine_orthogonal(hadamard_halt, corrected_repor
     baseline = (
         corrected_report.verdict == "violation"
         and len(corrected_report.witnesses) == 10692
-        and len(corrected_report.core_witnesses) == 0
+        and corrected_report.core_count == 0
     )
     ok = abs(inner) <= 1e-12 and baseline
     assert _report(

@@ -136,6 +136,13 @@ class TestEvolve:
         resumed = list(trajectory(delayed_hadamard, states[2], 2, 4))
         assert resumed == [(3, states[3]), (4, states[4])]
 
+    def test_trajectory_refuses_a_stop_below_its_start(self, delayed_hadamard):
+        # the one budget check of every evolving entry point
+        inp = parse_input("10", delayed_hadamard)
+        assert list(trajectory(delayed_hadamard, inp, 3, 3)) == []
+        with pytest.raises(ValueError, match=r"budget 2 is below the start step 3"):
+            next(trajectory(delayed_hadamard, inp, 3, 2))
+
     def test_trajectory_is_lazy(self, monkeypatch, right_shift):
         # right_shift never halts, so an unbounded stop would never return
         calls = []

@@ -205,3 +205,13 @@ class TestSubspacePaths:
         assert overlaps == pytest.approx([0.0, 0.8])
         # w - c*e leaves the new direction alone; w + c*e would give 0.5547
         assert projections == pytest.approx([0.0, 1.0])
+
+    def test_gram_schmidt_keeps_a_residual_of_norm_above_tol(self):
+        # the residual direction has norm 1e-6 > tol but norm2 1e-12 < tol:
+        # the rank test compares norm2 with tol squared, so it is kept
+        row = "1 : qH 0 R | 1/1000000 : qH 1 R"
+        spec = parse_machine(SKEWED_HALT.replace("3/5 : qH 0 R | 4/5 : qH 1 R", row))
+        keys = [spec.config("qH", tape_cells(text), 0) for text in "01"]
+        _, measure = _gram_overlaps(spec, keys, 1e-9)
+        _, projections = measure(QuantumState({spec.config("qH", tape_cells("1"), 1): 1 + 0j}))
+        assert projections == pytest.approx([0.0, 1.0])

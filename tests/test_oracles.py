@@ -25,11 +25,12 @@ from qtmlab import (
 # alphabet, after translation deduplication.
 CANDIDATE_COUNT = 459999
 
-# (total witnesses, witnesses between two running configurations)
+# (total witnesses, core witnesses: both members running or both halted)
 WITNESS_COUNTS = {
     "hadamard_halt": (10692, 0),
     "hadamard_halt_naive": (10692, 2673),
     "right_shift": (0, 0),
+    "halt_rows_collide": (8991, 1458),
 }
 
 
@@ -46,8 +47,7 @@ def test_checker_matches_brute_force_sweep(name, request, candidate_pairs):
 
     total, core = WITNESS_COUNTS[name]
     assert len(report.witnesses) == total
-    assert len(report.core_witnesses) == core
-    assert len(report.drift_witnesses) == total - core
+    assert report.core_count == core
     assert core_well_formed(report) == (core == 0)
 
 

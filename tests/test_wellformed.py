@@ -21,6 +21,7 @@ from qtmlab import (
     lift_to_qtm,
     pair_image_inner,
     tape_cells,
+    validate_structure,
 )
 
 R2 = 1 / math.sqrt(2)
@@ -31,6 +32,7 @@ FROZEN = {
     "hadamard_halt_naive": ("violation", 10692, 2673, (("q0", "_"),)),
     "right_shift": ("well_formed", 0, 0, ()),
     "delayed_hadamard": ("violation", 13365, 0, ()),
+    "halt_rows_collide": ("violation", 8991, 1458, ()),
 }
 
 
@@ -48,8 +50,7 @@ def test_frozen_reports(name, request):
     report = check_wellformed(spec)
     assert report.verdict == verdict
     assert len(report.witnesses) == total
-    assert len(report.core_witnesses) == core
-    assert len(report.drift_witnesses) == total - core
+    assert report.core_count == core
     assert report.missing_rule_keys == missing
     assert report.norm_violations == ()
     assert core_well_formed(report) == (core == 0)
@@ -69,12 +70,12 @@ def test_corrected_machine_zeroes_the_minimal_pair(corrected_report, hadamard_ha
 
 
 def test_corrected_machine_witnesses_are_all_drift(corrected_report):
-    assert corrected_report.drift_witnesses == corrected_report.witnesses
+    assert corrected_report.core_count == 0
     assert all(c1.halted != c2.halted for c1, c2 in corrected_report.witnesses)
 
 
 def test_naive_core_witnesses_join_two_running_configs(naive_report, hadamard_halt_naive):
-    core = naive_report.core_witnesses
+    core = [(c1, c2) for c1, c2 in naive_report.witnesses if c1.halted == c2.halted]
     assert len(core) == 2673
     assert all(not c1.halted and not c2.halted for c1, c2 in core)
     inners = {round(abs(pair_image_inner(hadamard_halt_naive, *w)), 12) for w in core}
@@ -82,7 +83,7 @@ def test_naive_core_witnesses_join_two_running_configs(naive_report, hadamard_ha
 
 
 def test_drift_witness_moduli(naive_report, hadamard_halt_naive):
-    drift = naive_report.drift_witnesses
+    drift = [(c1, c2) for c1, c2 in naive_report.witnesses if c1.halted != c2.halted]
     moduli = {round(abs(pair_image_inner(hadamard_halt_naive, *w)), 12) for w in drift}
     assert moduli == {round(R2, 12), 1.0}
 
@@ -91,7 +92,16 @@ def test_corpus_passes_core_gate(corpus):
     for name, spec, _ in corpus:
         report = check_wellformed(spec)
         assert core_well_formed(report), name
-        assert len(report.core_witnesses) == 0, name
+        assert report.core_count == 0, name
+
+
+def test_colliding_halt_rows_give_core_witnesses(halt_rows_collide):
+    # both halted members collide: a core defect, though neither is running
+    assert validate_structure(halt_rows_collide) == []
+    report = check_wellformed(halt_rows_collide)
+    core = [(c1, c2) for c1, c2 in report.witnesses if c1.halted == c2.halted]
+    assert len(core) == report.core_count == 1458
+    assert all(c1.halted and c2.halted for c1, c2 in core)
 
 
 def test_minimal_pair_is_a_candidate(hadamard_halt, candidate_pairs):
