@@ -6,10 +6,12 @@ configuration order and targets in rule order, so accumulation -- and with
 it every floating-point rounding -- is reproducible across runs.
 
 ``step`` reads the sort-key tuples that ``QuantumState`` stores, with rule
-rows compiled once per spec (``MachineSpec.step_rows``), and builds no
-``Configuration``.  A target that writes the symbol it read
-reuses the source's cell tuple; any other write builds the new tuple once,
-and writing the blank erases the cell.
+rows compiled once per spec (``MachineSpec.step_rows``, state -> symbol ->
+row), and builds no ``Configuration``.  Cells are sorted by position with no
+blank stored, so the head's cell is at its offset from the first cell unless
+a blank gap lies before the head; only then is it bisected for.  A target
+whose write is ``None`` rewrites the symbol read and reuses the source's
+cells; any other write builds the new tuple once, and the blank erases.
 
 Coinciding targets are summed without hashing a key: every term is pushed
 as ``(target key, amplitude)``, the list is sorted once by key, and equal
@@ -45,6 +47,9 @@ from .machine import BLANK, MachineSpec, QuantumState, _first
 def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumState:
     """Apply the step operator once.
 
+    The head's cell is the one at its offset from the first cell, or else
+    bisected for; its row is ``spec.step_rows[state][symbol]``.
+
     Raises MissingRuleError when a support configuration reads a symbol its
     state has no rule for: partial machines are legal only as long as the
     evolution never reaches the gap.
@@ -69,14 +74,21 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     terms: list[tuple[tuple, complex]] = []
     push = terms.append
     for (_, q, head, cells), amp in pairs:
-        i = bisect_left(cells, (head,))
-        here = i < len(cells) and cells[i][0] == head
+        if not cells or head < cells[0][0]:
+            i, here = 0, False
+        elif head > cells[-1][0]:
+            i, here = len(cells), False
+        elif (i := head - cells[0][0]) < len(cells) and cells[i][0] == head:
+            here = True
+        else:  # a blank gap lies before the head
+            i = bisect_left(cells, (head,))
+            here = cells[i][0] == head
         symbol = cells[i][1] if here else BLANK
-        row = rows.get((q, symbol))
+        row = rows[q].get(symbol)
         if row is None:
             raise MissingRuleError(q, symbol)
         for halted, nq, write, delta, a in row:
-            if write == symbol:
+            if write is None:
                 ncells = cells
             elif write == BLANK:
                 ncells = cells[:i] + cells[i + 1:]

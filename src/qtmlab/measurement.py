@@ -22,10 +22,11 @@ measurement and the norm drift are already fixed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import merge
-from itertools import chain
+from itertools import accumulate, chain
 from random import Random
 
 from .errors import ParseError
@@ -214,27 +215,27 @@ def sample_run(
         raise ValueError("samples must be non-negative")
     dist = run_schedule(spec, state, schedule, prune)
     rng = Random(seed)
+    links = _chain(dist.records)
     counts = [0] * len(dist.entries)
     for _ in range(samples):
-        counts[_walk(dist.records, rng)] += 1
+        counts[_walk(links, rng)] += 1
     return dist, counts
 
 
-def _walk(records, rng: Random) -> int:
+def _chain(records) -> list[tuple[float, list[float]]]:
+    """Each record's ``p_halt`` and running sums of its fractions, left to right."""
+    return [(r.p_halt, list(accumulate(f for _, f in r.halted_outcomes))) for r in records]
+
+
+def _walk(links, rng: Random) -> int:
     """Index of one sampled outcome in the distribution's ``entries``, which
-    ``run_schedule`` lays out record by record, with UNHALTED last."""
+    ``run_schedule`` lays out record by record, with UNHALTED last: the first
+    running sum above the draw, else (sums short of 1) the last outcome."""
     base = 0
-    for rec in records:
-        outcomes = rec.halted_outcomes
-        if rng.random() < rec.p_halt:
-            v = rng.random()
-            acc = 0.0
-            for j, (_, frac) in enumerate(outcomes):
-                acc += frac
-                if v < acc:
-                    return base + j
-            return base + len(outcomes) - 1
-        base += len(outcomes)
+    for p_halt, cum in links:
+        if rng.random() < p_halt:
+            return base + min(bisect_right(cum, rng.random()), len(cum) - 1)
+        base += len(cum)
     return base
 
 

@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, product
 
 import pytest
 from conftest import MACHINES, ROOT
@@ -15,6 +15,7 @@ from oracles import config_key, make_imager
 from qtmlab import (
     BLANK,
     Configuration,
+    MachineSpec,
     MissingRuleError,
     NotReversibleError,
     QuantumState,
@@ -86,7 +87,7 @@ class TestSingleSteps:
         state = QuantumState(
             {config("q0", "0", 0): 0.1, config("q0", "1", 0): 0.1, config("qH", "0", 0): 0.6}
         )
-        r = hadamard_halt.step_rows["q0", "0"][0][4]
+        r = hadamard_halt.step_rows["q0"]["0"][0][4]
         x, y, z = complex(0.1) * r, complex(0.1) * r, complex(0.6)
         assert (x + y) + z != (z + y) + x  # the order shows in the last bit
         assert step(hadamard_halt, state).amplitude(config("qH", "0", 1)) == (x + y) + z
@@ -318,6 +319,51 @@ class TestStepMatchesOracle:
             with pytest.raises(MissingRuleError) as err:
                 step(spec, QuantumState({cfg: 1.0}))
             assert (err.value.state, err.value.symbol) == (q, s)
+
+
+class TestHeadRead:
+    """``step`` reads the cell under the head by its offset from the first
+    cell, which holds on a tape with no blank gap before the head, and by
+    bisection otherwise.  A gapped tape with the head left of it, on each of
+    its cells and gaps, and right of it steps as the oracle says."""
+
+    @pytest.mark.parametrize("name", sorted(EXTRA))
+    def test_gapped_tape_steps_match_the_oracle(self, name):
+        spec = _load(name)
+        image = make_imager(spec)
+        amp = complex(0.6, -0.8)
+        for fill in product("01", repeat=3):
+            cells = tuple(zip((-2, 0, 3), fill))
+            for q in spec.states:
+                for head in range(-4, 5):
+                    cfg = spec.config(q, cells, head)
+                    targets = image(cfg)
+                    if targets is None:
+                        with pytest.raises(MissingRuleError) as err:
+                            step(spec, QuantumState({cfg: amp}))
+                        symbol = dict(cells).get(head, BLANK)
+                        assert (err.value.state, err.value.symbol) == (q, symbol)
+                        continue
+                    want = sorted((k, repr(amp * a)) for k, a in targets.items())
+                    got = step(spec, QuantumState({cfg: amp})).keyed_items()
+                    assert [(k, repr(a)) for k, a in got] == want
+
+    def test_an_undeclared_target_without_rules_is_a_gap(self):
+        spec = MachineSpec(
+            states=("q0", "qH"),
+            initial="q0",
+            halt="qH",
+            alphabet=("0", BLANK),
+            rules={
+                ("q0", "0"): (RuleTarget(1, "qX", "0", "R"),),
+                **{("qH", s): (RuleTarget(1, "qH", s, "R"),) for s in ("0", BLANK)},
+            },
+        )
+        state = step(spec, QuantumState({spec.config("q0", tape_cells("0"), 0): 1.0}))
+        assert [k[1] for k, _ in state.keyed_items()] == ["qX"]
+        with pytest.raises(MissingRuleError) as err:
+            step(spec, state)
+        assert (err.value.state, err.value.symbol) == ("qX", BLANK)
 
 
 def _bits(state):

@@ -1,6 +1,7 @@
 """Measurement schedule engine: distributions, sampling, comparison."""
 
 import math
+from itertools import accumulate
 
 import pytest
 from conftest import CLASSICAL_NAMES, CORPUS_INPUTS, MACHINES, load_qtm, load_tm
@@ -25,7 +26,7 @@ from qtmlab import (
     tape_cells,
     trajectory,
 )
-from qtmlab.measurement import MeasurementRecord, _Unhalted, _walk
+from qtmlab.measurement import MeasurementRecord, _chain, _Unhalted, _walk
 
 R2 = 1 / math.sqrt(2)
 
@@ -238,7 +239,58 @@ class TestSampling:
             def random(self):
                 return next(draws)
 
-        assert _walk([MeasurementRecord(1, 1.0, outcomes)], Draws()) == 9
+        assert _walk(_chain([MeasurementRecord(1, 1.0, outcomes)]), Draws()) == 9
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_walk_picks_what_a_linear_scan_picks(self, data):
+        # zero fractions give runs of equal sums, and ten of 0.1 sum short of 1
+        fracs = st.lists(
+            st.one_of(st.just(0.0), st.just(0.1), st.floats(0.0, 0.5)), min_size=1, max_size=10
+        )
+        drawn = data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), fracs), max_size=4))
+        records = [
+            MeasurementRecord(t, p, tuple((tape_cells("1" * j), f) for j, f in enumerate(fs, 1)))
+            for t, (p, fs) in enumerate(drawn, 1)
+        ]
+        # draws that hit a running sum exactly, or the largest double below 1
+        sums = [x for _, fs in drawn for x in accumulate(fs) if x < 1.0]
+        draw = st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([*sums, 0.0, 1 - 2**-53])
+        )
+        draws = []
+
+        class Draws:
+            def random(self):
+                draws.append(data.draw(draw))
+                return draws[-1]
+
+        got = _walk(_chain(records), Draws())
+        replay = iter(draws)
+
+        class Replay:
+            def random(self):
+                return next(replay)
+
+        assert got == _linear_walk(records, Replay())
+        assert next(replay, None) is None  # both took the same draws
+
+
+def _linear_walk(records, rng):
+    """The sampled entry index by a scan: the first outcome whose running
+    sum exceeds the draw, else the record's last outcome."""
+    base = 0
+    for rec in records:
+        if rng.random() < rec.p_halt:
+            v = rng.random()
+            acc = 0.0
+            for j, (_, frac) in enumerate(rec.halted_outcomes):
+                acc += frac
+                if v < acc:
+                    return base + j
+            return base + len(rec.halted_outcomes) - 1
+        base += len(rec.halted_outcomes)
+    return base
 
 
 # running amplitudes from 1e-170, whose squares underflow to 0.0, up to 1e-5,
