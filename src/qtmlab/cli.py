@@ -1,5 +1,9 @@
 """Command line entry points.
 
+``main`` alone reads the machine file (``parse_classical`` for ``lift``, else
+``parse_machine``) and any ``--input``; each handler takes ``(args, spec,
+state)``, with ``state`` None for a command without ``--input``.
+
 Commands that report an analysis print one JSON document with the fixed
 envelope {tool, version, machine, parameters, result}; ``--json PATH``
 redirects the document to a file.  ``parameters`` echoes the command
@@ -167,15 +171,6 @@ def _emit(args, result: dict) -> None:
     _write(args.json, _dumps(doc) + "\n")
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load_qtm(path: str):
-    return parse_machine(_read(path))
-
-
 def _split_schedules(text: str, steps: int):
     """Split ``A,B`` into two schedules; ``at:`` lists contain commas, so
     try each comma as the separator and take the first split where both
@@ -194,8 +189,7 @@ def _split_schedules(text: str, steps: int):
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_check(args) -> int:
-    spec = _load_qtm(args.machine)
+def _cmd_check(args, spec, state) -> int:
     structure = validate_structure(spec, args.tol)
     report = check_wellformed(spec, args.tol)
     clean = not structure and report.verdict == "well_formed"
@@ -222,11 +216,9 @@ def _cmd_check(args) -> int:
     return 0 if clean else 2
 
 
-def _cmd_run(args) -> int:
-    spec = _load_qtm(args.machine)
-    inp = parse_input(args.input, spec)
+def _cmd_run(args, spec, state) -> int:
     schedule = parse_schedule(args.schedule, args.steps)
-    dist = run_schedule(spec, inp, schedule, args.prune)
+    dist = run_schedule(spec, state, schedule, args.prune)
     *halted, (_, unhalted) = dist.entries  # UNHALTED is always last
     result = {
         "schedule": schedule.label,
@@ -243,11 +235,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    spec = _load_qtm(args.machine)
-    inp = parse_input(args.input, spec)
+def _cmd_sample(args, spec, state) -> int:
     schedule = parse_schedule(args.schedule, args.steps)
-    dist, counts = sample_run(spec, inp, schedule, args.seed, args.samples, args.prune)
+    dist, counts = sample_run(spec, state, schedule, args.seed, args.samples, args.prune)
     shown = []
     for (outcome, p), count in zip(dist.entries, counts):
         if not count:
@@ -284,20 +274,16 @@ def _ser_coarsened(coarse: dict) -> list:
     ]
 
 
-def _cmd_compare(args) -> int:
-    spec = _load_qtm(args.machine)
-    inp = parse_input(args.input, spec)
+def _cmd_compare(args, spec, state) -> int:
     sched_a, sched_b = _split_schedules(args.schedules, args.steps)
-    report = compare_schedules(spec, inp, sched_a, sched_b, args.tol, args.prune)
+    report = compare_schedules(spec, state, sched_a, sched_b, args.tol, args.prune)
     result = {
         "scheduleA": sched_a.label,
         "scheduleB": sched_b.label,
         "steps": sched_a.budget,
         "tvDistance": report.tv_distance,
         "maxAbsDiff": report.max_abs_diff,
-        "maxNormDrift": max(
-            report.dist_a.max_norm_drift, report.dist_b.max_norm_drift
-        ),
+        "maxNormDrift": report.max_norm_drift,
         "normFlag": report.norm_flag,
         "equivalent": report.equivalent,
         "coarsenedA": _ser_coarsened(report.coarsened_a),
@@ -307,10 +293,8 @@ def _cmd_compare(args) -> int:
     return 0 if report.equivalent else 2
 
 
-def _cmd_trace(args) -> int:
-    spec = _load_qtm(args.machine)
-    inp = parse_input(args.input, spec)
-    _, rows = evolve(spec, inp, args.steps, args.prune)
+def _cmd_trace(args, spec, state) -> int:
+    _, rows = evolve(spec, state, args.steps, args.prune)
     lines = ["step,support,norm2,halted_mass"]
     for r in rows:
         lines.append(f"{r.step},{r.support},{r.norm2!r},{r.halted_mass!r}")
@@ -318,10 +302,9 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_lift(args) -> int:
-    tm = parse_classical(_read(args.machine))
+def _cmd_lift(args, spec, state) -> int:
     try:
-        spec = lift_to_qtm(tm)
+        lift_to_qtm(spec)
     except NotReversibleError as exc:
         shown = exc.witnesses[: args.max_witnesses]
         result = {
@@ -332,7 +315,7 @@ def _cmd_lift(args) -> int:
                 {
                     "c1": _ser_config(c1),
                     "c2": _ser_config(c2),
-                    "image": _ser_config(classical._image(tm, c1)),
+                    "image": _ser_config(classical._image(spec, c1)),
                 }
                 for c1, c2 in shown
             ],
@@ -343,8 +326,7 @@ def _cmd_lift(args) -> int:
     return 0
 
 
-def _cmd_myers(args) -> int:
-    spec = _load_qtm(args.machine)
+def _cmd_myers(args, spec, state) -> int:
     report = superposition_window(
         spec, args.input_a, args.input_b, args.steps, args.tol
     )
@@ -363,10 +345,8 @@ def _cmd_myers(args) -> int:
     return 0
 
 
-def _cmd_subspace(args) -> int:
-    spec = _load_qtm(args.machine)
-    inp = parse_input(args.input, spec)
-    report = analyze_halting_subspace(spec, inp, args.steps, args.tol)
+def _cmd_subspace(args, spec, state) -> int:
+    report = analyze_halting_subspace(spec, state, args.steps, args.tol)
     shown = report.newly_halting[:WITNESS_CAP]
     result = {
         "windowSteps": args.steps,
@@ -447,9 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse the machine file and any ``--input`` once, then run the command."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with open(args.machine, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        # parse functions are looked up per call, where the benchmark's tracer times them
+        spec = (parse_classical if args.command == "lift" else parse_machine)(text)
+        state = parse_input(args.input, spec) if "input" in COMMANDS[args.command][2] else None
+        return args.func(args, spec, state)
     except (QtmError, ValueError, OSError) as exc:
         print(f"qtmlab: error: {exc}", file=sys.stderr)
         return 1

@@ -252,8 +252,7 @@ def _coarsened_diffs(ca: dict, cb: dict) -> list[float]:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    dist_a: OutputDistribution
-    dist_b: OutputDistribution
+    max_norm_drift: float  # the larger of the two runs' drifts, read by norm_flag
     coarsened_a: dict
     coarsened_b: dict
     tv_distance: float
@@ -288,7 +287,6 @@ def compare_schedules(
         total += diff
     tv = 0.5 * total
     max_abs = max(diffs, default=0.0)
-    norm_flag = max(da.max_norm_drift, db.max_norm_drift) > tol
-    return ComparisonReport(
-        da, db, ca, cb, tv, max_abs, norm_flag, tv <= tol and not norm_flag
-    )
+    drift = max(da.max_norm_drift, db.max_norm_drift)
+    norm_flag = drift > tol
+    return ComparisonReport(drift, ca, cb, tv, max_abs, norm_flag, tv <= tol and not norm_flag)

@@ -295,6 +295,46 @@ rule: qH * -> 1 : qH * R
 """
 
 
+# on tape 0 half the amplitude halts at step 1 and the other half, after
+# one step in place, at step 2, on the same tape
+TWICE_HALTING_MACHINE = """\
+qtm-spec v1
+states: q0 q1 qH
+initial: q0
+halt: qH
+alphabet: 0 _
+rule: q0 0 -> 1/sqrt(2) : qH 0 R | 1/sqrt(2) : q1 0 N
+rule: q1 0 -> 1 : qH 0 R
+rule: qH * -> 1 : qH * R
+"""
+
+# a branch of amplitude 1e-6, above the default tol but with a squared norm
+# below it, halts from q0 reading 0
+FAINT_HALT_MACHINE = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 0 -> 1/1000000 : qH 0 R | 999999999999/1000000000000 : q0 1 R
+rule: q0 1 -> 1 : q0 1 R
+rule: q0 _ -> 1 : qH _ R
+rule: qH * -> 1 : qH * R
+"""
+
+# all but a 1e-12 share of the squared norm halts at step 1; the rest runs on
+NEARLY_HALTING_MACHINE = """\
+qtm-spec v1
+states: q0 q2 qH
+initial: q0
+halt: qH
+alphabet: 0 _
+rule: q0 0 -> 999999999999/1000000000000 : qH 0 R | 1/1000000 : q2 0 R
+rule: q2 _ -> 1 : q2 _ R
+rule: qH * -> 1 : qH * R
+"""
+
+
 def qtmlab(*args, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "qtmlab.cli", *args],
@@ -483,6 +523,31 @@ class TestCompare:
         assert len(outs) == 1
         assert json.loads(outs.pop())["result"]["tvDistance"] == 0.8333333333333333
 
+    def test_mass_halting_at_two_steps_on_one_tape_is_added(self, tmp_path, capsys):
+        machine = tmp_path / "twice.qtm"
+        machine.write_text(TWICE_HALTING_MACHINE)
+        argv = ["compare", str(machine), "--input", "0", "--steps", "3",
+                "--schedules", "every,end"]
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        whole = [
+            {"outcome": "halted", "tape": {"text": "0", "origin": 0}, "probability": 1.0},
+            {"outcome": "unhalted", "probability": 0.0},
+        ]
+        assert result["coarsenedA"] == result["coarsenedB"] == whole
+        assert result["tvDistance"] == 0.0
+        assert result["equivalent"] is True
+
+    def test_max_abs_diff_counts_the_unhalted_difference(self, capsys):
+        # at:2 sees one branch halt and leaves the two longer ones unhalted
+        argv = ["compare", str(MACHINES / "seek_right_lifted.qtm"), "--input",
+                "1/sqrt(3):0 + 1/sqrt(3):00000 + 1/sqrt(3):000000",
+                "--steps", "9", "--schedules", "at:2,end"]
+        assert cli.main(argv) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["coarsenedA"][-1] == {"outcome": "unhalted", "probability": 0.6666666666666666}
+        assert result["maxAbsDiff"] == 0.6666666666666666
+
     def test_norm_breaking_machine_flagged(self):
         p = qtmlab(
             "compare", "machines/hadamard_halt_naive.qtm",
@@ -495,6 +560,29 @@ class TestCompare:
         assert result["maxNormDrift"] == 0.7071067811865475
         assert result["normFlag"] is True
         assert result["equivalent"] is False
+
+
+class TestToleranceEdges:
+    """``tol`` bounds an amplitude's modulus in ``subspace`` and a share of
+    the squared norm in ``myers``."""
+
+    def test_subspace_counts_a_branch_whose_modulus_exceeds_tol(self, tmp_path, capsys):
+        machine = tmp_path / "faint.qtm"
+        machine.write_text(FAINT_HALT_MACHINE)
+        assert cli.main(["subspace", str(machine), "--input", "0", "--steps", "3"]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        # q0 at 0 reading 0 halts with amplitude 1e-6, squared 1e-12 < tol
+        assert result["newlyHaltingVectors"] == 2
+        assert [c["head"] for c in result["newlyHalting"]] == [0, 1]
+
+    def test_myers_halts_within_tol_of_one(self, tmp_path, capsys):
+        machine = tmp_path / "almost.qtm"
+        machine.write_text(NEARLY_HALTING_MACHINE)
+        argv = ["myers", str(machine), "--input-a", "0", "--input-b", "0", "--steps", "3"]
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["perStep"][1] == [1, 0.999999999999]
+        assert result["haltStepA"] == result["haltStepB"] == 1
 
 
 class TestHaltedRunStops:

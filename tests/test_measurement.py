@@ -380,7 +380,7 @@ class TestCompare:
         )
         assert report.tv_distance == 0.0
         assert report.max_abs_diff == 0.0
-        assert report.dist_a.max_norm_drift == 0.7071067811865475
+        assert report.max_norm_drift == 0.7071067811865475
         assert report.norm_flag
         assert not report.equivalent
 
