@@ -9,11 +9,6 @@ probing what halting means for superposed inputs.
 
 __version__ = "0.1.0"
 
-from .classical import (
-    classical_trajectory,
-    lift_to_qtm,
-    run_classical,
-)
 from .errors import MissingRuleError, NotReversibleError, ParseError, QtmError
 from .evolution import TraceRow, evolve, step, trajectory
 from .experiments import (
@@ -60,6 +55,7 @@ from .wellformed import (
     basis_image,
     check_wellformed,
     core_well_formed,
+    lift_to_qtm,
     pair_image_inner,
     validate_structure,
 )
@@ -90,7 +86,6 @@ __all__ = [
     "analyze_halting_subspace",
     "basis_image",
     "check_wellformed",
-    "classical_trajectory",
     "compare_schedules",
     "core_well_formed",
     "evolve",
@@ -104,7 +99,6 @@ __all__ = [
     "parse_schedule",
     "render_amplitude",
     "render_machine",
-    "run_classical",
     "run_schedule",
     "sample_run",
     "step",

@@ -31,8 +31,7 @@ from dataclasses import asdict
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
-from . import __version__, classical, wellformed
-from .classical import lift_to_qtm
+from . import __version__, wellformed
 from .errors import NotReversibleError, ParseError, QtmError
 from .evolution import evolve
 from .experiments import analyze_halting_subspace, superposition_window
@@ -45,7 +44,14 @@ from .measurement import (
     sample_run,
 )
 from .parsing import parse_classical, parse_input, parse_machine, render_machine
-from .wellformed import BY_CONSTRUCTION, check_wellformed, core_well_formed, validate_structure
+from .wellformed import (
+    BY_CONSTRUCTION,
+    basis_image,
+    check_wellformed,
+    core_well_formed,
+    lift_to_qtm,
+    validate_structure,
+)
 
 WITNESS_CAP = 100
 
@@ -307,18 +313,17 @@ def _cmd_lift(args, spec, state) -> int:
         lift_to_qtm(spec)
     except NotReversibleError as exc:
         shown = exc.witnesses[: args.max_witnesses]
+        witnesses = []
+        for c1, c2 in shown:
+            (image,) = basis_image(spec, c1).configurations()
+            witnesses.append(
+                {"c1": _ser_config(c1), "c2": _ser_config(c2), "image": _ser_config(image)}
+            )
         result = {
             "reversible": False,
             "witnessTotal": len(exc.witnesses),
             "witnessesTruncated": len(exc.witnesses) > len(shown),
-            "witnesses": [
-                {
-                    "c1": _ser_config(c1),
-                    "c2": _ser_config(c2),
-                    "image": _ser_config(classical._image(spec, c1)),
-                }
-                for c1, c2 in shown
-            ],
+            "witnesses": witnesses,
         }
         _emit(args, result)
         return 2

@@ -34,6 +34,14 @@ pairing one running and one halted member.  The report counts apart, as
 halted, because drift witnesses are a property of the halting scheme itself
 while core witnesses indicate a genuinely broken rule table (two halted
 members collide only when the halt rows themselves are not injective).
+
+A classical machine is a table whose every row is one amplitude-1 target.
+It preserves norm automatically, and is an isometry on running
+configurations exactly when its transition function is injective there.
+``lift_to_qtm`` decides that with the sweep over the running rows, whose
+images fail orthogonality exactly when they coincide.  Pairs of a running
+and a halted member are the halting scheme's and are not counted against
+reversibility.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 
+from .errors import NotReversibleError
 from .evolution import step
 from .machine import (
     BLANK,
@@ -275,3 +284,22 @@ def check_wellformed(
     core_count = sum(c1.halted == c2.halted for c1, c2 in witnesses)
     verdict = "violation" if norm_violations or witnesses else "well_formed"
     return WellformednessReport(verdict, norm_violations, witnesses, missing, core_count)
+
+
+def lift_to_qtm(spec: MachineSpec) -> MachineSpec:
+    """The classical table itself, once it is checked to be reversible.
+
+    When the transition is not injective on running configurations it
+    raises ``NotReversibleError``, whose ``witnesses`` are the colliding
+    pairs ``(c1, c2)`` of running configurations in canonical order.  A
+    table with a row that is not one amplitude-1 target raises
+    ``ValueError``.
+    """
+    for key, targets in spec.rules.items():
+        if len(targets) != 1 or targets[0].amplitude != 1:
+            raise ValueError(f"not a classical table: row {key} is not one amplitude-1 target")
+    running = [k for k in spec.rules if k[0] != spec.halt]
+    witnesses = tuple(_failing_windows(spec, running, DEFAULT_TOL))
+    if witnesses:
+        raise NotReversibleError(witnesses)
+    return spec

@@ -6,6 +6,8 @@ enumeration instead of pattern grouping, raw dict tapes instead of cell tuples,
 a set and a sort of nested key tuples instead of integer-coded keys, and numpy
 least squares instead of Gram-Schmidt.  The test suite asserts
 agreement and freezes the resulting counts as regression values.
+A classical table runs as a chain of ``make_imager`` images
+(``classical_chain``), the reference its lift's evolution is checked against.
 """
 
 import itertools
@@ -163,6 +165,29 @@ def make_imager(spec):
         return out
 
     return image
+
+
+def classical_chain(spec, text, steps):
+    """Configurations S_0 .. S_steps of a classical table run from head 0 on
+    ``text``, each the one amplitude-1 key of the last one's image, drifting
+    right after halting."""
+    image = make_imager(spec)
+    cells = tuple((i, s) for i, s in enumerate(text) if s != BLANK)
+    chain = [(spec.initial == spec.halt, spec.initial, 0, cells)]
+    for _ in range(steps):
+        ((key, amplitude),) = image(chain[-1]).items()
+        assert amplitude == 1
+        chain.append(key)
+    return [Configuration._make(key) for key in chain]
+
+
+def classical_halt(spec, text, budget):
+    """The first halted configuration of ``classical_chain`` within
+    ``budget`` steps and its step, else the last configuration and
+    ``budget``."""
+    chain = classical_chain(spec, text, budget)
+    steps = next((t for t, cfg in enumerate(chain) if cfg.halted), budget)
+    return chain[steps], steps
 
 
 def brute_force_witnesses(spec, pairs, tol=1e-9):

@@ -23,7 +23,6 @@ from qtmlab import (
     pair_image_inner,
     parse_input,
     parse_schedule,
-    run_classical,
     run_schedule,
     sample_run,
     superposition_window,
@@ -166,7 +165,7 @@ def test_criterion_7_lift_fidelity():
         tm = load_tm(name)
         spec = lift_to_qtm(tm)
         for text in CORPUS_INPUTS[name]:
-            cfg, steps = run_classical(tm, text, budget=100)
+            cfg, steps = oracles.classical_halt(tm, text, budget=100)
             dist = run_schedule(
                 spec, parse_input(text, spec), parse_schedule("every", steps)
             )

@@ -1,26 +1,23 @@
-"""Classical runner, reversibility checker, and lift tests."""
+"""Classical tables: runs of the reference chain, the reversibility check,
+and the lift."""
 
 import pytest
 
 from conftest import CLASSICAL_NAMES, CORPUS_INPUTS, MACHINES, load_tm
+from oracles import classical_chain, classical_halt, config_key, make_imager
 from qtmlab import (
-    MissingRuleError,
     NotReversibleError,
     RuleTarget,
     check_wellformed,
-    classical_trajectory,
     lift_to_qtm,
     parse_classical,
     parse_input,
-    parse_machine,
     render_machine,
-    run_classical,
     tape_cells,
     tape_text,
     trajectory,
     validate_structure,
 )
-from qtmlab.classical import _image
 
 REVERSIBLE = ("unary_inc", "flip_bits", "parity_mark", "seek_right")
 
@@ -47,6 +44,8 @@ INJECTIVITY_WITNESSES = 2673  # collide.tm, frozen from the brute-force sweep
 
 
 class TestRunClassical:
+    """The reference chain stops at its first halted configuration."""
+
     @pytest.mark.parametrize(
         "name, text, steps, out",
         [
@@ -62,21 +61,21 @@ class TestRunClassical:
     )
     def test_frozen_runs(self, request, name, text, steps, out):
         tm = request.getfixturevalue(name)
-        cfg, taken = run_classical(tm, text, budget=20)
+        cfg, taken = classical_halt(tm, text, budget=20)
         assert cfg.halted
         assert taken == steps
         assert cfg.state == tm.halt
         assert tape_text(cfg.cells) == (out, 0)
 
     def test_budget_zero_does_not_move(self, seek_right):
-        cfg, steps = run_classical(seek_right, "0", budget=0)
+        cfg, steps = classical_halt(seek_right, "0", budget=0)
         assert not cfg.halted
         assert steps == 0
         assert cfg.state == "q0"
         assert cfg.head == 0
 
     def test_budget_exhausted_before_halt(self, seek_right):
-        cfg, steps = run_classical(seek_right, "0000", budget=3)
+        cfg, steps = classical_halt(seek_right, "0000", budget=3)
         assert not cfg.halted
         assert steps == 3
         assert cfg.head == 3
@@ -84,7 +83,7 @@ class TestRunClassical:
     def test_missing_rule_halts_in_place(self, collide):
         # collide has no (q0, _) rule; reading a blank falls back to the
         # halt-and-drift convention and costs one step.
-        cfg, steps = run_classical(collide, "", budget=5)
+        cfg, steps = classical_halt(collide, "", budget=5)
         assert cfg.halted
         assert steps == 1
         assert cfg.cells == ()
@@ -92,19 +91,15 @@ class TestRunClassical:
 
     @pytest.mark.parametrize("name", CLASSICAL_NAMES)
     def test_stops_on_the_trajectory(self, request, name):
+        # the table's own evolution holds the point mass the chain stops at
         tm = request.getfixturevalue(name)
         for text in CORPUS_INPUTS[name]:
+            start = parse_input(text, tm)
+            states = [start, *(s for _, s in trajectory(tm, start, 0, 20))]
             for budget in range(21):
-                cfg, steps = run_classical(tm, text, budget)
-                assert cfg == classical_trajectory(tm, text, steps)[-1]
-
-    def test_rejects_bad_symbols(self, seek_right):
-        with pytest.raises(ValueError, match="alphabet"):
-            run_classical(seek_right, "02x", budget=5)
-
-    def test_rejects_negative_budget(self, seek_right):
-        with pytest.raises(ValueError):
-            run_classical(seek_right, "0", budget=-1)
+                cfg, steps = classical_halt(tm, text, budget)
+                assert list(states[steps].items()) == [(cfg, 1 + 0j)]
+                assert cfg.halted or steps == budget
 
     def test_halt_state_rows_drift(self, seek_right):
         assert seek_right.rules["qH", "0"] == (RuleTarget(1, "qH", "0", "R"),)
@@ -171,13 +166,8 @@ class TestEffectiveTable:
 
 
 class TestTrajectory:
-    def test_rejects_bad_input(self, seek_right):
-        with pytest.raises(ValueError, match="alphabet"):
-            classical_trajectory(seek_right, "x9", 3)
-        with pytest.raises(ValueError):
-            classical_trajectory(seek_right, "0", -4)
     def test_drifts_after_halting(self, seek_right):
-        chain = classical_trajectory(seek_right, "0", 5)
+        chain = classical_chain(seek_right, "0", 5)
         assert [(c.state, c.head) for c in chain] == [
             ("q0", 0),
             ("q0", 1),
@@ -193,7 +183,7 @@ class TestTrajectory:
         tm = request.getfixturevalue(name)
         spec = lift_to_qtm(tm)
         for text in ("1", "10", "0110"):
-            chain = classical_trajectory(tm, text, 7)
+            chain = classical_chain(tm, text, 7)
             start = parse_input(text, spec)
             states = [start, *(s for _, s in trajectory(spec, start, 0, 7))]
             for cfg, state in zip(chain, states):
@@ -212,11 +202,9 @@ class TestInjectivityWitnesses:
         c1 = collide.config("q0", tape_cells("0"), 0)
         c2 = collide.config("q0", tape_cells("1"), 0)
         assert (c1, c2) in injectivity_witnesses(collide)
-        image = _image(collide, c1)
-        assert _image(collide, c2) == image
-        assert image.state == "qH"
-        assert image.head == 1
-        assert image.cells == tape_cells("1")
+        image = make_imager(collide)
+        shared = {config_key(collide.config("qH", tape_cells("1"), 1)): 1}
+        assert image(c1) == image(c2) == shared
 
     def test_witnesses_pair_running_configurations(self, collide):
         for c1, c2 in injectivity_witnesses(collide)[:100]:
@@ -234,46 +222,12 @@ class TestInjectivityWitnesses:
 
 
 class TestQuantumTableRefused:
-    """Every classical entry point names the first row that is not one
-    amplitude-1 target instead of running a quantum table."""
+    """The lift names the first row that is not one amplitude-1 target
+    instead of checking a quantum table."""
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda spec: run_classical(spec, "0", 3),
-            lambda spec: classical_trajectory(spec, "0", 3),
-            lift_to_qtm,
-        ],
-        ids=["run_classical", "classical_trajectory", "lift_to_qtm"],
-    )
-    def test_quantum_spec_raises(self, hadamard_halt, call):
+    def test_quantum_spec_raises(self, hadamard_halt):
         with pytest.raises(ValueError, match=r"row \('q0', '0'\) is not one amplitude-1"):
-            call(hadamard_halt)
-
-
-# an amplitude-1 table without a row for (q0, 1): classical, but not total
-PARTIAL_QTM = """qtm-spec v1
-states: q0 qH
-initial: q0
-halt: qH
-alphabet: 0 1 _
-
-rule: q0 0 -> 1 : q0 0 R
-rule: qH * -> 1 : qH * R
-"""
-
-
-class TestMissingKey:
-    """A run that reads a key the table lacks names it, as ``step`` does."""
-
-    def test_run_classical_raises_missing_rule(self):
-        with pytest.raises(MissingRuleError, match=r"'q0' reading '1'"):
-            run_classical(parse_machine(PARTIAL_QTM), "01", 5)
-
-    def test_classical_trajectory_raises_missing_rule(self):
-        with pytest.raises(MissingRuleError) as err:
-            classical_trajectory(parse_machine(PARTIAL_QTM), "01", 5)
-        assert (err.value.state, err.value.symbol) == ("q0", "1")
+            lift_to_qtm(hadamard_halt)
 
 
 class TestLift:

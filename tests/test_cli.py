@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import MACHINES, ROOT
-from qtmlab import classical, cli, wellformed
+from qtmlab import cli, parse_classical, tape_cells, wellformed
 
 CHECK_RIGHT_SHIFT = """\
 {
@@ -335,6 +336,30 @@ rule: qH * -> 1 : qH * R
 """
 
 
+# not reversible: both keys of q0 write 0 and move L into the halt state
+COLLIDE_LEFT_MACHINE = """\
+tm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 _
+rule: q0 0 -> qH 0 L
+rule: q0 _ -> qH 0 L
+"""
+
+# not reversible: both keys of q0 write 0 and stay, into the running state q1
+COLLIDE_RUNNING_MACHINE = """\
+tm-spec v1
+states: q0 q1 qH
+initial: q0
+halt: qH
+alphabet: 0 _
+rule: q0 0 -> q1 0 N
+rule: q0 _ -> q1 0 N
+rule: q1 * -> q1 * R
+"""
+
+
 def qtmlab(*args, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "qtmlab.cli", *args],
@@ -644,6 +669,28 @@ class TestLift:
         assert first["c1"]["tape"] == {"text": "000000", "origin": -5}
         assert first["c2"]["tape"] == {"text": "000001", "origin": -5}
         assert first["image"]["state"] == "qH"
+
+    @pytest.mark.parametrize(
+        "text",
+        [(MACHINES / "collide.tm").read_text(), COLLIDE_LEFT_MACHINE, COLLIDE_RUNNING_MACHINE],
+        ids=["collide", "left", "running"],
+    )
+    def test_image_is_the_shared_successor(self, tmp_path, capsys, text):
+        # every shown witness's image is the one-step image of c1 and of c2
+        # by the raw-dict oracle
+        path = tmp_path / "machine.tm"
+        path.write_text(text)
+        code = cli.main(["lift", str(path), "--max-witnesses", "100000"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        image = oracles.make_imager(parse_classical(text))
+
+        def key(doc):
+            return (doc["halted"], doc["state"], doc["head"], tape_cells(**doc["tape"]))
+
+        assert code == 2
+        assert not result["witnessesTruncated"]
+        for w in result["witnesses"]:
+            assert image(key(w["c1"])) == image(key(w["c2"])) == {key(w["image"]): 1}
 
     def test_refuses_a_state_name_the_rule_grammar_splits(self, tmp_path):
         # lifted, "q|0" would be a .qtm file that parse_machine refuses
@@ -1180,7 +1227,7 @@ class TestWitnessesAreLazy:
         [
             (wellformed, "pair_image_inner", "check", "hadamard_halt_naive.qtm",
              "orthogonalityWitnesses"),
-            (classical, "_image", "lift", "collide.tm", "witnesses"),
+            (cli, "basis_image", "lift", "collide.tm", "witnesses"),
         ],
         ids=["check", "lift"],
     )
