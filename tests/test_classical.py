@@ -6,13 +6,18 @@ import pytest
 from conftest import CLASSICAL_NAMES, CORPUS_INPUTS, MACHINES, load_tm
 from oracles import classical_chain, classical_halt, config_key, make_imager
 from qtmlab import (
+    MissingRuleError,
     NotReversibleError,
+    ParseError,
     RuleTarget,
     check_wellformed,
     lift_to_qtm,
     parse_classical,
     parse_input,
+    parse_machine,
+    parse_schedule,
     render_machine,
+    run_schedule,
     tape_cells,
     tape_text,
     trajectory,
@@ -221,6 +226,21 @@ class TestInjectivityWitnesses:
         assert injectivity_witnesses(tm) == tuple(w for w in pairs if w[0].halted == w[1].halted)
 
 
+# an amplitude-1 table without a row for (q0, 1): classical, but not total
+PARTIAL_QTM = """qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+
+rule: q0 0 -> 1 : q0 0 R
+rule: qH * -> 1 : qH * R
+"""
+
+# PARTIAL_QTM whose (q0, 0) row carries a phase instead of amplitude 1
+PHASE_QTM = PARTIAL_QTM.replace("q0 0 -> 1 :", "q0 0 -> {amplitude} :")
+
+
 class TestQuantumTableRefused:
     """The lift names the first row that is not one amplitude-1 target
     instead of checking a quantum table."""
@@ -228,6 +248,46 @@ class TestQuantumTableRefused:
     def test_quantum_spec_raises(self, hadamard_halt):
         with pytest.raises(ValueError, match=r"row \('q0', '0'\) is not one amplitude-1"):
             lift_to_qtm(hadamard_halt)
+
+    @pytest.mark.parametrize("amplitude", ["-1", "1i"], ids=["minus_one", "imaginary"])
+    def test_phase_row_raises(self, amplitude):
+        # one target of unit modulus is still not a classical row
+        spec = parse_machine(PHASE_QTM.format(amplitude=amplitude))
+        with pytest.raises(ValueError, match=r"row \('q0', '0'\) is not one amplitude-1"):
+            lift_to_qtm(spec)
+
+
+class TestMissingKey:
+    """A lifted table that lacks the key a run reads is named by the run,
+    as any table is."""
+
+    def test_trajectory_raises_missing_rule(self):
+        spec = lift_to_qtm(parse_machine(PARTIAL_QTM))
+        with pytest.raises(MissingRuleError, match=r"'q0' reading '1'"):
+            list(trajectory(spec, parse_input("01", spec), 0, 5))
+
+    def test_run_schedule_raises_missing_rule(self):
+        spec = lift_to_qtm(parse_machine(PARTIAL_QTM))
+        with pytest.raises(MissingRuleError) as err:
+            run_schedule(spec, parse_input("01", spec), parse_schedule("end", 5))
+        assert (err.value.state, err.value.symbol) == ("q0", "1")
+
+
+class TestLibraryRun:
+    """A classical table runs through ``parse_input``, ``trajectory`` and
+    ``run_schedule`` like any other, under the same refusals."""
+
+    def test_rejects_bad_symbols(self, seek_right):
+        with pytest.raises(ParseError, match="alphabet"):
+            parse_input("02x", seek_right)
+
+    def test_rejects_negative_budget(self, seek_right):
+        with pytest.raises(ValueError, match="below the start step"):
+            next(trajectory(seek_right, parse_input("0", seek_right), 0, -1))
+
+    def test_rejects_a_schedule_beyond_its_budget(self, seek_right):
+        with pytest.raises(ValueError, match="exceeds budget 2"):
+            run_schedule(seek_right, parse_input("0", seek_right), parse_schedule("end:3", 2))
 
 
 class TestLift:

@@ -347,6 +347,18 @@ rule: q0 0 -> qH 0 L
 rule: q0 _ -> qH 0 L
 """
 
+# not reversible: both keys of q0 erase their cell and move R into the halt
+# state, so the shared successor's tape is empty
+COLLIDE_ERASE_MACHINE = """\
+tm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 _
+rule: q0 0 -> qH _ R
+rule: q0 _ -> qH _ R
+"""
+
 # not reversible: both keys of q0 write 0 and stay, into the running state q1
 COLLIDE_RUNNING_MACHINE = """\
 tm-spec v1
@@ -672,8 +684,13 @@ class TestLift:
 
     @pytest.mark.parametrize(
         "text",
-        [(MACHINES / "collide.tm").read_text(), COLLIDE_LEFT_MACHINE, COLLIDE_RUNNING_MACHINE],
-        ids=["collide", "left", "running"],
+        [
+            (MACHINES / "collide.tm").read_text(),
+            COLLIDE_LEFT_MACHINE,
+            COLLIDE_RUNNING_MACHINE,
+            COLLIDE_ERASE_MACHINE,
+        ],
+        ids=["collide", "left", "running", "erase"],
     )
     def test_image_is_the_shared_successor(self, tmp_path, capsys, text):
         # every shown witness's image is the one-step image of c1 and of c2
