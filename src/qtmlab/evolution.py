@@ -24,8 +24,12 @@ whereas a dict hashed every cell of the key on every operation.
 
 Under ``MachineSpec.drift_amplitude`` a halted configuration only drifts
 to its translate one cell right, its amplitude times that one halt-row
-amplitude, so ``step`` translates the halted tail of the state (halted keys
-sort last; translation keeps their order) in one pass without a rule lookup.
+amplitude.  ``step`` then steps the running configurations alone: the
+halted ones stay in the ``QuantumState`` ledger, which moves every head by
+one count, and each newly halted sum is merged into it.  A state with no
+halted amplitude keeps its newly halted sums as plain pairs, which join the
+ledger under their own keys at the next step.  So a halted key is built
+once, when it halts, and never again.
 
 ``trajectory`` is the one loop over ``step`` that every run, trace and
 experiment evolves through, and it owns the errors raised when a budget
@@ -41,7 +45,7 @@ from math import isfinite
 from typing import Iterator
 
 from .errors import MissingRuleError, QtmError
-from .machine import BLANK, MachineSpec, QuantumState, _first
+from .machine import BLANK, MachineSpec, QuantumState, _entry, _first
 
 
 def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumState:
@@ -59,18 +63,25 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     amplitude cancelled to 0.0 is simply not part of the superposition).
 
     Under ``spec.drift_amplitude`` only running sources are stepped, sorted
-    and summed; each newly halted sum is then merged into the translated
-    block by bisection, and where a drift term has its key, that term is
+    and summed.  The halted pairs of a plain state join the ledger under
+    their own keys, and the state's ledger is otherwise kept as it is, one
+    shift further on.  Each newly halted sum is then merged into the ledger
+    by bisection.  Where an entry has its key, the entry's drift term is
     added last, where the stable sort of all terms puts it (halted sources
-    come last), so every float is the same.  Only final sums are pruned.
+    come last), so every float is the same.  Only final sums are pruned.  A
+    state with no halted amplitude steps to a plain state.
     """
     rows = spec.step_rows
-    pairs = state._pairs
-    drift = None
+    pairs, ledger = state._pairs, None
     if (d := spec.drift_amplitude) is not None:
         h = state._halted_from()
         pairs, tail = pairs[:h], pairs[h:]
-        drift = [((True, q, head + 1, cells), x * d) for (_, q, head, cells), x in tail]
+        if tail:  # a plain state's halted pairs join the ledger under their own keys
+            ledger, shift = [_entry(k, x, d, 0) for k, x in tail], 1
+        elif state._ledger:
+            ledger, shift = state._ledger, state._shift + 1
+    elif state._ledger:  # a machine without drift_amplitude steps every key
+        pairs = list(state.keyed_items())
     terms: list[tuple[tuple, complex]] = []
     push = terms.append
     for (_, q, head, cells), amp in pairs:
@@ -96,28 +107,36 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
                 ncells = cells[:i] + ((head, write),) + cells[i + here:]
             push(((halted, nq, head + delta, ncells), amp * a))
     terms.sort(key=_first)  # stable: each target's terms stay in generation order
-    out = []
-    keep = out.append
-    key, s = (False,), 0j  # a zero sum is kept only as a newly halted partial sum
+    push((None, 0j))  # ends the last sum
+    out, arrivals, norm2 = [], [], 0.0
+    key, s = (False,), 0j
     for k, x in terms:
         if k == key:
             s += x
             continue
-        if s != 0 and abs(s) >= prune or drift and key[0]:
-            keep((key, s))
+        if key[0] and ledger is not None:
+            arrivals.append((key, s))  # pruned once its drift term is added
+        elif s != 0 and abs(s) >= prune:
+            out.append((key, s))
+            norm2 += s.real * s.real + s.imag * s.imag
         key, s = k, x
-    if s != 0 and abs(s) >= prune or drift and key[0]:
-        keep((key, s))
-    if drift:  # each newly halted sum: insert it, or add the drift term to it
-        lo, j = 0, bisect_left(out, (True,), key=_first)
-        for k, s in out[j:]:
-            lo = bisect_left(drift, k, lo, key=_first)
-            if lo < len(drift) and drift[lo][0] == k:
-                drift[lo] = (k, s + drift[lo][1])
+    if ledger is None:
+        return QuantumState._sorted(out, norm2)
+    if arrivals:  # each newly halted sum, then any drift term at its key, in order
+        ledger, lo = list(ledger), 0
+        for (_, q, head, cells), s in arrivals:
+            frame = (True, q, head - shift, cells)
+            lo = bisect_left(ledger, frame, lo, key=_first)
+            hit = lo < len(ledger) and ledger[lo][0] == frame
+            if hit:
+                s += ledger[lo][2]
+            if s != 0 and abs(s) >= prune:
+                ledger[lo:lo + hit] = [_entry(frame, s, d, shift)]
             else:
-                drift.insert(lo, (k, s))
-        out[j:] = [p for p in drift if p[1] != 0 and abs(p[1]) >= prune]
-    return QuantumState._sorted(out)
+                del ledger[lo:lo + hit]
+    if tail or prune:
+        ledger = [e for e in ledger if e[2] != 0 and abs(e[2]) >= prune]
+    return QuantumState._sorted(out, norm2, ledger, shift)
 
 
 def trajectory(

@@ -13,7 +13,10 @@ stored, so two tapes are equal exactly when they agree on every cell.
 A configuration has one layout, the named tuple ``Configuration(halted,
 state, head, cells)``, so it is its own sort key.  ``QuantumState`` stores
 such tuples, ``step`` builds them plain, the checker's window keys share
-the layout, and measured outcomes carry the same ``cells``.
+the layout, and measured outcomes carry the same ``cells``.  Under a
+machine's ``drift_amplitude`` a state keeps its halted amplitude in a
+ledger, where a key is stored once with its head less the state's shift
+and never rebuilt as the state drifts.
 
 An input is its initial state.  ``initial_state`` checks the ``(amplitude,
 string)`` terms of an input superposition and returns S_0, the
@@ -24,8 +27,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from itertools import chain
+from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
@@ -148,6 +152,14 @@ def _mass(pairs) -> float:
     return total
 
 
+def _entry(frame: tuple, x: complex, d: complex, shift: int) -> tuple:
+    """The ledger entry of amplitude ``x`` set at ``shift`` (see ``QuantumState``)."""
+    return frame, x, x * d, x.real * x.real + x.imag * x.imag, shift
+
+
+_modulus = itemgetter(3)  # of a ledger entry
+
+
 class QuantumState:
     """Finite-support map from basis configurations to complex amplitudes.
 
@@ -161,38 +173,72 @@ class QuantumState:
     ``step`` builds; ``items`` and ``configurations`` give each one the
     field names.  ``QuantumState({config: amplitude})`` builds a state; the
     dict's keys are distinct, as the sorted list needs.
+
+    Under ``MachineSpec.drift_amplitude`` d, a state that ``step`` returns
+    with halted amplitude keeps only its running pairs in that list and the
+    halted amplitude in a ledger: entries ``(frame key, x, x*d, |x|**2,
+    set)`` sorted by frame key ``(True, state, head - shift, cells)``, where
+    the state's ``shift`` counts the steps that moved every halted head one
+    cell right, so a step that only drifts an entry leaves it as it is.  An
+    entry's amplitude is ``x`` at the shift ``set`` at which it was set and
+    ``x*d`` at every later one: d is ``1+0j`` or ``1-0j``, so a product
+    with d changes at most the sign of a zero part, and a second product
+    changes no bit of a nonzero amplitude (only -0-0j moves, and a zero is
+    pruned).  So the drift term of an entry is always ``x*d``.  The views
+    give each entry under its key at the current head, after the running
+    pairs, and ``norm2`` adds the ledger's moduli, left to right, to the
+    running pairs' sum.
     """
 
-    __slots__ = ("_pairs", "_norm2")
+    __slots__ = ("_pairs", "_norm2", "_ledger", "_shift")
 
     def __init__(self, amps: dict):
         self._pairs = sorted(amps.items(), key=_first)
         self._norm2 = _mass(self._pairs)
+        self._ledger, self._shift = (), 0
 
     @classmethod
-    def _sorted(cls, pairs: list) -> "QuantumState":
-        """State over a list of (key, amplitude) pairs, already sorted by key."""
+    def _sorted(cls, pairs: list, norm2=None, ledger=(), shift: int = 0) -> "QuantumState":
+        """State over a list of (key, amplitude) pairs, already sorted by key,
+        with no halted pair when ``ledger`` is not empty; ``norm2``, when
+        given, is the pairs' squared norm, summed in their order."""
         state = cls.__new__(cls)
-        state._pairs = pairs
-        state._norm2 = _mass(pairs)
+        state._pairs, state._ledger, state._shift = pairs, ledger, shift
+        state._norm2 = _mass(pairs) if norm2 is None else norm2
+        if ledger:
+            state._norm2 = reduce(add, map(_modulus, ledger), state._norm2)
         return state
 
     def _halted_from(self) -> int:
-        """Index of the first halted entry (``len`` when none is halted)."""
+        """Index of the first halted pair (``len`` of the pairs when none is)."""
         return bisect_left(self._pairs, (True,), key=_first)
 
     def keyed_items(self) -> Iterator[tuple[tuple, complex]]:
         """(key, amplitude) pairs in canonical order."""
-        return iter(self._pairs)
+        if not self._ledger:
+            return iter(self._pairs)
+        s = self._shift
+        return chain(self._pairs, (
+            ((True, q, head + s, cells), x if t == s else xd)
+            for (_, q, head, cells), x, xd, _, t in self._ledger
+        ))
 
     def items(self) -> Iterator[tuple[Configuration, complex]]:
-        return ((Configuration._make(k), a) for k, a in self._pairs)
+        return ((Configuration._make(k), a) for k, a in self.keyed_items())
 
     def configurations(self) -> Iterator[Configuration]:
-        return (Configuration._make(k) for k, _ in self._pairs)
+        return (Configuration._make(k) for k, _ in self.keyed_items())
 
     def _find(self, key: tuple, default=None):
         """The amplitude stored under ``key``, found by bisection."""
+        if key[0] and self._ledger:
+            _, q, head, cells = key
+            s, ledger = self._shift, self._ledger
+            frame = (True, q, head - s, cells)
+            i = bisect_left(ledger, frame, key=_first)
+            if i < len(ledger) and ledger[i][0] == frame:
+                return ledger[i][1] if ledger[i][4] == s else ledger[i][2]
+            return default
         pairs = self._pairs
         i = bisect_left(pairs, key, key=_first)
         return pairs[i][1] if i < len(pairs) and pairs[i][0] == key else default
@@ -204,17 +250,19 @@ class QuantumState:
         return self._norm2
 
     def halted_mass(self) -> float:
-        return _mass(self._pairs[self._halted_from():])
+        return self.component(True).norm2()
 
     def component(self, halted: bool) -> "QuantumState":
         i = self._halted_from()
-        return QuantumState._sorted(self._pairs[i:] if halted else self._pairs[:i])
+        if halted:
+            return QuantumState._sorted(self._pairs[i:], None, self._ledger, self._shift)
+        return QuantumState._sorted(self._pairs[:i])
 
     def renormalized(self) -> "QuantumState":
         n = self._norm2 ** 0.5
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return QuantumState._sorted([(k, a / n) for k, a in self._pairs])
+        return QuantumState._sorted([(k, a / n) for k, a in self.keyed_items()])
 
     def inner(self, other: "QuantumState") -> complex:
         """<self|other>, conjugate-linear in ``self``."""
@@ -222,16 +270,16 @@ class QuantumState:
             return other.inner(self).conjugate()
         find = other._find
         total = 0  # by hand from int 0, as 3.11's ``sum``: later ones may round otherwise
-        for k, a in self._pairs:
+        for k, a in self.keyed_items():
             if (b := find(k)) is not None:
                 total += a.conjugate() * b
         return total
 
     def __eq__(self, other):
-        return isinstance(other, QuantumState) and self._pairs == other._pairs
+        return isinstance(other, QuantumState) and [*self.keyed_items()] == [*other.keyed_items()]
 
     def __len__(self):
-        return len(self._pairs)
+        return len(self._pairs) + len(self._ledger)
 
     def __repr__(self):
         inner = ", ".join(f"{a:.4g}*{c!r}" for c, a in self.items())

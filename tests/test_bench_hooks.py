@@ -6,7 +6,7 @@ and ``configurations()``), it reads ``experiments.halted_basis`` from
 the report of ``analyze_halting_subspace``, and it counts the check
 workload's witnesses on the reports of ``check_wellformed`` and
 ``lift_to_qtm``.  These properties otherwise show only in a traced
-benchmark run; here they are checked on five small CLI jobs.  The tracer is imported read-only from its file, and the
+benchmark run; here they are checked on six small CLI jobs.  The tracer is imported read-only from its file, and the
 benchmark's own unit tests run in a subprocess.
 """
 
@@ -56,14 +56,35 @@ def test_walk_trace_counts_every_configuration_step(tracer, tmp_path, capsys):
     assert summary["evolution.halted_config_steps"] == 0
 
 
+def _stepping_counts(summary):
+    return [
+        summary[f"evolution.{name}"]
+        for name in ("step_calls", "config_steps", "halted_config_steps", "support_peak")
+    ]
+
+
 def test_halting_run_counts_halted_configuration_steps(tracer, capsys):
     machine = str(MACHINES / "seek_right_lifted.qtm")
     argv = ["run", machine, "--input", "1/sqrt(2):01 + 1/sqrt(2):1100", "--steps", "9"]
     assert cli.main(argv) == 0
     summary = tracer.summary()
-    assert summary["evolution.step_calls"] == 5  # both branches have halted by step 5
-    assert summary["evolution.halted_config_steps"] > 0
+    # both branches have halted by step 5; the 01 branch, halted at step 3,
+    # is stepped at steps 4 and 5 as one halted configuration
+    assert _stepping_counts(summary) == [5, 10, 2, 2]
     assert summary["measurement.records"] == 1
+
+
+def test_halting_compare_counts_both_schedules(tracer, capsys):
+    machine = str(MACHINES / "seek_right_lifted.qtm")
+    argv = [
+        "compare", machine, "--input", "1/sqrt(2):01 + 1/sqrt(2):1100", "--steps", "9",
+        "--schedules", "every,end",
+    ]
+    assert cli.main(argv) == 0
+    summary = tracer.summary()
+    # every retires the halted branch at step 3, so only end steps it
+    assert _stepping_counts(summary) == [10, 18, 2, 2]
+    assert summary["measurement.records"] == 3
 
 
 def test_subspace_reports_its_halted_basis(tracer, capsys):

@@ -18,6 +18,7 @@ from qtmlab import (
     MachineSpec,
     MissingRuleError,
     NotReversibleError,
+    QtmError,
     QuantumState,
     RuleTarget,
     TraceRow,
@@ -243,7 +244,14 @@ rule: qH * -> 1 : qH * R
 # the eraser with a halt row that stays put steps halted configurations
 # through the rule loop, as every machine without a drift_amplitude does
 STAYING_ERASER = ERASER.replace("qH * -> 1 : qH * R", "qH * -> 1 : qH * N")
-EXTRA = {"eraser": ERASER, "eraser_halt_stays": STAYING_ERASER}
+# the eraser whose halt rows multiply by 1 - 0i, which moves the sign of a
+# zero part where 1 + 0i does not
+MINUS_ZERO_ERASER = ERASER.replace("qH * -> 1 :", "qH * -> 1 - 0i :")
+EXTRA = {
+    "eraser": ERASER,
+    "eraser_halt_stays": STAYING_ERASER,
+    "eraser_minus_zero_drift": MINUS_ZERO_ERASER,
+}
 ORACLE_MACHINES = sorted(p.name for p in MACHINES.glob("*.qtm")) + sorted(EXTRA)
 
 
@@ -254,7 +262,10 @@ def _load(name):
 DRIFTING_MACHINES = [n for n in ORACLE_MACHINES if _load(n).drift_amplitude is not None]
 
 
-def mixed_states(spec):
+AMPLITUDES = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+
+
+def mixed_states(spec, amplitude=AMPLITUDES):
     """Small states over every state of ``spec``, running and halted, with
     tapes on cells -3..3 whose cell under the head is often blank."""
     tape = st.dictionaries(
@@ -262,9 +273,6 @@ def mixed_states(spec):
     ).map(lambda cells: tuple(sorted((p, s) for p, s in cells.items() if s != BLANK)))
     config = st.builds(
         spec.config, st.sampled_from(spec.states), tape, st.integers(-3, 3)
-    )
-    amplitude = st.complex_numbers(
-        max_magnitude=1, allow_nan=False, allow_infinity=False
     )
     return st.dictionaries(config, amplitude, min_size=1, max_size=6)
 
@@ -377,6 +385,30 @@ def _general(monkeypatch, spec):
     return slow
 
 
+def _evolved(spec, state, prune):
+    """The states of up to 8 steps from ``state``, and the error that ended
+    them, if any."""
+    states = []
+    try:
+        for _, s in trajectory(spec, state, 0, 8, prune):
+            states.append(s)
+    except QtmError as exc:
+        return states, (type(exc), str(exc))
+    return states, None
+
+
+def _views(state):
+    """What each view of ``state`` gives, with every float as its repr."""
+    halted, running = state.component(True), state.component(False)
+    return (
+        _bits(state), len(state), repr(state.norm2()), repr(state.halted_mass()),
+        _bits(halted), repr(halted.norm2()), _bits(running), repr(running.norm2()),
+        _bits(state.renormalized()), repr(state),
+        [repr(state.amplitude(c)) for c in state.configurations()],
+        state == QuantumState(dict(state.items())),
+    )
+
+
 MIXED_HALT_ROWS = """\
 qtm-spec v1
 states: q0 qH
@@ -391,8 +423,9 @@ rule: qH _ -> 1 : qH _ R
 
 
 class TestBulkDrift:
-    """Under ``drift_amplitude`` the halted tail is translated in bulk; the
-    result equals the rule loop's bit for bit."""
+    """Under ``drift_amplitude`` halted amplitude drifts in the state's
+    ledger; every state, and every view of it, equals the rule loop's bit
+    for bit."""
 
     @pytest.mark.parametrize("name", DRIFTING_MACHINES)
     @settings(
@@ -417,6 +450,42 @@ class TestBulkDrift:
             st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from(moduli))
         )
         assert _bits(step(spec, state, prune)) == _bits(step(slow, state, prune))
+
+    # parts often signed zeros or a few exact values, so that sums cancel
+    PARTS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.6, -0.8]), st.floats(-1, 1))
+
+    @pytest.mark.parametrize("name", DRIFTING_MACHINES)
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_trajectory_matches_general_path(self, name, monkeypatch, data):
+        # stepping a state whose halted amplitude is in the ledger: every view
+        # of every state of up to 8 steps, bit for bit
+        spec = _load(name)
+        amps = data.draw(mixed_states(spec, st.builds(complex, self.PARTS, self.PARTS)))
+        for cfg, a in list(amps.items()):
+            # a halted twin meets a running configuration that seeks right
+            # as it halts, and cancels it
+            if not cfg.halted and data.draw(st.booleans()):
+                amps.setdefault(spec.config(spec.halt, cfg.cells, cfg.head), -a)
+        moduli = sorted(abs(a) for a in amps.values())
+        prune = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from(moduli)))
+        state = QuantumState(amps)
+        got, got_error = _evolved(spec, state, prune)
+        want, want_error = _evolved(_general(monkeypatch, spec), state, prune)
+        assert got_error == want_error
+        assert [_views(s) for s in got] == [_views(s) for s in want]
+        assert got == want
+
+    def test_ledger_state_steps_through_the_rule_loop_without_drift(self, monkeypatch):
+        spec = _load("seek_right_lifted.qtm")
+        state = one(spec, "1/sqrt(2):01 + 1/sqrt(2):1100", 6)  # both halted, drifting
+        slow = _general(monkeypatch, spec)
+        got = step(slow, state)
+        assert len(got) == 2
+        assert _bits(got) == _bits(step(slow, QuantumState(dict(state.items()))))
 
     def _arrival_meets_drift(self, arriving, drifting):
         # q0 reads the blank at cell 1 and halts onto cell 2, where the
@@ -548,8 +617,10 @@ class TestRepresentation:
             ("perfbench/machines/hadamard_walk.qtm", "0110", 50, 0.0),
             # the 01 branch halts at step 3, the 1100 branch at step 5
             ("machines/seek_right_lifted.qtm", "1/sqrt(2):01 + 1/sqrt(2):1100", 4, 0.5),
+            # both have halted by step 5, and steps 6..9 only drift the ledger
+            ("machines/seek_right_lifted.qtm", "1/sqrt(2):01 + 1/sqrt(2):1100", 9, 1.0),
         ],
-        ids=["walk", "halting"],
+        ids=["walk", "halting", "drifting"],
     )
     def test_stepping_hashes_no_key(self, path, text, steps, halted_mass):
         spec = parse_machine((ROOT / path).read_text())
