@@ -22,14 +22,14 @@ accumulating into a dict in that order gives.  A key comparison stops at
 the first differing field, and a reused cell tuple compares by identity,
 whereas a dict hashed every cell of the key on every operation.
 
-Under ``MachineSpec.drift_amplitude`` a halted configuration only drifts
-to its translate one cell right, its amplitude times that one halt-row
-amplitude.  ``step`` then steps the running configurations alone: the
-halted ones stay in the ``QuantumState`` ledger, which moves every head by
-one count, and each newly halted sum is merged into it.  A state with no
-halted amplitude keeps its newly halted sums as plain pairs, which join the
-ledger under their own keys at the next step.  So a halted key is built
-once, when it halts, and never again.
+A ``QuantumState`` keeps its halted amplitude in a ledger.  Under
+``MachineSpec.drift_amplitude`` a halted configuration only drifts to its
+translate one cell right, its amplitude times that one halt-row amplitude,
+so ``step`` steps the running configurations alone: the ledger moves every
+head by one count, and each newly halted sum is merged into it.  So a
+halted key is built once, when it halts, and never again.  A machine
+without ``drift_amplitude`` steps every configuration through the rule
+loop, and its halted sums make a fresh ledger.
 
 ``trajectory`` is the one loop over ``step`` that every run, trace and
 experiment evolves through, and it owns the errors raised when a budget
@@ -45,7 +45,7 @@ from math import isfinite
 from typing import Iterator
 
 from .errors import MissingRuleError, QtmError
-from .machine import BLANK, MachineSpec, QuantumState, _entry, _first
+from .machine import BLANK, MachineSpec, QuantumState, _first
 
 
 def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumState:
@@ -63,25 +63,25 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     amplitude cancelled to 0.0 is simply not part of the superposition).
 
     Under ``spec.drift_amplitude`` only running sources are stepped, sorted
-    and summed.  The halted pairs of a plain state join the ledger under
-    their own keys, and the state's ledger is otherwise kept as it is, one
-    shift further on.  Each newly halted sum is then merged into the ledger
-    by bisection.  Where an entry has its key, the entry's drift term is
-    added last, where the stable sort of all terms puts it (halted sources
-    come last), so every float is the same.  Only final sums are pruned.  A
-    state with no halted amplitude steps to a plain state.
+    and summed, and the state's ledger is kept as it is, one shift further
+    on.  Each newly halted sum is then merged into the ledger by bisection.
+    Where an entry has its key, the entry's drift term is added last, where
+    the stable sort of all terms puts it (halted sources come last), so
+    every float is the same.  Only final sums are pruned; a ledger at shift
+    0, which may hold zero or small amplitudes the constructor kept, is
+    filtered after the merge, as is every ledger under a nonzero ``prune``.
+    Without ``drift_amplitude``, or from an empty ledger, the newly halted
+    sums make a fresh ledger at shift 0, whose frames are their keys.
     """
     rows = spec.step_rows
-    pairs, ledger = state._pairs, None
-    if (d := spec.drift_amplitude) is not None:
-        h = state._halted_from()
-        pairs, tail = pairs[:h], pairs[h:]
-        if tail:  # a plain state's halted pairs join the ledger under their own keys
-            ledger, shift = [_entry(k, x, d, 0) for k, x in tail], 1
-        elif state._ledger:
-            ledger, shift = state._ledger, state._shift + 1
-    elif state._ledger:  # a machine without drift_amplitude steps every key
-        pairs = list(state.keyed_items())
+    if (d := spec.drift_amplitude) is None:  # every configuration goes through the rule loop
+        pairs, ledger = state.keyed_items(), ()
+    else:
+        pairs, ledger = state._pairs, state._ledger
+    shift = state._shift + 1 if ledger else 0
+    # filtered after the merge: a ledger at shift 0 may hold the constructor's
+    # zeros and small amplitudes, and any ledger entries below a new prune
+    unpruned = ledger and (prune or not state._shift)
     terms: list[tuple[tuple, complex]] = []
     push = terms.append
     for (_, q, head, cells), amp in pairs:
@@ -114,14 +114,12 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
         if k == key:
             s += x
             continue
-        if key[0] and ledger is not None:
-            arrivals.append((key, s))  # pruned once its drift term is added
+        if key[0]:
+            arrivals.append((key, s))  # pruned once any drift term is added
         elif s != 0 and abs(s) >= prune:
             out.append((key, s))
             norm2 += s.real * s.real + s.imag * s.imag
         key, s = k, x
-    if ledger is None:
-        return QuantumState._sorted(out, norm2)
     if arrivals:  # each newly halted sum, then any drift term at its key, in order
         ledger, lo = list(ledger), 0
         for (_, q, head, cells), s in arrivals:
@@ -129,14 +127,14 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
             lo = bisect_left(ledger, frame, lo, key=_first)
             hit = lo < len(ledger) and ledger[lo][0] == frame
             if hit:
-                s += ledger[lo][2]
+                s += ledger[lo][1] * d
             if s != 0 and abs(s) >= prune:
-                ledger[lo:lo + hit] = [_entry(frame, s, d, shift)]
+                ledger[lo:lo + hit] = [(frame, s, s.real * s.real + s.imag * s.imag, shift)]
             else:
                 del ledger[lo:lo + hit]
-    if tail or prune:
-        ledger = [e for e in ledger if e[2] != 0 and abs(e[2]) >= prune]
-    return QuantumState._sorted(out, norm2, ledger, shift)
+    if unpruned:
+        ledger = [e for e in ledger if (v := e[1] * d) != 0 and abs(v) >= prune]
+    return QuantumState._sorted(out, norm2, ledger, shift, d)
 
 
 def trajectory(

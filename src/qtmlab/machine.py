@@ -13,10 +13,10 @@ stored, so two tapes are equal exactly when they agree on every cell.
 A configuration has one layout, the named tuple ``Configuration(halted,
 state, head, cells)``, so it is its own sort key.  ``QuantumState`` stores
 such tuples, ``step`` builds them plain, the checker's window keys share
-the layout, and measured outcomes carry the same ``cells``.  Under a
-machine's ``drift_amplitude`` a state keeps its halted amplitude in a
-ledger, where a key is stored once with its head less the state's shift
-and never rebuilt as the state drifts.
+the layout, and measured outcomes carry the same ``cells``.  A state keeps
+its halted amplitude in a ledger, where a key is stored once with its head
+less the state's shift, so under a machine's ``drift_amplitude`` it is never
+rebuilt as the state drifts.
 
 An input is its initial state.  ``initial_state`` checks the ``(amplitude,
 string)`` terms of an input superposition and returns S_0, the
@@ -43,6 +43,9 @@ MOVES = ("L", "N", "R")
 MOVE_DELTA = {"L": -1, "N": 0, "R": 1}
 
 _first = itemgetter(0)
+# compares above every key, whose first field is a halt flag (a bool), so
+# it ends a merge over keys
+_END = ((2,), None)
 
 
 def tape_cells(text: str, origin: int = 0) -> tuple:
@@ -152,75 +155,73 @@ def _mass(pairs) -> float:
     return total
 
 
-def _entry(frame: tuple, x: complex, d: complex, shift: int) -> tuple:
-    """The ledger entry of amplitude ``x`` set at ``shift`` (see ``QuantumState``)."""
-    return frame, x, x * d, x.real * x.real + x.imag * x.imag, shift
-
-
-_modulus = itemgetter(3)  # of a ledger entry
+_modulus = itemgetter(2)  # of a ledger entry
 
 
 class QuantumState:
     """Finite-support map from basis configurations to complex amplitudes.
 
-    Entries are stored as a list of ``(key, amplitude)`` pairs sorted by
-    key, the configuration tuple ``(halted, state, head, cells)``, so
-    iteration, accumulation, and reports are reproducible bit for bit.
-    Halted keys sort last, so each halt-flag component is a slice.
+    Running amplitude is stored as a list of ``(key, amplitude)`` pairs
+    sorted by key, the configuration tuple ``(halted, state, head, cells)``,
+    so iteration, accumulation, and reports are reproducible bit for bit.
     Iterating, filtering, renormalizing, comparing and summing walk the list,
-    and ``inner`` and ``amplitude`` find keys by bisection, so no method
+    and ``inner`` merges two states' keys in canonical order, so no method
     hashes a key.  A key is a ``Configuration`` or the plain tuple that
     ``step`` builds; ``items`` and ``configurations`` give each one the
     field names.  ``QuantumState({config: amplitude})`` builds a state; the
     dict's keys are distinct, as the sorted list needs.
 
-    Under ``MachineSpec.drift_amplitude`` d, a state that ``step`` returns
-    with halted amplitude keeps only its running pairs in that list and the
-    halted amplitude in a ledger: entries ``(frame key, x, x*d, |x|**2,
+    Halted amplitude is kept in a ledger: entries ``(frame key, x, |x|**2,
     set)`` sorted by frame key ``(True, state, head - shift, cells)``, where
     the state's ``shift`` counts the steps that moved every halted head one
-    cell right, so a step that only drifts an entry leaves it as it is.  An
-    entry's amplitude is ``x`` at the shift ``set`` at which it was set and
-    ``x*d`` at every later one: d is ``1+0j`` or ``1-0j``, so a product
-    with d changes at most the sign of a zero part, and a second product
-    changes no bit of a nonzero amplitude (only -0-0j moves, and a zero is
-    pruned).  So the drift term of an entry is always ``x*d``.  The views
-    give each entry under its key at the current head, after the running
-    pairs, and ``norm2`` adds the ledger's moduli, left to right, to the
-    running pairs' sum.
+    cell right under ``MachineSpec.drift_amplitude`` d, so a step that only
+    drifts an entry leaves it as it is.  An entry's amplitude is ``x`` at
+    the shift ``set`` at which it was set and ``x*d`` at every later one: d
+    is ``1+0j`` or ``1-0j``, so a product with d changes at most the sign of
+    a zero part, and a second product changes no bit of a nonzero amplitude
+    (only -0-0j moves, and a zero is pruned).  The views give each entry
+    under its key at the current head, after the running pairs, and
+    ``norm2`` adds the ledger's moduli, left to right, to the running pairs'
+    sum.  The constructor and ``renormalized`` put every halted amplitude
+    they are given, zero or not, in a fresh ledger at shift 0, which
+    ``step`` filters as the rule loop prunes.
     """
 
-    __slots__ = ("_pairs", "_norm2", "_ledger", "_shift")
+    __slots__ = ("_pairs", "_norm2", "_ledger", "_shift", "_drift")
 
     def __init__(self, amps: dict):
-        self._pairs = sorted(amps.items(), key=_first)
-        self._norm2 = _mass(self._pairs)
-        self._ledger, self._shift = (), 0
+        self._hold(sorted(amps.items(), key=_first))
 
     @classmethod
-    def _sorted(cls, pairs: list, norm2=None, ledger=(), shift: int = 0) -> "QuantumState":
-        """State over a list of (key, amplitude) pairs, already sorted by key,
-        with no halted pair when ``ledger`` is not empty; ``norm2``, when
-        given, is the pairs' squared norm, summed in their order."""
+    def _sorted(cls, pairs: list, norm2=None, ledger=None, shift: int = 0, drift=None):
+        """State over (key, amplitude) pairs already sorted by key; see ``_hold``."""
         state = cls.__new__(cls)
-        state._pairs, state._ledger, state._shift = pairs, ledger, shift
-        state._norm2 = _mass(pairs) if norm2 is None else norm2
-        if ledger:
-            state._norm2 = reduce(add, map(_modulus, ledger), state._norm2)
+        state._hold(pairs, norm2, ledger, shift, drift)
         return state
 
-    def _halted_from(self) -> int:
-        """Index of the first halted pair (``len`` of the pairs when none is)."""
-        return bisect_left(self._pairs, (True,), key=_first)
+    def _hold(self, pairs: list, norm2=None, ledger=None, shift: int = 0, drift=None) -> None:
+        """Hold running ``pairs`` and a ``ledger`` at ``shift``, drifted under
+        ``drift``; with no ledger, the halted ones among ``pairs`` make a
+        fresh one at shift 0.  ``norm2``, when given, is the running pairs'
+        squared norm, summed in their order."""
+        if ledger is None:
+            i = bisect_left(pairs, (True,), key=_first)
+            pairs, ledger = pairs[:i], [
+                (k, x, x.real * x.real + x.imag * x.imag, 0) for k, x in pairs[i:]
+            ]
+        self._pairs, self._ledger, self._shift, self._drift = pairs, ledger, shift, drift
+        self._norm2 = _mass(pairs) if norm2 is None else norm2
+        if ledger:
+            self._norm2 = reduce(add, map(_modulus, ledger), self._norm2)
 
     def keyed_items(self) -> Iterator[tuple[tuple, complex]]:
         """(key, amplitude) pairs in canonical order."""
         if not self._ledger:
             return iter(self._pairs)
-        s = self._shift
+        s, d = self._shift, self._drift
         return chain(self._pairs, (
-            ((True, q, head + s, cells), x if t == s else xd)
-            for (_, q, head, cells), x, xd, _, t in self._ledger
+            ((True, q, head + s, cells), x if t == s else x * d)
+            for (_, q, head, cells), x, _, t in self._ledger
         ))
 
     def items(self) -> Iterator[tuple[Configuration, complex]]:
@@ -229,22 +230,8 @@ class QuantumState:
     def configurations(self) -> Iterator[Configuration]:
         return (Configuration._make(k) for k, _ in self.keyed_items())
 
-    def _find(self, key: tuple, default=None):
-        """The amplitude stored under ``key``, found by bisection."""
-        if key[0] and self._ledger:
-            _, q, head, cells = key
-            s, ledger = self._shift, self._ledger
-            frame = (True, q, head - s, cells)
-            i = bisect_left(ledger, frame, key=_first)
-            if i < len(ledger) and ledger[i][0] == frame:
-                return ledger[i][1] if ledger[i][4] == s else ledger[i][2]
-            return default
-        pairs = self._pairs
-        i = bisect_left(pairs, key, key=_first)
-        return pairs[i][1] if i < len(pairs) and pairs[i][0] == key else default
-
     def amplitude(self, config: Configuration) -> complex:
-        return self._find(config, 0j)
+        return next((a for k, a in self.keyed_items() if k == config), 0j)
 
     def norm2(self) -> float:
         return self._norm2
@@ -253,10 +240,9 @@ class QuantumState:
         return self.component(True).norm2()
 
     def component(self, halted: bool) -> "QuantumState":
-        i = self._halted_from()
         if halted:
-            return QuantumState._sorted(self._pairs[i:], None, self._ledger, self._shift)
-        return QuantumState._sorted(self._pairs[:i])
+            return QuantumState._sorted([], 0.0, self._ledger, self._shift, self._drift)
+        return QuantumState._sorted(self._pairs, None, ())
 
     def renormalized(self) -> "QuantumState":
         n = self._norm2 ** 0.5
@@ -265,13 +251,17 @@ class QuantumState:
         return QuantumState._sorted([(k, a / n) for k, a in self.keyed_items()])
 
     def inner(self, other: "QuantumState") -> complex:
-        """<self|other>, conjugate-linear in ``self``."""
+        """<self|other>, conjugate-linear in ``self``: one merge of the two
+        states' keys in canonical order."""
         if len(other) < len(self):
             return other.inner(self).conjugate()
-        find = other._find
+        theirs = other.keyed_items()
+        k2, b = next(theirs, _END)
         total = 0  # by hand from int 0, as 3.11's ``sum``: later ones may round otherwise
         for k, a in self.keyed_items():
-            if (b := find(k)) is not None:
+            while k2 < k:
+                k2, b = next(theirs, _END)
+            if k2 == k:
                 total += a.conjugate() * b
         return total
 
@@ -292,9 +282,9 @@ def initial_state(spec: MachineSpec, terms: Iterable[tuple[complex, str]]) -> Qu
     machine in its initial state.
 
     Raises ParseError on an empty or repeated string, a string with a blank
-    or a symbol outside the alphabet, or a squared norm more than
-    ``DEFAULT_TOL`` from 1.  Terms of amplitude exactly 0 are left out, as
-    ``step`` keeps no zero.
+    or a symbol outside the alphabet, or a squared norm not within
+    ``DEFAULT_TOL`` of 1, a NaN or an overflowing one included.  Terms of
+    amplitude exactly 0 are left out, as ``step`` keeps no zero.
     """
     amps = {}
     total = 0.0
@@ -309,8 +299,8 @@ def initial_state(spec: MachineSpec, terms: Iterable[tuple[complex, str]]) -> Qu
             if ch not in spec.alphabet:
                 raise ParseError(f"symbol {ch!r} is not in the machine alphabet")
         amps[text] = amplitude + 0j  # complex, with +0.0 for a -0.0 part
-        total += amplitude.real ** 2 + amplitude.imag ** 2
-    if abs(total - 1.0) > DEFAULT_TOL:
+        total += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
+    if not abs(total - 1.0) <= DEFAULT_TOL:  # refuses a NaN or infinite norm too
         raise ParseError(f"input amplitudes have squared norm {total!r}, expected 1")
     return QuantumState(
         {spec.config(spec.initial, tape_cells(t), 0): a for t, a in amps.items() if a != 0}

@@ -163,10 +163,9 @@ def run_schedule(
     for t in chain(schedule.steps, (None,)):
         for _, state in trajectory(spec, state, start, budget if t is None else t, prune):
             max_drift = max(max_drift, abs(state.norm2() - 1.0))
-            # halted pairs sort last and the ledger holds only halted amplitude:
-            # a halted first pair, or none, means nothing runs, and under
-            # drift_amplitude later steps only translate the state
-            if spec.drift_amplitude is not None and (not state._pairs or state._pairs[0][0][0]):
+            # with no running pair, later steps under drift_amplitude only
+            # translate the state
+            if spec.drift_amplitude is not None and not state._pairs:
                 break
         if t is None:
             break

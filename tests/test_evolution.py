@@ -36,6 +36,7 @@ from qtmlab import (
 from qtmlab import cli
 
 R2 = 1 / math.sqrt(2)
+STEPPING_INPUT = "1/sqrt(2):01 + 1/sqrt(2):1100"
 
 def one(spec, text, steps=1):
     state, _ = evolve(spec, parse_input(text, spec), steps)
@@ -519,6 +520,24 @@ class TestBulkDrift:
         assert len(got) == 1
         assert _bits(got) == _bits(step(_general(monkeypatch, spec), state))
 
+    @pytest.mark.parametrize("head", [1, 0], ids=["first-drift-step", "later-step"])
+    def test_drift_term_of_a_hit_is_x_times_d(self, monkeypatch, head):
+        # -0.125-0j halts onto cell 2 as 0.5-0j drifts there, at the entry's
+        # first drift step from head 1 and one step later from head 0; under
+        # 1+0j the entry's drift term is 0.5+0j, so the sum's imaginary part
+        # is +0.0, where adding the stored 0.5-0j would leave -0.0
+        spec = parse_machine((MACHINES / "seek_right_lifted.qtm").read_text())
+        tape = tape_cells("1")
+        state = QuantumState(
+            {
+                spec.config("q0", tape, head): complex(-0.125, -0.0),
+                spec.config("qH", tape, head): complex(0.5, -0.0),
+            }
+        )
+        got = list(trajectory(spec, state, 0, 2 - head))[-1][1]
+        want = list(trajectory(_general(monkeypatch, spec), state, 0, 2 - head))[-1][1]
+        assert _bits(got) == [((True, "qH", 2, tape), "(0.375+0j)")] == _bits(want)
+
     def test_halt_rows_differing_in_bits_take_the_general_path(self, monkeypatch):
         spec = parse_machine(MIXED_HALT_ROWS)
         assert spec.drift_amplitude is None
@@ -530,6 +549,64 @@ class TestBulkDrift:
         got = step(spec, state)
         assert [repr(a) for _, a in got.keyed_items()] == ["(0.6+0j)", "(0.8-0j)"]
         assert _bits(got) == _bits(step(_general(monkeypatch, spec), state))
+
+
+def _inner_reference(u, v):
+    """<u|v> by dict lookups: the smaller side's keys in canonical order,
+    each term added left to right from int 0."""
+    if len(v) < len(u):
+        return _inner_reference(v, u).conjugate()
+    theirs = dict(v.keyed_items())
+    total = 0
+    for k, a in u.keyed_items():
+        if k in theirs:
+            total += a.conjugate() * theirs[k]
+    return total
+
+
+def _inner_bits(states):
+    """repr of ``inner`` and of the reference for every ordered pair."""
+    got = [repr(u.inner(v)) for u in states for v in states]
+    want = [repr(_inner_reference(u, v)) for u in states for v in states]
+    return got, want
+
+
+class TestInner:
+    """``inner`` merges two states' keys, ledger entries at their current
+    heads; every product equals the dict reference's, signed zeros too."""
+
+    @pytest.mark.parametrize("name", DRIFTING_MACHINES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_inner_matches_dict_reference(self, name, data):
+        spec = _load(name)
+        parts = TestBulkDrift.PARTS
+        start = QuantumState(data.draw(mixed_states(spec, st.builds(complex, parts, parts))))
+        first, _ = _evolved(spec, start, 0.0)
+        # a second run from a plain copy of S_1 holds S_1+k's amplitudes one
+        # shift behind S_1+k, so equal keys meet at unequal shifts
+        second = _evolved(spec, QuantumState(dict(first[0].items())), 0.0)[0] if first else []
+        states = [start, *first[:4], *second[:3]]
+        # same shift, other lengths (the smaller side swaps); and plain states
+        states += [s.component(True) for s in states] + [
+            QuantumState(dict(s.items())) for s in states
+        ]
+        got, want = _inner_bits(states)
+        assert got == want
+
+    def test_drifted_ledgers_meet_at_unequal_shifts(self):
+        spec = _load("seek_right_lifted.qtm")
+        # the 01 branch halts at step 3 and the 1100 branch at step 5
+        run = [s for _, s in trajectory(spec, parse_input(STEPPING_INPUT, spec), 0, 8)]
+        # from a plain copy of S_4, S_8 is reached at shift 4, where the run's
+        # S_8 holds the 01 branch at shift 5
+        rerun = [s for _, s in trajectory(spec, QuantumState(dict(run[3].items())), 0, 4)]
+        assert rerun[-1] == run[-1]
+        assert run[-1].inner(rerun[-1]) == pytest.approx(1.0)
+        states = [*run[2:], *rerun, *(s.component(True) for s in run[2:])]
+        got, want = _inner_bits(states)
+        assert got == want
+        assert sum(w not in ("0", "0j") for w in want) > len(states)
 
 
 class _Unhashable(tuple):

@@ -262,6 +262,10 @@ class TestValidateInput:
             (((complex(1), "0_1"),), "blank"),
             (((complex(1), "2"),), "not in the machine alphabet"),
             (((complex(0.5), "0"),), "squared norm"),
+            # NaN passed a "> tol" test, and a part's ** 2 overflowed
+            (((complex(float("nan"), 0.0), "0"),), "squared norm nan"),
+            (((complex(1.0, float("nan")), "0"),), "squared norm nan"),
+            (((complex(1e200), "0"),), "squared norm inf"),
         ],
     )
     def test_rejections(self, hadamard_halt, terms, message):
