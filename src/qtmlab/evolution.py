@@ -13,14 +13,14 @@ a blank gap lies before the head; only then is it bisected for.  A target
 whose write is ``None`` rewrites the symbol read and reuses the source's
 cells; any other write builds the new tuple once, and the blank erases.
 
-Coinciding targets are summed without hashing a key: every term is pushed
-as ``(target key, amplitude)``, the list is sorted once by key, and equal
-neighbours are added left to right.  The sort is stable, so each target's
-terms stay in the order they were generated (sources in canonical order,
-targets in rule order), and the sum is the same float sequence that
-accumulating into a dict in that order gives.  A key comparison stops at
-the first differing field, and a reused cell tuple compares by identity,
-whereas a dict hashed every cell of the key on every operation.
+Coinciding targets are summed without hashing a key, in one bucket of
+``(head, cells)`` keys and terms per target state, which gets a key's terms
+in generation order (sources in canonical order, targets in rule order).
+Each bucket is sorted stably and equal neighbours are added left to right,
+the float sequence a dict accumulated in that order gives; read in
+``(halted, state)`` order, the halt state's last, the buckets give the keys
+in canonical order.  A source state's terms form sorted runs in a bucket, so
+each sort is nearly linear, and a reused cell tuple compares by identity.
 
 A ``QuantumState`` keeps its halted amplitude in a ledger.  Under
 ``MachineSpec.drift_amplitude`` a halted configuration only drifts to its
@@ -51,9 +51,6 @@ from .machine import BLANK, MachineSpec, QuantumState, _first
 def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumState:
     """Apply the step operator once.
 
-    The head's cell is the one at its offset from the first cell, or else
-    bisected for; its row is ``spec.step_rows[state][symbol]``.
-
     Raises MissingRuleError when a support configuration reads a symbol its
     state has no rule for: partial machines are legal only as long as the
     evolution never reaches the gap.
@@ -62,16 +59,17 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     the default keeps everything except exact zeros (a configuration whose
     amplitude cancelled to 0.0 is simply not part of the superposition).
 
-    Under ``spec.drift_amplitude`` only running sources are stepped, sorted
-    and summed, and the state's ledger is kept as it is, one shift further
-    on.  Each newly halted sum is then merged into the ledger by bisection.
-    Where an entry has its key, the entry's drift term is added last, where
-    the stable sort of all terms puts it (halted sources come last), so
-    every float is the same.  Only final sums are pruned; a ledger at shift
-    0, which may hold zero or small amplitudes the constructor kept, is
-    filtered after the merge, as is every ledger under a nonzero ``prune``.
-    Without ``drift_amplitude``, or from an empty ledger, the newly halted
-    sums make a fresh ledger at shift 0, whose frames are their keys.
+    Under ``spec.drift_amplitude`` only running sources are stepped, and
+    the state's ledger is kept as it is, one shift further on; the halt
+    state's bucket holds the newly halted sums, each merged into the ledger
+    by bisection.  Where an entry has its key, the entry's drift term is
+    added last, where a stable sort of all terms puts it (halted sources
+    come last), so every float is the same.  Only final sums are pruned; a
+    ledger at shift 0, which may hold zero or small amplitudes the
+    constructor kept, is filtered after the merge, as is every ledger under
+    a nonzero ``prune``.  Without ``drift_amplitude``, or from an empty
+    ledger, the newly halted sums make a fresh ledger at shift 0, whose
+    frames are their keys.
     """
     rows = spec.step_rows
     if (d := spec.drift_amplitude) is None:  # every configuration goes through the rule loop
@@ -82,8 +80,7 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     # filtered after the merge: a ledger at shift 0 may hold the constructor's
     # zeros and small amplitudes, and any ledger entries below a new prune
     unpruned = ledger and (prune or not state._shift)
-    terms: list[tuple[tuple, complex]] = []
-    push = terms.append
+    buckets = [[] for _ in rows]  # one per target state, in (halted, state) order
     for (_, q, head, cells), amp in pairs:
         if not cells or head < cells[0][0]:
             i, here = 0, False
@@ -98,32 +95,38 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
         row = rows[q].get(symbol)
         if row is None:
             raise MissingRuleError(q, symbol)
-        for halted, nq, write, delta, a in row:
+        for b, write, delta, a in row:
             if write is None:
                 ncells = cells
             elif write == BLANK:
                 ncells = cells[:i] + cells[i + 1:]
             else:
                 ncells = cells[:i] + ((head, write),) + cells[i + here:]
-            push(((halted, nq, head + delta, ncells), amp * a))
-    terms.sort(key=_first)  # stable: each target's terms stay in generation order
-    push((None, 0j))  # ends the last sum
-    out, arrivals, norm2 = [], [], 0.0
-    key, s = (False,), 0j
-    for k, x in terms:
-        if k == key:
-            s += x
+            buckets[b].append(((head + delta, ncells), amp * a))
+    halts = buckets.pop()  # the halt state's bucket, last in (halted, state) order
+    out, norm2 = [], 0.0
+    for q, terms in zip(rows, buckets):
+        if not terms:
             continue
-        if key[0]:
-            arrivals.append((key, s))  # pruned once any drift term is added
-        elif s != 0 and abs(s) >= prune:
-            out.append((key, s))
-            norm2 += s.real * s.real + s.imag * s.imag
-        key, s = k, x
-    if arrivals:  # each newly halted sum, then any drift term at its key, in order
-        ledger, lo = list(ledger), 0
-        for (_, q, head, cells), s in arrivals:
-            frame = (True, q, head - shift, cells)
+        terms.sort(key=_first)  # stable: each key's terms stay in generation order
+        terms.append((None, 0j))  # ends the last sum
+        frame, key, s = (False, q), None, 0  # starts no sum
+        for k, x in terms:
+            if k == key:
+                s += x
+                continue
+            if s != 0 and abs(s) >= prune:
+                out.append((frame + key, s))
+                norm2 += s.real * s.real + s.imag * s.imag
+            key, s = k, x
+    if halts:  # each newly halted sum, then any drift term at its key, in order
+        halts.sort(key=_first)  # stable, as above
+        (key, s), ledger, lo = halts[0], list(ledger), 0
+        for k, x in halts[1:] + [(None, 0j)]:  # the last ends the last sum
+            if k == key:
+                s += x
+                continue
+            frame = (True, spec.halt, key[0] - shift, key[1])
             lo = bisect_left(ledger, frame, lo, key=_first)
             hit = lo < len(ledger) and ledger[lo][0] == frame
             if hit:
@@ -132,6 +135,7 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
                 ledger[lo:lo + hit] = [(frame, s, s.real * s.real + s.imag * s.imag, shift)]
             else:
                 del ledger[lo:lo + hit]
+            key, s = k, x
     if unpruned:
         ledger = [e for e in ledger if (v := e[1] * d) != 0 and abs(v) >= prune]
     return QuantumState._sorted(out, norm2, ledger, shift, d)

@@ -119,30 +119,36 @@ class MachineSpec:
 
     @cached_property
     def step_rows(self) -> dict:
-        """state -> {symbol: ((halted, state, write, head delta, amplitude), ...)},
+        """state -> {symbol: ((bucket, write, head delta, amplitude), ...)},
         compiled once per spec and cached outside the dataclass fields, with
-        ``write`` None where it rewrites the symbol read.  Every declared,
-        ruled or targeted state has an entry: a gap is a missing symbol."""
-        targeted = [t.state for targets in self.rules.values() for t in targets]
-        rows = {q: {} for q in (*self.states, self.initial, self.halt, *targeted)}
+        the states in ``(halted, state)`` order (the halt state last), a
+        target's ``bucket`` its state's index in it, and ``write`` None where
+        it rewrites the symbol read.  Every declared, ruled or targeted state
+        has an entry: a gap is a missing symbol."""
+        named = {*self.states, self.initial, *(q for q, _ in self.rules)}
+        named.update(t.state for targets in self.rules.values() for t in targets)
+        order = [*sorted(named - {self.halt}), self.halt]
+        bucket = {q: b for b, q in enumerate(order)}
+        rows = {q: {} for q in order}
         for (q, s), targets in self.rules.items():
-            rows.setdefault(q, {})[s] = tuple(
-                (t.state == self.halt, t.state, None if t.write == s else t.write,
-                 MOVE_DELTA[t.move], t.amplitude)
+            rows[q][s] = tuple(
+                (bucket[t.state], None if t.write == s else t.write, MOVE_DELTA[t.move],
+                 t.amplitude)
                 for t in targets
             )
         return rows
 
     @cached_property
     def drift_amplitude(self) -> complex | None:
-        """The amplitude of every halt row when each is exactly ``((True, halt,
-        None, +1, 1),)`` for its symbol and the rows agree bit for bit (``1``
-        and ``1 - 0i`` do not): a halted configuration then steps to its own
-        translate one cell right, its amplitude times this one.  Else None,
-        and halted configurations step through the rule loop."""
+        """The amplitude of every halt row when each is exactly ``((halt
+        bucket, None, +1, 1),)`` for its symbol and the rows agree bit for
+        bit (``1`` and ``1 - 0i`` do not): a halted configuration then steps
+        to its own translate one cell right, its amplitude times this one.
+        Else None, and halted configurations step through the rule loop."""
+        halt_row = ((len(self.step_rows) - 1, None, 1, 1),)
         rows = [self.step_rows[self.halt].get(s) for s in self.alphabet]
-        if all(r == ((True, self.halt, None, 1, 1),) for r in rows):
-            amps = {repr(r[0][4]): r[0][4] for r in rows}
+        if all(r == halt_row for r in rows):
+            amps = {repr(r[0][3]): r[0][3] for r in rows}
             return amps.popitem()[1] if len(amps) == 1 else None
 
 

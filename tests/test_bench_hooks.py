@@ -1,4 +1,4 @@
-"""The benchmark's counting hooks still see the stepping core.
+"""The benchmark's counting hooks and answer checks still see the program.
 
 perfbench/tracer.py counts stepping work by rebinding ``step`` where the
 qtmlab modules look it up and by reading the state it is given (``len``
@@ -6,15 +6,19 @@ and ``configurations()``), it reads ``experiments.halted_basis`` from
 the report of ``analyze_halting_subspace``, and it counts the check
 workload's witnesses on the reports of ``check_wellformed`` and
 ``lift_to_qtm``.  These properties otherwise show only in a traced
-benchmark run; here they are checked on six small CLI jobs.  The tracer is imported read-only from its file, and the
-benchmark's own unit tests run in a subprocess.
+benchmark run; here they are checked on six small CLI jobs.  The benchmark's
+answer checks (perfbench/answers.py) must fail a check job whose report
+lost a witness.  Both files are imported read-only, and the benchmark's own
+unit tests run in a subprocess.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from conftest import MACHINES, ROOT
@@ -24,12 +28,17 @@ from qtmlab import cli
 WALK = ROOT / "perfbench" / "machines" / "hadamard_walk.qtm"
 
 
-@pytest.fixture
-def tracer():
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def _perfbench_module(name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tracer():
+    module = _perfbench_module("tracer")
     originals = {
         (mod, attr): getattr(importlib.import_module(mod), attr, None)
         for mod, attr, _ in module.SITES
@@ -114,6 +123,28 @@ def test_check_counts_its_witnesses(tracer, capsys):
     assert summary["wellformed.check_calls"] == 1
     assert summary["wellformed.witnesses"] == result["witnessTotal"] == 10692
     assert summary["wellformed.materialize_s"] is not None
+
+
+def test_answer_check_flags_a_dropped_witness(monkeypatch, capsys):
+    answers = _perfbench_module("answers")
+    argv = ["check", str(MACHINES / "seek_right_lifted.qtm"), "--max-witnesses", "3"]
+    job = SimpleNamespace(
+        kind="check", argv=tuple(argv),
+        expect={"exit": 2, "witnessTotal": 2673, "coreWitnessCount": 0},
+    )
+    assert cli.main(argv) == 2
+    reason, answer = answers.check_answer(job, 2, capsys.readouterr().out)
+    assert reason is None and answer["witnessTotal"] == 2673
+    original = cli.check_wellformed
+
+    def drops_one(spec, tol):
+        report = original(spec, tol)
+        return dataclasses.replace(report, witnesses=report.witnesses[:-1])
+
+    monkeypatch.setattr(cli, "check_wellformed", drops_one)
+    assert cli.main(argv) == 2
+    reason, _ = answers.check_answer(job, 2, capsys.readouterr().out)
+    assert reason == "witnessTotal is 2672, expected 2673"
 
 
 def test_benchmark_unit_tests_pass():

@@ -89,7 +89,7 @@ class TestSingleSteps:
         state = QuantumState(
             {config("q0", "0", 0): 0.1, config("q0", "1", 0): 0.1, config("qH", "0", 0): 0.6}
         )
-        r = hadamard_halt.step_rows["q0"]["0"][0][4]
+        r = hadamard_halt.step_rows["q0"]["0"][0][3]
         x, y, z = complex(0.1) * r, complex(0.1) * r, complex(0.6)
         assert (x + y) + z != (z + y) + x  # the order shows in the last bit
         assert step(hadamard_halt, state).amplitude(config("qH", "0", 1)) == (x + y) + z
@@ -248,10 +248,29 @@ STAYING_ERASER = ERASER.replace("qH * -> 1 : qH * R", "qH * -> 1 : qH * N")
 # the eraser whose halt rows multiply by 1 - 0i, which moves the sign of a
 # zero part where 1 + 0i does not
 MINUS_ZERO_ERASER = ERASER.replace("qH * -> 1 :", "qH * -> 1 - 0i :")
+# the eraser with a halt state whose name sorts before every running one's:
+# halted keys still come last
+HALT_NAMED_FIRST = ERASER.replace("qH", "a")
+# every target key (q1, h) gets three terms, from q0 at h (rule position 1),
+# q1 at h-1 (position 2) and q2 at h+1 (position 0): neither the reversed
+# source order nor rule-position-major order adds them as canonical order does
+GATHER = """\
+qtm-spec v1
+states: q0 q1 q2 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 * -> 1/sqrt(3) : q0 * L | 1/sqrt(3) : q1 * N | 1/sqrt(3) : q2 * R
+rule: q1 * -> 1/sqrt(3) : q2 * L | 1/sqrt(3) : q0 * R | 1/sqrt(3) : q1 * R
+rule: q2 * -> 1/sqrt(3) : q1 * L | 1/sqrt(3) : q2 * N | 1/sqrt(3) : qH * R
+rule: qH * -> 1 : qH * R
+"""
 EXTRA = {
     "eraser": ERASER,
+    "eraser_halt_named_first": HALT_NAMED_FIRST,
     "eraser_halt_stays": STAYING_ERASER,
     "eraser_minus_zero_drift": MINUS_ZERO_ERASER,
+    "gather": GATHER,
 }
 ORACLE_MACHINES = sorted(p.name for p in MACHINES.glob("*.qtm")) + sorted(EXTRA)
 
@@ -260,7 +279,19 @@ def _load(name):
     return parse_machine(EXTRA[name] if name in EXTRA else (MACHINES / name).read_text())
 
 
-DRIFTING_MACHINES = [n for n in ORACLE_MACHINES if _load(n).drift_amplitude is not None]
+# pinned, so that a slip that turns drift detection off fails TestBulkDrift
+# rather than emptying its parametrization
+DRIFTING_MACHINES = [
+    "delayed_hadamard.qtm",
+    "hadamard_halt.qtm",
+    "hadamard_halt_naive.qtm",
+    "right_shift.qtm",
+    "seek_right_lifted.qtm",
+    "eraser",
+    "eraser_halt_named_first",
+    "eraser_minus_zero_drift",
+    "gather",
+]
 
 
 AMPLITUDES = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
@@ -328,6 +359,65 @@ class TestStepMatchesOracle:
             with pytest.raises(MissingRuleError) as err:
                 step(spec, QuantumState({cfg: 1.0}))
             assert (err.value.state, err.value.symbol) == (q, s)
+
+
+class TestBuckets:
+    """``step`` sums each target state's terms in a bucket of its own, the
+    buckets in ``(halted, state)`` order."""
+
+    def test_drifting_machines_are_pinned(self):
+        assert DRIFTING_MACHINES == [
+            n for n in ORACLE_MACHINES if _load(n).drift_amplitude is not None
+        ]
+
+    @pytest.mark.parametrize("name", ORACLE_MACHINES)
+    def test_every_target_names_its_bucket(self, name):
+        spec = _load(name)
+        order = list(spec.step_rows)
+        assert order == sorted(order, key=lambda q: (q == spec.halt, q))
+        assert order[-1] == spec.halt
+        for (q, s), targets in spec.rules.items():
+            row = spec.step_rows[q][s]
+            assert [order[b] for b, *_ in row] == [t.state for t in targets]
+
+    @staticmethod
+    def _oracle_bits(spec, amps):
+        """The oracle's image of ``amps``, sources added in canonical order."""
+        image, expected = make_imager(spec), {}
+        for cfg in sorted(amps, key=config_key):
+            for key, a in image(cfg).items():
+                expected[key] = expected[key] + amps[cfg] * a if key in expected else amps[cfg] * a
+        return [(k, repr(a)) for k, a in sorted(expected.items()) if a != 0]
+
+    def test_three_sources_meet_in_canonical_order(self):
+        spec = _load("gather")
+        cells = tape_cells("01")
+        amps = {
+            spec.config("q0", cells, 1): 0.1,
+            spec.config("q1", cells, 0): -0.4,
+            spec.config("q2", cells, 2): 0.8,
+        }
+        image = make_imager(spec)
+        target = config_key(spec.config("q1", cells, 1))
+        x, y, z = (a * image(c)[target] for c, a in amps.items())
+        # each order of the three terms rounds differently
+        assert len({repr((x + y) + z), repr((z + x) + y), repr((z + y) + x)}) == 3
+        got = step(spec, QuantumState(amps))
+        assert _bits(got) == self._oracle_bits(spec, amps)
+        assert repr(got.amplitude(Configuration(*target))) == repr((x + y) + z)
+
+    def test_halted_keys_come_last_whatever_the_names(self):
+        spec = _load("eraser_halt_named_first")
+        amps = {
+            spec.config("q0", tape_cells("0"), 0): 0.6,
+            spec.config("q0", tape_cells("10"), 1): 0.48j,
+            spec.config("a", tape_cells("1"), -1): 0.64,
+        }
+        got = step(spec, QuantumState(amps))
+        assert _bits(got) == self._oracle_bits(spec, amps)
+        assert [k[:2] for k, _ in got.keyed_items()] == [
+            (False, "q1"), (False, "q1"), (True, "a"), (True, "a"), (True, "a")
+        ]
 
 
 class TestHeadRead:
