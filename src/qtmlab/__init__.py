@@ -10,7 +10,7 @@ probing what halting means for superposed inputs.
 __version__ = "0.1.0"
 
 from .errors import MissingRuleError, NotReversibleError, ParseError, QtmError
-from .evolution import TraceRow, evolve, step, trajectory
+from .evolution import QuantumState, TraceRow, evolve, initial_state, step, trajectory
 from .experiments import (
     SubspaceReport,
     SuperpositionReport,
@@ -22,9 +22,7 @@ from .machine import (
     DEFAULT_TOL,
     Configuration,
     MachineSpec,
-    QuantumState,
     RuleTarget,
-    initial_state,
     tape_cells,
     tape_text,
 )

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 # step is not called here; it stays a name because perfbench traces it
-from .evolution import step, trajectory  # noqa: F401
-from .machine import DEFAULT_TOL, Configuration, MachineSpec, QuantumState, initial_state
+from .evolution import QuantumState, initial_state, step, trajectory  # noqa: F401
+from .machine import DEFAULT_TOL, Configuration, MachineSpec
 from .wellformed import basis_image
 
 

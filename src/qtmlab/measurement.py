@@ -31,8 +31,8 @@ from random import Random
 
 from .errors import ParseError
 # step is not called here; it stays a name because perfbench traces it
-from .evolution import step, trajectory  # noqa: F401
-from .machine import DEFAULT_TOL, MachineSpec, QuantumState
+from .evolution import QuantumState, step, trajectory  # noqa: F401
+from .machine import DEFAULT_TOL, MachineSpec
 
 
 class _Unhalted:
@@ -163,9 +163,9 @@ def run_schedule(
     for t in chain(schedule.steps, (None,)):
         for _, state in trajectory(spec, state, start, budget if t is None else t, prune):
             max_drift = max(max_drift, abs(state.norm2() - 1.0))
-            # with no running pair, later steps under drift_amplitude only
-            # translate the state
-            if spec.drift_amplitude is not None and not state._pairs:
+            # with no configuration running, later steps under drift_amplitude
+            # only translate the state
+            if spec.drift_amplitude is not None and not state.running():
                 break
         if t is None:
             break

@@ -27,8 +27,9 @@ import math
 from fractions import Fraction
 
 from .errors import ParseError
-from .machine import BLANK, MOVES, MachineSpec, QuantumState, RuleTarget, initial_state
-from .wellformed import _row_norm2
+from .evolution import QuantumState, initial_state
+from .machine import BLANK, MOVES, MachineSpec, RuleTarget
+from .wellformed import row_norm2
 
 # Characters that would collide with the file and input grammars if they
 # appeared in a tape symbol.
@@ -311,7 +312,7 @@ def parse_machine(text: str) -> MachineSpec:
                 )
             seen.add(target[1:])
         rules[key] = tuple(RuleTarget(*target) for target in targets)
-        if not math.isfinite(_row_norm2(rules[key])):
+        if not math.isfinite(row_norm2(rules[key])):
             raise ParseError(f"squared norm of rule ({key[0]}, {key[1]}) overflows", line=lineno)
     return MachineSpec(*machine, rules)
 

@@ -51,15 +51,8 @@ from functools import lru_cache
 from itertools import chain, product
 
 from .errors import NotReversibleError
-from .evolution import step
-from .machine import (
-    BLANK,
-    Configuration,
-    DEFAULT_TOL,
-    MachineSpec,
-    MOVE_DELTA,
-    QuantumState,
-)
+from .evolution import QuantumState, step
+from .machine import BLANK, Configuration, DEFAULT_TOL, MachineSpec, MOVE_DELTA
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,7 +206,7 @@ def _pattern_inner(rules1, rules2, d: int) -> dict:
     return totals
 
 
-def _row_norm2(row) -> float:
+def row_norm2(row) -> float:
     """A rule row's squared norm, its pattern with itself at offset 0: the
     one computation of it, where coinciding targets add as in ``step``."""
     return _pattern_inner(row, row, 0).get((None, None), 0j).real
@@ -254,7 +247,7 @@ def validate_structure(spec: MachineSpec, tol: float = DEFAULT_TOL):
             detail = ("halt-state rule must have a single amplitude-1 target "
                       "that stays halted and rewrites the symbol it read")
             violations.append(StructureViolation("halt_rule", state, symbol, detail))
-        norm2 = _row_norm2(targets)
+        norm2 = row_norm2(targets)
         if abs(norm2 - 1.0) > tol:
             detail = f"squared row norm {norm2!r}"
             violations.append(StructureViolation("row_norm", state, symbol, detail))
@@ -278,7 +271,7 @@ def check_wellformed(
     all_keys = [(q, s) for q in spec.states for s in spec.alphabet]
     have = [k for k in all_keys if k in spec.rules]
     missing = tuple(sorted(k for k in all_keys if k not in spec.rules))
-    norms = ((key, _row_norm2(spec.rules[key])) for key in have)
+    norms = ((key, row_norm2(spec.rules[key])) for key in have)
     norm_violations = tuple((key, n) for key, n in norms if abs(n - 1.0) > tol)
     witnesses = tuple(_failing_windows(spec, have, tol))
     core_count = sum(c1.halted == c2.halted for c1, c2 in witnesses)

@@ -1,5 +1,7 @@
-"""Shared fixtures: the machine corpus and its standard test inputs."""
+"""Shared fixtures: the machine corpus and its standard test inputs, and a
+time limit on every test."""
 
+import signal
 from pathlib import Path
 
 import oracles
@@ -21,6 +23,33 @@ CORPUS_INPUTS = {
 }
 
 CLASSICAL_NAMES = ("unary_inc", "flip_bits", "parity_mark", "seek_right")
+
+# Seconds one test may run: far above the slowest, about 40 s while hypothesis
+# shrinks, so that a stepping fault that loops fails its test instead of
+# hanging the suite.
+TEST_TIME_LIMIT_S = 300
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that outruns ``TEST_TIME_LIMIT_S``; not an
+    ``Exception``, so neither the code under test nor hypothesis catches it."""
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    if not hasattr(signal, "SIGALRM"):  # Windows: no limit
+        return (yield)
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{item.nodeid} ran over {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def load_qtm(name):

@@ -160,7 +160,8 @@ def make_imager(spec):
                 head + MOVE[t.move],
                 tuple(sorted(written.items())),
             )
-            out[key] = out.get(key, 0j) + t.amplitude
+            # the first target at a key as parsed: 0j + (1 - 0i) would be 1 + 0i
+            out[key] = out[key] + t.amplitude if key in out else t.amplitude
         cache[cfg] = out
         return out
 

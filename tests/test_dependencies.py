@@ -1,6 +1,6 @@
 """The runtime stays stdlib-only: no third-party import, no dependency.
-Its source lines stay within 100 characters, and every name a module
-imports is used there."""
+Its source lines stay within 100 characters, every name a module imports
+is used there, and no module reads another's private names."""
 
 import ast
 import sys
@@ -48,6 +48,44 @@ def test_every_imported_name_is_used(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert imported - used == {name for f, name in REBOUND if f == path.name}
+
+
+# private by name, but namedtuple's public API
+NAMEDTUPLE_METHODS = {"_make"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_a_siblings_private_names(path):
+    # a private name is one with a leading underscore that is not a dunder;
+    # a module may read one it defines (a def, class, assigned name or
+    # attribute) on anything, and any one on ``self`` or ``cls``
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    nodes = list(ast.walk(tree))
+    defined = {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    defined |= {
+        n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+    }
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    reads = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            reads += [
+                f"line {node.lineno}: imports {a.name} from {'.' * node.level}{node.module or ''}"
+                for a in node.names if private(a.name)
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and private(node.attr)
+            and node.attr not in defined | NAMEDTUPLE_METHODS
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        ):
+            reads.append(f"line {node.lineno}: reads {ast.unparse(node)}")
+    assert reads == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -8,7 +8,7 @@ from itertools import chain, islice, product
 
 import pytest
 from conftest import MACHINES, ROOT
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import config_key, make_imager
 
@@ -294,19 +294,38 @@ DRIFTING_MACHINES = [
 ]
 
 
-AMPLITUDES = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+# parts often a signed zero, so that a product's zero part shows its sign,
+# or one of a few exact values, so that sums cancel
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.sampled_from([0.5, -0.5, 0.6, -0.8]), st.floats(-1, 1)
+)
 
 
-def mixed_states(spec, amplitude=AMPLITUDES):
+def mixed_states(spec):
     """Small states over every state of ``spec``, running and halted, with
-    tapes on cells -3..3 whose cell under the head is often blank."""
+    tapes on cells -3..3 whose cell under the head is often blank, and
+    amplitudes of ``PARTS``."""
     tape = st.dictionaries(
         st.integers(-3, 3), st.sampled_from(spec.alphabet), max_size=4
     ).map(lambda cells: tuple(sorted((p, s) for p, s in cells.items() if s != BLANK)))
     config = st.builds(
         spec.config, st.sampled_from(spec.states), tape, st.integers(-3, 3)
     )
-    return st.dictionaries(config, amplitude, min_size=1, max_size=6)
+    return st.dictionaries(config, st.builds(complex, PARTS, PARTS), min_size=1, max_size=6)
+
+
+class Drawn:
+    """Stands in for ``st.data()`` in an ``@example``: ``draw`` gives the
+    value named by its label, whatever the strategy."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def draw(self, strategy, label):
+        return self.values[label]
+
+    def __repr__(self):
+        return f"Drawn(**{self.values!r})"
 
 
 class TestStepMatchesOracle:
@@ -315,9 +334,14 @@ class TestStepMatchesOracle:
     @pytest.mark.parametrize("name", ORACLE_MACHINES)
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
+    # the minus-zero eraser's halt row, 1 - 0i, makes this -0.0 real part +0.0,
+    # where 1 + 0i would keep it
+    @example(data=Drawn(amps={Configuration(True, "qH", 0, ()): complex(-0.0, 1.0)}, prune=0.0))
     def test_step_is_bit_exact(self, name, data):
         spec = _load(name)
-        amps = data.draw(mixed_states(spec))
+        amps = data.draw(mixed_states(spec), label="amps")
+        # the example's qH is no state of the eraser whose halt state is named a
+        assume({c.state for c in amps} <= set(spec.states))
         image = make_imager(spec)
         expected: dict = {}
         gap = None
@@ -333,7 +357,7 @@ class TestStepMatchesOracle:
         # a threshold equal to an amplitude's modulus keeps that amplitude
         moduli = sorted(abs(a) for a in expected.values()) or [0.0]
         prune = data.draw(
-            st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from(moduli))
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from(moduli)), label="prune"
         )
         if gap is not None:
             with pytest.raises(MissingRuleError) as err:
@@ -542,9 +566,6 @@ class TestBulkDrift:
         )
         assert _bits(step(spec, state, prune)) == _bits(step(slow, state, prune))
 
-    # parts often signed zeros or a few exact values, so that sums cancel
-    PARTS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.6, -0.8]), st.floats(-1, 1))
-
     @pytest.mark.parametrize("name", DRIFTING_MACHINES)
     @settings(
         max_examples=60, deadline=None,
@@ -555,7 +576,7 @@ class TestBulkDrift:
         # stepping a state whose halted amplitude is in the ledger: every view
         # of every state of up to 8 steps, bit for bit
         spec = _load(name)
-        amps = data.draw(mixed_states(spec, st.builds(complex, self.PARTS, self.PARTS)))
+        amps = data.draw(mixed_states(spec))
         for cfg, a in list(amps.items()):
             # a halted twin meets a running configuration that seeks right
             # as it halts, and cancels it
@@ -670,8 +691,7 @@ class TestInner:
     @given(data=st.data())
     def test_inner_matches_dict_reference(self, name, data):
         spec = _load(name)
-        parts = TestBulkDrift.PARTS
-        start = QuantumState(data.draw(mixed_states(spec, st.builds(complex, parts, parts))))
+        start = QuantumState(data.draw(mixed_states(spec)))
         first, _ = _evolved(spec, start, 0.0)
         # a second run from a plain copy of S_1 holds S_1+k's amplitudes one
         # shift behind S_1+k, so equal keys meet at unequal shifts

@@ -119,6 +119,8 @@ class TestQuantumState:
         assert state.halted_mass() == pytest.approx(0.64)
         assert list(state.component(True).configurations()) == [halted]
         assert list(state.component(False).configurations()) == [running]
+        assert state.running() and state.component(False).running()
+        assert not state.component(True).running() and not QuantumState({}).running()
 
     def test_renormalized(self):
         state = QuantumState({cfg("q0", "1", 0): 0.5})
