@@ -86,13 +86,14 @@ class QuantumState:
 
     Halted amplitude is kept in a ledger: entries ``(frame key, x, |x|**2,
     set)`` sorted by frame key ``(True, state, head - shift, cells)``, where
-    the state's ``shift`` counts the steps that moved every halted head one
-    cell right under ``MachineSpec.drift_amplitude`` d, so a step that only
-    drifts an entry leaves it as it is.  An entry's amplitude is ``x`` at
-    the shift ``set`` at which it was set and ``x*d`` at every later one: d
-    is ``1+0j`` or ``1-0j``, so a product with d changes at most the sign of
-    a zero part, and a second product changes no bit of a nonzero amplitude
-    (only -0-0j moves, and a zero is pruned).  The views give each entry
+    the state's ``shift`` is the number of steps taken since the constructor
+    or ``renormalized`` built the state.  Under ``MachineSpec.drift_amplitude``
+    d each of those steps moved every halted head one cell right, so a step
+    that only drifts an entry leaves it as it is.  An entry's amplitude is
+    ``x`` at the shift ``set`` at which it was set and ``x*d`` at every
+    later one: d is ``1+0j`` or ``1-0j``, so a product with d changes at
+    most the sign of a zero part, and a second product changes no bit of a
+    nonzero amplitude (only -0-0j moves, and a zero is pruned).  The views give each entry
     under its key at the current head, after the running pairs, and
     ``norm2`` adds the ledger's moduli, left to right, to the running pairs'
     sum.  The constructor and ``renormalized`` put every halted amplitude
@@ -204,7 +205,6 @@ def initial_state(spec: MachineSpec, terms: Iterable[tuple[complex, str]]) -> Qu
     amplitude exactly 0 are left out, as ``step`` keeps no zero.
     """
     amps = {}
-    total = 0.0
     for amplitude, text in terms:
         if text == "":
             raise ParseError("empty input string")
@@ -216,7 +216,7 @@ def initial_state(spec: MachineSpec, terms: Iterable[tuple[complex, str]]) -> Qu
             if ch not in spec.alphabet:
                 raise ParseError(f"symbol {ch!r} is not in the machine alphabet")
         amps[text] = amplitude + 0j  # complex, with +0.0 for a -0.0 part
-        total += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
+    total = _mass(amps.items())
     if not abs(total - 1.0) <= DEFAULT_TOL:  # refuses a NaN or infinite norm too
         raise ParseError(f"input amplitudes have squared norm {total!r}, expected 1")
     return QuantumState(
@@ -237,24 +237,24 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
 
     Under ``spec.drift_amplitude`` only running sources are stepped, and
     the state's ledger (see ``QuantumState``) is kept as it is, one shift
-    further on; the halt
-    state's bucket holds the newly halted sums, each merged into the ledger
-    by bisection.  Where an entry has its key, the entry's drift term is
-    added last, where a stable sort of all terms puts it (halted sources
-    come last), so every float is the same.  Only final sums are pruned; a
-    ledger at shift 0, which may hold zero or small amplitudes the
-    constructor kept, is filtered after the merge, as is every ledger under
-    a nonzero ``prune``.  Without ``drift_amplitude``, or from an empty
-    ledger, the newly halted sums make a fresh ledger at shift 0.
+    further on; the halt state's bucket holds the newly halted sums, each
+    merged into the ledger by bisection.  Where an entry has its key, the
+    entry's drift term is added last, where a stable sort of all terms puts
+    it (halted sources come last), so every float is the same.  Only final
+    sums are pruned; a ledger at shift 0, which may hold zero or small
+    amplitudes the constructor or ``renormalized`` kept, is filtered after
+    the merge, as is every ledger under a nonzero ``prune``.  Without
+    ``drift_amplitude`` the newly halted sums make a fresh ledger.
     """
     rows = spec.step_rows
     if (d := spec.drift_amplitude) is None:  # every configuration goes through the rule loop
         pairs, ledger = state.keyed_items(), ()
     else:
         pairs, ledger = state._pairs, state._ledger
-    shift = state._shift + 1 if ledger else 0
-    # filtered after the merge: a ledger at shift 0 may hold the constructor's
-    # zeros and small amplitudes, and any ledger entries below a new prune
+    shift = state._shift + 1
+    # filtered after the merge: only the constructor and ``renormalized`` build
+    # a ledger at shift 0, which may hold zeros and small amplitudes; under a
+    # nonzero prune any ledger may hold entries below it
     unpruned = ledger and (prune or not state._shift)
     buckets = [[] for _ in rows]  # one per target state, in (halted, state) order
     for (_, q, head, cells), amp in pairs:

@@ -28,7 +28,6 @@ BLANK = "_"
 #: Default numerical tolerance for norm and orthogonality checks.
 DEFAULT_TOL = 1e-9
 
-MOVES = ("L", "N", "R")
 MOVE_DELTA = {"L": -1, "N": 0, "R": 1}
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .evolution import QuantumState, initial_state
-from .machine import BLANK, MOVES, MachineSpec, RuleTarget
+from .machine import BLANK, MOVE_DELTA, MachineSpec, RuleTarget
 from .wellformed import row_norm2
 
 # Characters that would collide with the file and input grammars if they
@@ -164,40 +164,30 @@ def _check_symbol(token: str, lineno: int) -> str:
 
 
 def _parse_headers(text: str, expected_header: str):
-    """The header fields (states, initial, halt, alphabet) and the
+    """The checked header fields (states, initial, halt, alphabet) and the
     ``(lineno, body)`` of every rule line."""
+    lines = _meaningful_lines(text)
+    lineno, line = next(lines, (1, None))
+    if line is None:
+        raise ParseError(f"empty file, expected {expected_header!r}", line=1)
+    if line != expected_header:
+        raise ParseError(f"expected format header {expected_header!r}", line=lineno)
+    names = ("states", "initial", "halt", "alphabet")
     headers: dict[str, tuple] = {}
     rule_lines = []
-    first = True
-    for lineno, line in _meaningful_lines(text):
-        if first:
-            if line != expected_header:
-                raise ParseError(
-                    f"expected format header {expected_header!r}", line=lineno
-                )
-            first = False
-            continue
-        if line.startswith("rule:"):
-            rule_lines.append((lineno, line[len("rule:"):].strip()))
-            continue
-        for name in ("states", "initial", "halt", "alphabet"):
-            prefix = name + ":"
-            if line.startswith(prefix):
-                if name in headers:
-                    raise ParseError(f"duplicate header {name!r}", line=lineno)
-                headers[name] = (lineno, line[len(prefix):].split())
-                break
-        else:
+    for lineno, line in lines:
+        name, colon, value = line.partition(":")
+        if not colon or name not in ("rule", *names):
             raise ParseError(f"unrecognized line {line!r}", line=lineno)
-    if first:
-        raise ParseError(f"empty file, expected {expected_header!r}", line=1)
-    for name in ("states", "initial", "halt", "alphabet"):
+        if name == "rule":
+            rule_lines.append((lineno, value.strip()))
+        elif name in headers:
+            raise ParseError(f"duplicate header {name!r}", line=lineno)
+        else:
+            headers[name] = (lineno, value.split())
+    for name in names:
         if name not in headers:
             raise ParseError(f"missing header {name!r}")
-    return _common_header_fields(headers), rule_lines
-
-
-def _common_header_fields(headers):
     lineno, states = headers["states"]
     if len(set(states)) != len(states) or not states:
         raise ParseError("states must be distinct and non-empty", line=lineno)
@@ -218,7 +208,7 @@ def _common_header_fields(headers):
         raise ParseError("alphabet symbols must be distinct", line=lineno)
     if BLANK not in symbols:
         raise ParseError(f"alphabet must contain the blank symbol {BLANK!r}", line=lineno)
-    return tuple(states), initial[0], halt[0], tuple(symbols)
+    return (tuple(states), initial[0], halt[0], tuple(symbols)), rule_lines
 
 
 def _target(text: str, usage: str, machine, lineno) -> tuple[str, str, str]:
@@ -233,7 +223,7 @@ def _target(text: str, usage: str, machine, lineno) -> tuple[str, str, str]:
         raise ParseError(f"unknown state {state!r}", line=lineno)
     if write != "*" and write not in alphabet:
         raise ParseError(f"unknown symbol {write!r}", line=lineno)
-    if move not in MOVES:
+    if move not in MOVE_DELTA:
         raise ParseError(f"move must be one of L N R, got {move!r}", line=lineno)
     return state, write, move
 

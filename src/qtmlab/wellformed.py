@@ -86,9 +86,11 @@ class WellformednessReport:
 def core_well_formed(report: WellformednessReport) -> bool:
     """True when the only failures are halting-scheme drift collisions.
 
-    Machines in this class preserve norm on every state reachable from a
-    fresh input, because an input branch never occupies the halted
-    configuration a newly-halting image would collide with.
+    This is necessary, not sufficient, for an unmonitored run to keep its
+    norm: a drift witness comes true when a newly halting branch lands on
+    the halted configuration another branch is drifting through, and the
+    squared norm then changes by the two terms' cross term.  The ``every``
+    schedule (Ozawa) retires each halted branch before that can happen.
     """
     return not report.norm_violations and not report.core_count
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 import pins
 from conftest import MACHINES, ROOT
+from test_evolution import DRIFT_COLLISION
 from pins import (
     CORPUS_OUTPUT_SHA256,
     LONG_SUBSPACE_ARGV,
@@ -607,6 +608,56 @@ class TestCompare:
         assert result["maxNormDrift"] == 0.7071067811865475
         assert result["normFlag"] is True
         assert result["equivalent"] is False
+
+
+class TestDriftCollision:
+    """A core-well-formed machine need not keep a run's norm: on
+    ``DRIFT_COLLISION`` a newly halting branch lands on a drifting one at
+    step 2, unless ``every`` has retired the drifting one at step 1."""
+
+    PLUS = "1/sqrt(2):0 + 1/sqrt(2):1"
+    MINUS = "1/sqrt(2):0 + -1/sqrt(2):1"
+
+    @pytest.fixture
+    def machine(self, tmp_path):
+        path = tmp_path / "collide.qtm"
+        path.write_text(DRIFT_COLLISION)
+        return str(path)
+
+    def test_check_finds_only_drift_witnesses(self, machine, capsys):
+        assert cli.main(["check", machine]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["coreWellFormed"] is True
+        assert (result["coreWitnessCount"], result["driftWitnessCount"]) == (0, 5346)
+
+    def test_in_phase_branches_double_the_norm(self, machine, capsys):
+        assert cli.main(["run", machine, "--input", self.PLUS, "--steps", "3"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["maxNormDrift"] == 0.9999999999999996
+        assert result["normFlag"] is True
+        argv = ["compare", machine, "--input", self.PLUS, "--steps", "3",
+                "--schedules", "every,end"]
+        assert cli.main(argv) == 2
+
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_opposite_branches_cancel(self, machine, capsys, command):
+        assert cli.main([command, machine, "--input", self.MINUS, "--steps", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qtmlab: error: cancellation removed all amplitude at step 2\n"
+
+    @pytest.mark.parametrize("text", [PLUS, MINUS], ids=["plus", "minus"])
+    def test_every_step_retires_each_halted_branch(self, machine, capsys, text):
+        argv = ["run", machine, "--input", text, "--steps", "3", "--schedule", "every"]
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        tape = {"text": "0", "origin": 0}
+        assert result["outcomes"] == [
+            {"haltStep": 1, "tape": tape, "probability": 0.5},
+            {"haltStep": 2, "tape": tape, "probability": 0.5},
+        ]
+        assert result["maxNormDrift"] == 2.220446049250313e-16
+        assert result["normFlag"] is False
 
 
 class TestToleranceEdges:

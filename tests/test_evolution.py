@@ -8,7 +8,7 @@ from itertools import chain, islice, product
 
 import pytest
 from conftest import MACHINES, ROOT
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 from oracles import config_key, make_imager
 
@@ -265,7 +265,25 @@ rule: q1 * -> 1/sqrt(3) : q2 * L | 1/sqrt(3) : q0 * R | 1/sqrt(3) : q1 * R
 rule: q2 * -> 1/sqrt(3) : q1 * L | 1/sqrt(3) : q2 * N | 1/sqrt(3) : qH * R
 rule: qH * -> 1 : qH * R
 """
+# a total, core-well-formed machine on which a drift witness comes true: from
+# 0 the run halts at step 1 as (qH, 1, "0") and drifts to (qH, 2, "0"), where
+# the run from 1 halts at step 2 through (q1, 1, "0")
+DRIFT_COLLISION = """\
+qtm-spec v1
+states: q0 q1 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 0 -> 1 : qH 0 R
+rule: q0 1 -> 1 : q1 0 R
+rule: q0 _ -> 1 : q0 0 L
+rule: q1 0 -> 1 : q0 1 L
+rule: q1 1 -> 1 : q0 _ L
+rule: q1 _ -> 1 : qH _ R
+rule: qH * -> 1 : qH * R
+"""
 EXTRA = {
+    "drift_collision": DRIFT_COLLISION,
     "eraser": ERASER,
     "eraser_halt_named_first": HALT_NAMED_FIRST,
     "eraser_halt_stays": STAYING_ERASER,
@@ -287,6 +305,7 @@ DRIFTING_MACHINES = [
     "hadamard_halt_naive.qtm",
     "right_shift.qtm",
     "seek_right_lifted.qtm",
+    "drift_collision",
     "eraser",
     "eraser_halt_named_first",
     "eraser_minus_zero_drift",
@@ -301,17 +320,37 @@ PARTS = st.one_of(
 )
 
 
-def mixed_states(spec):
-    """Small states over every state of ``spec``, running and halted, with
-    tapes on cells -3..3 whose cell under the head is often blank, and
-    amplitudes of ``PARTS``."""
+def mixed_configs(spec):
+    """Configurations over every state of ``spec``, running and halted, with
+    tapes on cells -3..3 whose cell under the head is often blank."""
     tape = st.dictionaries(
         st.integers(-3, 3), st.sampled_from(spec.alphabet), max_size=4
     ).map(lambda cells: tuple(sorted((p, s) for p, s in cells.items() if s != BLANK)))
-    config = st.builds(
-        spec.config, st.sampled_from(spec.states), tape, st.integers(-3, 3)
+    return st.builds(spec.config, st.sampled_from(spec.states), tape, st.integers(-3, 3))
+
+
+def mixed_states(spec, configs=None):
+    """Small states over ``configs`` (by default ``mixed_configs``) with
+    amplitudes of ``PARTS``."""
+    return st.dictionaries(
+        mixed_configs(spec) if configs is None else configs,
+        st.builds(complex, PARTS, PARTS),
+        min_size=1,
+        max_size=6,
     )
-    return st.dictionaries(config, st.builds(complex, PARTS, PARTS), min_size=1, max_size=6)
+
+
+def gap_configs(spec):
+    """Configurations that read a symbol their state has no rule for: a
+    ``mixed_configs`` one with a gap key's symbol laid under its head."""
+    gaps = [(q, s) for q in spec.states for s in spec.alphabet if (q, s) not in spec.rules]
+
+    def read(cfg, gap):
+        cells = {**dict(cfg.cells), cfg.head: gap[1]}
+        cells = tuple(sorted((p, s) for p, s in cells.items() if s != BLANK))
+        return spec.config(gap[0], cells, cfg.head)
+
+    return st.builds(read, mixed_configs(spec), st.sampled_from(gaps)) if gaps else st.nothing()
 
 
 class Drawn:
@@ -336,41 +375,48 @@ class TestStepMatchesOracle:
     @given(data=st.data())
     # the minus-zero eraser's halt row, 1 - 0i, makes this -0.0 real part +0.0,
     # where 1 + 0i would keep it
-    @example(data=Drawn(amps={Configuration(True, "qH", 0, ()): complex(-0.0, 1.0)}, prune=0.0))
+    @example(
+        data=Drawn(
+            amps={Configuration(True, "qH", 0, ()): complex(-0.0, 1.0)}, gap=None, prune=0.0
+        )
+    )
     def test_step_is_bit_exact(self, name, data):
+        # every example compares the amplitudes of a gap-free state, and
+        # checks the error of that state with one gap configuration added
         spec = _load(name)
-        amps = data.draw(mixed_states(spec), label="amps")
+        image = make_imager(spec)
+        ruled = mixed_configs(spec).filter(lambda cfg: image(cfg) is not None)
+        amps = data.draw(mixed_states(spec, ruled), label="amps")
         # the example's qH is no state of the eraser whose halt state is named a
         assume({c.state for c in amps} <= set(spec.states))
-        image = make_imager(spec)
+        gap = data.draw(
+            st.none() | st.tuples(gap_configs(spec), st.builds(complex, PARTS, PARTS)),
+            label="gap",
+        )
         expected: dict = {}
-        gap = None
         for cfg in sorted(amps, key=config_key):
-            targets = image(cfg)
-            if targets is None:
-                gap = cfg
-                break
-            for key, a in targets.items():
+            for key, a in image(cfg).items():
                 prev = expected.get(key)
                 expected[key] = amps[cfg] * a if prev is None else prev + amps[cfg] * a
-        state = QuantumState(amps)
         # a threshold equal to an amplitude's modulus keeps that amplitude
         moduli = sorted(abs(a) for a in expected.values()) or [0.0]
         prune = data.draw(
             st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.sampled_from(moduli)), label="prune"
         )
-        if gap is not None:
-            with pytest.raises(MissingRuleError) as err:
-                step(spec, state, prune)
-            symbol = dict(gap.cells).get(gap.head, BLANK)
-            assert (err.value.state, err.value.symbol) == (gap.state, symbol)
-            return
         kept = {k: a for k, a in expected.items() if a != 0 and abs(a) >= prune}
-        got = [(config_key(c), a) for c, a in step(spec, state, prune).items()]
+        got = [(config_key(c), a) for c, a in step(spec, QuantumState(amps), prune).items()]
         want = sorted(kept.items(), key=lambda kv: kv[0])
+        event("compared amplitudes")
         assert got == want
         # == takes -0.0 for 0.0; repr tells the bits apart
         assert [(k, repr(a)) for k, a in got] == [(k, repr(a)) for k, a in want]
+        if gap is not None:
+            cfg, a = gap
+            with pytest.raises(MissingRuleError) as err:
+                step(spec, QuantumState({**amps, cfg: a}), prune)
+            symbol = dict(cfg.cells).get(cfg.head, BLANK)
+            assert (err.value.state, err.value.symbol) == (cfg.state, symbol)
+            event("checked a gap")
 
     @pytest.mark.parametrize("name", ORACLE_MACHINES)
     def test_every_gap_raises(self, name):
@@ -660,6 +706,59 @@ class TestBulkDrift:
         got = step(spec, state)
         assert [repr(a) for _, a in got.keyed_items()] == ["(0.6+0j)", "(0.8-0j)"]
         assert _bits(got) == _bits(step(_general(monkeypatch, spec), state))
+
+
+class TestLedgerClock:
+    """A state's shift counts the steps since the constructor or
+    ``renormalized`` built it, so only their ledgers sit at shift 0."""
+
+    def test_a_drift_step_keeps_the_ledger(self):
+        spec = _load("seek_right_lifted.qtm")
+        state = one(spec, "01", 3)  # the branch halted at step 3; nothing runs
+        assert not state.running()
+        drifted = step(spec, state)
+        # a ledger that step built is filtered already, so it is not copied
+        assert drifted._ledger is state._ledger
+        assert (state._shift, drifted._shift) == (3, 4)
+
+    def test_a_constructed_ledger_drops_its_zero_at_the_first_step(self):
+        spec = _load("seek_right_lifted.qtm")
+        zero, kept = (spec.config("qH", tape_cells(t), 0) for t in "01")
+        got = step(spec, QuantumState({zero: 0j, kept: 1.0}))
+        assert _bits(got) == [((True, "qH", 1, tape_cells("1")), "(1+0j)")]
+
+
+class TestDriftCollision:
+    """On ``drift_collision``, a core-well-formed machine, the run from 0
+    halts at step 1 and drifts onto the halted configuration the run from 1
+    reaches at step 2: the squared norm changes by the cross terms there."""
+
+    @staticmethod
+    def _image(image, state):
+        out: dict = {}
+        for cfg, a in state.items():
+            for key, b in image(cfg).items():
+                out[key] = out.get(key, 0j) + a * b
+        return out
+
+    @pytest.mark.parametrize("sign, cross", [("", 1.0), ("-", -1.0)], ids=["plus", "minus"])
+    def test_norm_changes_by_the_cross_terms_of_collisions(self, sign, cross):
+        spec = _load("drift_collision")
+        image = make_imager(spec)
+        state = parse_input(f"1/sqrt(2):0 + {sign}1/sqrt(2):1", spec)
+        crosses = []
+        for _ in range(3):
+            drift = self._image(image, state.component(True))
+            new = self._image(image, state.component(False))
+            crosses.append(sum(
+                2 * (drift[k].conjugate() * new[k]).real
+                for k in drift.keys() & new.keys()
+                if drift[k] and new[k]
+            ))
+            after = step(spec, state)
+            assert after.norm2() - state.norm2() == pytest.approx(crosses[-1], abs=1e-12)
+            state = after
+        assert crosses == pytest.approx([0.0, cross, 0.0], abs=1e-12)
 
 
 def _inner_reference(u, v):

@@ -1,6 +1,8 @@
 """Measurement schedule engine: distributions, sampling, comparison."""
 
+import copy
 import math
+import pickle
 from itertools import accumulate
 
 import pytest
@@ -180,6 +182,9 @@ class TestRunSchedule:
     def test_unhalted_sentinel_is_a_singleton(self):
         assert _Unhalted() is UNHALTED
         assert repr(UNHALTED) == "UNHALTED"
+        # each rebuilds the object through __new__, which hands back the one
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            assert clone(UNHALTED) is UNHALTED
 
 
 class TestSampling:
