@@ -26,7 +26,8 @@ Each bucket is sorted stably and equal neighbours are added left to right,
 the float sequence a dict accumulated in that order gives; read in
 ``(halted, state)`` order, the halt state's last, the buckets give the keys
 in canonical order.  A source state's terms form sorted runs in a bucket, so
-each sort is nearly linear, and a reused cell tuple compares by identity.
+each sort is nearly linear and compares a reused cell tuple by identity; one
+that ``MachineSpec.ordered_buckets`` proves a single run is not sorted.
 
 Under ``MachineSpec.drift_amplitude`` a halted configuration only drifts to
 its translate one cell right, so ``step`` steps the running configurations
@@ -204,13 +205,13 @@ def initial_state(spec: MachineSpec, terms: Iterable[tuple[complex, str]]) -> Qu
     ``DEFAULT_TOL`` of 1, a NaN or an overflowing one included.  Terms of
     amplitude exactly 0 are left out, as ``step`` keeps no zero.
     """
-    amps = {}
+    amps, symbols = {}, set(spec.alphabet) - {BLANK}
     for amplitude, text in terms:
         if text == "":
             raise ParseError("empty input string")
         if text in amps:
             raise ParseError(f"duplicate input string {text!r}")
-        for ch in text:
+        for ch in () if symbols.issuperset(text) else text:  # names the first bad one
             if ch == BLANK:
                 raise ParseError("input strings may not contain the blank symbol")
             if ch not in spec.alphabet:
@@ -244,7 +245,9 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
     sums are pruned; a ledger at shift 0, which may hold zero or small
     amplitudes the constructor or ``renormalized`` kept, is filtered after
     the merge, as is every ledger under a nonzero ``prune``.  Without
-    ``drift_amplitude`` the newly halted sums make a fresh ledger.
+    ``drift_amplitude`` the newly halted sums make a fresh ledger.  A bucket
+    that ``spec.ordered_buckets`` marks is not sorted, which keeps every
+    float: its terms arrive in key order, where a stable sort leaves them.
     """
     rows = spec.step_rows
     if (d := spec.drift_amplitude) is None:  # every configuration goes through the rule loop
@@ -281,10 +284,11 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
             buckets[b].append(((head + delta, ncells), amp * a))
     halts = buckets.pop()  # the halt state's bucket, last in (halted, state) order
     out, norm2 = [], 0.0
-    for q, terms in zip(rows, buckets):
+    for q, terms, in_order in zip(rows, buckets, spec.ordered_buckets):
         if not terms:
             continue
-        terms.sort(key=_first)  # stable: each key's terms stay in generation order
+        if not in_order:
+            terms.sort(key=_first)  # stable: each key's terms stay in generation order
         terms.append((None, 0j))  # ends the last sum
         frame, key, s = (False, q), None, 0  # starts no sum
         for k, x in terms:
@@ -296,7 +300,8 @@ def step(spec: MachineSpec, state: QuantumState, prune: float = 0.0) -> QuantumS
                 norm2 += s.real * s.real + s.imag * s.imag
             key, s = k, x
     if halts:  # each newly halted sum, then any drift term at its key, in order
-        halts.sort(key=_first)  # stable, as above
+        if not spec.ordered_buckets[-1]:
+            halts.sort(key=_first)  # stable, as above
         (key, s), ledger, lo = halts[0], list(ledger), 0
         for k, x in halts[1:] + [(None, 0j)]:  # the last ends the last sum
             if k == key:

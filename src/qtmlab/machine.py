@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 BLANK = "_"
@@ -34,6 +35,8 @@ MOVE_DELTA = {"L": -1, "N": 0, "R": 1}
 def tape_cells(text: str, origin: int = 0) -> tuple:
     """The canonical cells of ``text`` laid on consecutive cells from
     ``origin``: ``(position, symbol)`` pairs by position, blanks not stored."""
+    if BLANK not in text and type(origin) is int:  # every cell is stored
+        return tuple(enumerate(text, origin))
     return tuple((origin + i, s) for i, s in enumerate(text) if s != BLANK)
 
 
@@ -120,6 +123,19 @@ class MachineSpec:
                 for t in targets
             )
         return rows
+
+    @cached_property
+    def ordered_buckets(self) -> tuple[bool, ...]:
+        """Per bucket of ``step_rows``, whether ``step`` fills it in key order:
+        one stepped state (the halt state only without ``drift_amplitude``)
+        targets it, each target keeps the symbol read and all move alike, so
+        sources in canonical order map to ``(head + delta, cells)`` in order."""
+        feeds = [set() for _ in self.step_rows]
+        for q, row in self.step_rows.items():
+            if q != self.halt or self.drift_amplitude is None:
+                for b, write, delta, _ in chain.from_iterable(row.values()):
+                    feeds[b].add((q, delta) if write is None else None)
+        return tuple(len(f) == 1 and None not in f for f in feeds)
 
     @cached_property
     def drift_amplitude(self) -> complex | None:

@@ -94,7 +94,11 @@ def _skip_ws(text: str, i: int) -> int:
 
 def parse_amplitude(text: str) -> complex:
     """Evaluate an amplitude literal to a complex double."""
-    i = _skip_ws(text, 0)
+    return _amplitude(text, 0)
+
+
+def _amplitude(text: str, i: int) -> complex:  # text[i:], with offsets into text
+    i = _skip_ws(text, i)
     first, i = _parse_part(text, i)
     i = _skip_ws(text, i)
     if i < len(text) and text[i] == "i":
@@ -356,23 +360,26 @@ def parse_input(text: str, spec: MachineSpec) -> QuantumState:
     All text before a term's ``:`` is its amplitude, so a complex literal
     keeps its ``+``; a ``+`` ends a term only after the term's string.  A
     bare string (no ``:``) is allowed only as the whole input, with
-    amplitude 1.  An empty term is an error.
+    amplitude 1.  An empty term is an error; error offsets index ``text``.
     """
     if not text.strip():
         raise ParseError("empty input")
-    terms = []
-    rest = text
+    terms, amplitudes, i = [], {}, 0
     while True:
-        if not rest.strip() or rest.lstrip().startswith("+"):
+        i = _skip_ws(text, i)
+        if i == len(text) or text[i] == "+":
             raise ParseError("empty term in input")
-        if ":" not in rest:
-            if terms or "+" in rest:
+        colon = text.find(":", i)
+        if colon < 0:
+            if terms or "+" in text[i:]:
                 raise ParseError("every term of a superposed input needs an amplitude")
-            terms.append((complex(1.0, 0.0), rest.strip()))
+            terms.append((complex(1.0, 0.0), text[i:].rstrip()))
             break
-        amp_text, rest = rest.split(":", 1)
-        string, plus, rest = rest.partition("+")
-        terms.append((parse_amplitude(amp_text.strip()), string.strip()))
-        if not plus:
+        if (amp_text := text[i:colon]) not in amplitudes:  # parsed once per call
+            amplitudes[amp_text] = _amplitude(text[:colon], i)
+        end = text.find("+", colon)
+        terms.append((amplitudes[amp_text], text[colon + 1:end if end >= 0 else None].strip()))
+        if end < 0:
             break
+        i = end + 1
     return initial_state(spec, terms)

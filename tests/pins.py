@@ -1,6 +1,7 @@
 """Byte pins of the command-line tool: the exit status and the sha256 of
 stdout of every corpus machine's analysis and of every command that evolves
-a state, recorded before refactors that had to keep each byte.
+a state, recorded before refactors that had to keep each byte, and the exit
+status and stderr of error cases.
 
 ``tests/test_cli.py`` parametrizes its frozen-output tests over these
 tables.  Run as a script, this file needs only the standard library and
@@ -262,6 +263,14 @@ LONG_SUBSPACE_ARGV = (
 )
 LONG_SUBSPACE_SHA256 = (
     2, "e3ac47e72d1c1f6f2c93531dee2fd1cfef7e153f6fe08608edaa9fb76eaa8c90")
+# exit status and stderr of an --input whose bad amplitude is in a later
+# term: the offset counts from the start of the --input text, where the
+# "x" is
+ERROR_PINS = {
+    ("run", "machines/seek_right_lifted.qtm",
+     "--input", "1/sqrt(2):0 + 1/sqrt(x):1", "--steps", "3"): (
+        1, "qtmlab: error: expected an integer (offset 21)\n"),
+}
 
 
 def cases():
@@ -285,20 +294,27 @@ def cases():
     yield "long subspace", LONG_SUBSPACE_ARGV, LONG_SUBSPACE_SHA256
 
 
-def replay(argv) -> tuple:
-    """(exit status, sha256 of stdout) of ``qtmlab`` on ``argv``, in-process
-    from the repository root; stderr is dropped."""
+def run(argv) -> tuple:
+    """(exit status, stdout, stderr) of ``qtmlab`` on ``argv``, in-process
+    from the repository root."""
     from qtmlab import cli
 
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))
     finally:
         os.chdir(cwd)
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def replay(argv) -> tuple:
+    """(exit status, sha256 of stdout) of ``qtmlab`` on ``argv``, as ``run``
+    gives them; stderr is dropped."""
+    code, out, _ = run(argv)
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
 def main() -> int:
@@ -310,6 +326,12 @@ def main() -> int:
         if got != pinned:
             bad += 1
             print(f"MISMATCH {label}: got {got}, pinned {pinned}")
+    for argv, pinned in ERROR_PINS.items():
+        total += 1
+        code, _, err = run(argv)
+        if (code, err) != pinned:
+            bad += 1
+            print(f"MISMATCH {' '.join(argv)}: got {(code, err)}, pinned {pinned}")
     print(f"{total - bad} of {total} pins hold")
     return 1 if bad else 0
 

@@ -18,6 +18,7 @@ from conftest import MACHINES, ROOT
 from test_evolution import DRIFT_COLLISION
 from pins import (
     CORPUS_OUTPUT_SHA256,
+    ERROR_PINS,
     LONG_SUBSPACE_ARGV,
     LONG_SUBSPACE_SHA256,
     PRUNED_MACHINES,
@@ -1037,6 +1038,13 @@ class TestCorpusOutputsFrozen:
         code = cli.main(list(LONG_SUBSPACE_ARGV))
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert (code, digest) == LONG_SUBSPACE_SHA256
+
+    @pytest.mark.parametrize("argv", sorted(ERROR_PINS))
+    def test_error_output_is_pinned(self, argv):
+        code, stderr = ERROR_PINS[argv]
+        p = qtmlab(*argv)
+        assert (p.returncode, p.stdout, p.stderr) == (code, "", stderr)
+        assert pins.run(argv) == (code, "", stderr)
 
     def test_pin_runner_replays_every_parametrized_case(self):
         # one case per parametrized pin test, and the long subspace pin

@@ -282,6 +282,38 @@ rule: q1 1 -> 1 : q0 _ L
 rule: q1 _ -> 1 : qH _ R
 rule: qH * -> 1 : qH * R
 """
+# q0 writes the other bit as it seeks right: one state and one move feed
+# q0's bucket, but a written cell can put a later source's target first
+ONE_STATE_WRITES = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 0 -> 1 : q0 1 R
+rule: q0 1 -> 1 : q0 0 R
+rule: q0 _ -> 1 : qH _ R
+rule: qH * -> 1 : qH * R
+"""
+# q0 keeps the tape but moves left on 0 and right on 1: one state feeds
+# q0's bucket with two moves, so a source at a higher head can land lower
+ONE_STATE_TWO_MOVES = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 0 -> 1 : q0 0 L
+rule: q0 1 -> 1 : q0 1 R
+rule: q0 _ -> 1 : qH _ R
+rule: qH * -> 1 : qH * R
+"""
+# seek_right_lifted whose halt rows stay put: the halt state has no
+# drift_amplitude, so it is stepped and feeds its own bucket beside q0
+SEEK_HALT_STAYS = "".join(
+    line for line in (MACHINES / "seek_right_lifted.qtm").read_text().splitlines(True)
+    if not line.startswith("rule: qH")
+) + "rule: qH * -> 1 : qH * N\n"
 EXTRA = {
     "drift_collision": DRIFT_COLLISION,
     "eraser": ERASER,
@@ -289,6 +321,9 @@ EXTRA = {
     "eraser_halt_stays": STAYING_ERASER,
     "eraser_minus_zero_drift": MINUS_ZERO_ERASER,
     "gather": GATHER,
+    "one_state_two_moves": ONE_STATE_TWO_MOVES,
+    "one_state_writes": ONE_STATE_WRITES,
+    "seek_halt_stays": SEEK_HALT_STAYS,
 }
 ORACLE_MACHINES = sorted(p.name for p in MACHINES.glob("*.qtm")) + sorted(EXTRA)
 
@@ -310,6 +345,8 @@ DRIFTING_MACHINES = [
     "eraser_halt_named_first",
     "eraser_minus_zero_drift",
     "gather",
+    "one_state_two_moves",
+    "one_state_writes",
 ]
 
 
@@ -488,6 +525,79 @@ class TestBuckets:
         assert [k[:2] for k, _ in got.keyed_items()] == [
             (False, "q1"), (False, "q1"), (True, "a"), (True, "a"), (True, "a")
         ]
+
+
+WALK = ROOT / "perfbench" / "machines" / "hadamard_walk.qtm"
+
+
+def _flagged(spec):
+    return [q for q, ordered in zip(spec.step_rows, spec.ordered_buckets) if ordered]
+
+
+class TestOrderedBuckets:
+    """``step`` leaves unsorted the buckets that ``ordered_buckets`` marks:
+    one stepped state feeds them, keeping the symbol read and moving alike."""
+
+    FLAGGED = {
+        "delayed_hadamard.qtm": ["q1"],
+        "hadamard_halt.qtm": [],
+        "hadamard_halt_naive.qtm": [],
+        "right_shift.qtm": ["q0"],
+        "seek_right_lifted.qtm": ["q0", "qH"],
+        "drift_collision": [],
+        "eraser": [],
+        "eraser_halt_named_first": [],
+        "eraser_halt_stays": [],
+        "eraser_minus_zero_drift": [],
+        "gather": ["qH"],
+        "one_state_two_moves": ["qH"],
+        "one_state_writes": ["qH"],
+        "seek_halt_stays": ["q0"],
+    }
+    LIFTS_FLAGGED = {
+        "flip_bits.tm": ["qH"],
+        "parity_mark.tm": [],
+        "seek_right.tm": ["q0", "qH"],
+        "unary_inc.tm": ["q0"],
+    }
+
+    def test_flags_are_pinned(self):
+        assert {n: _flagged(_load(n)) for n in ORACLE_MACHINES} == self.FLAGGED
+        lifts = {}
+        for path in sorted(MACHINES.glob("*.tm")):
+            try:
+                lifts[path.name] = _flagged(lift_to_qtm(parse_classical(path.read_text())))
+            except NotReversibleError:
+                assert path.name == "collide.tm"
+        assert lifts == self.LIFTS_FLAGGED
+        assert _flagged(parse_machine(WALK.read_text())) == []
+
+    # per clause of the rule, a state whose terms in the named bucket arrive
+    # out of key order, so that the bucket's sort is needed: two states feed
+    # it, a target writes, the moves differ, or the halt state is stepped
+    @pytest.mark.parametrize(
+        "name, bucket, configs",
+        [
+            ("drift_collision", "qH", [("q0", "0", 0), ("q1", "", -3)]),
+            ("one_state_writes", "q0", [("q0", "0", 0), ("q0", "1", 0)]),
+            ("one_state_two_moves", "q0", [("q0", "1", 0), ("q0", "00", 1)]),
+            ("seek_halt_stays", "qH", [("q0", "1", 1), ("qH", "1", 0)]),
+        ],
+        ids=["two-states", "writes", "two-moves", "halt-stepped"],
+    )
+    def test_each_clause_keeps_a_sort(self, name, bucket, configs):
+        spec = _load(name)
+        assert bucket not in _flagged(spec)
+        amps = {
+            spec.config(q, tape_cells(t), head): complex(0.6, -0.8) * (n + 1)
+            for n, (q, t, head) in enumerate(configs)
+        }
+        image = make_imager(spec)
+        arrivals = [
+            k[2:] for c in sorted(amps, key=config_key) for k in image(c) if k[1] == bucket
+        ]
+        assert arrivals != sorted(arrivals)
+        assert _bits(step(spec, QuantumState(amps))) == TestBuckets._oracle_bits(spec, amps)
 
 
 class TestHeadRead:

@@ -68,6 +68,13 @@ class TestTape:
     def test_cells_then_text_roundtrip(self, text, origin):
         assert tape_text(tape_cells(text, origin)) == (text, origin)
 
+    @given(st.text("01_", max_size=12) | st.text("01", max_size=12), st.integers())
+    def test_cells_are_their_definition(self, text, origin):
+        # with and without blanks, at any int origin, one cell per non-blank
+        # symbol at its position from origin
+        want = tuple((origin + i, s) for i, s in enumerate(text) if s != BLANK)
+        assert tape_cells(text, origin) == want
+
 
 class TestConfiguration:
     def test_halted_sorts_after_running(self):
@@ -273,3 +280,17 @@ class TestValidateInput:
     def test_rejections(self, hadamard_halt, terms, message):
         with pytest.raises(ParseError, match=message):
             initial_state(hadamard_halt, terms)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0_x", "input strings may not contain the blank symbol"),
+            ("0x_", "symbol 'x' is not in the machine alphabet"),
+            ("x", "symbol 'x' is not in the machine alphabet"),
+            ("_", "input strings may not contain the blank symbol"),
+        ],
+    )
+    def test_first_bad_character_is_reported(self, hadamard_halt, text, message):
+        with pytest.raises(ParseError) as err:
+            initial_state(hadamard_halt, ((complex(1), text),))
+        assert str(err.value) == message

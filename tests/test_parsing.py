@@ -367,6 +367,31 @@ class TestParseInput:
         with pytest.raises(ParseError, match=message):
             parse_input(text, hadamard_halt)
 
+    def test_repeated_amplitude_text_gives_the_term_by_term_state(self, hadamard_halt):
+        terms = ["00", "01", "10", "11", "0", "1", "010", "101"]
+        text = " + ".join(f"1/sqrt(8):{t}" for t in terms)
+        want = start(hadamard_halt, {t: parse_amplitude("1/sqrt(8)") for t in terms})
+        assert repr(parse_input(text, hadamard_halt)) == repr(want)
+        assert parse_input(text, hadamard_halt) == want
+
+    @pytest.mark.parametrize(
+        "text, offset",
+        [
+            ("1/sqrt(x):0", 7),
+            ("   1/sqrt(x):0", 10),
+            ("1/sqrt(2):0 + 1/sqrt(x):1", 21),
+            ("1/sqrt(2):0 +   1/sqrt(2)x:1", 25),
+            ("1/sqrt(2):0 + 1/sqrt(2):1 + 1/sqrt(2):01 + y:10", 43),
+        ],
+    )
+    def test_amplitude_error_offset_indexes_the_whole_input(self, hadamard_halt, text, offset):
+        with pytest.raises(ParseError) as err:
+            parse_input(text, hadamard_halt)
+        assert err.value.offset == offset
+        assert str(err.value).endswith(f"(offset {offset})")
+        # the offset falls on the amplitude's first bad character
+        assert text[offset] in "xy"
+
 
 # Fragments of both machine grammars and of the input grammar, spliced into
 # corpus files and inputs so that most examples get past the header.
