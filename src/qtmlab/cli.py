@@ -196,14 +196,12 @@ def _split_schedules(text: str, steps: int):
 # commands
 
 def _cmd_check(args, spec, state) -> int:
-    structure = validate_structure(spec, args.tol)
     report = check_wellformed(spec, args.tol)
-    clean = not structure and report.verdict == "well_formed"
     shown = report.witnesses[: args.max_witnesses]
     result = {
-        "verdict": "well_formed" if clean else "violation",
+        "verdict": report.verdict,
         "byConstruction": list(BY_CONSTRUCTION),
-        "structureViolations": [asdict(v) for v in structure],
+        "structureViolations": [asdict(v) for v in validate_structure(spec, args.tol)],
         "normViolations": [
             {"state": key[0], "symbol": key[1], "norm2": norm2}
             for key, norm2 in report.norm_violations
@@ -219,7 +217,7 @@ def _cmd_check(args, spec, state) -> int:
         "coreWellFormed": core_well_formed(report),
     }
     _emit(args, result)
-    return 0 if clean else 2
+    return 0 if report.verdict == "well_formed" else 2
 
 
 def _cmd_run(args, spec, state) -> int:
@@ -248,9 +246,7 @@ def _cmd_sample(args, spec, state) -> int:
     for (outcome, p), count in zip(dist.entries, counts):
         if not count:
             continue
-        entry = {"count": count}
-        if args.samples:
-            entry["frequency"] = count / args.samples
+        entry = {"count": count, "frequency": count / args.samples}
         if outcome is UNHALTED:
             entry["outcome"] = "unhalted"
         else:

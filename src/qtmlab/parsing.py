@@ -152,7 +152,7 @@ def render_amplitude(value: complex) -> str:
 
 def _meaningful_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].rstrip()
         if line:
             yield lineno, line
 
@@ -169,22 +169,23 @@ def _check_symbol(token: str, lineno: int) -> str:
 
 def _parse_headers(text: str, expected_header: str):
     """The checked header fields (states, initial, halt, alphabet) and the
-    ``(lineno, body)`` of every rule line."""
+    ``(lineno, body)`` of every rule line, ``body`` the text after ``rule:``
+    with what precedes it blanked, so that an offset into it is the line's."""
     lines = _meaningful_lines(text)
     lineno, line = next(lines, (1, None))
     if line is None:
         raise ParseError(f"empty file, expected {expected_header!r}", line=1)
-    if line != expected_header:
+    if line.lstrip() != expected_header:
         raise ParseError(f"expected format header {expected_header!r}", line=lineno)
     names = ("states", "initial", "halt", "alphabet")
     headers: dict[str, tuple] = {}
     rule_lines = []
-    for lineno, line in lines:
-        name, colon, value = line.partition(":")
+    for lineno, raw in lines:
+        name, colon, value = (line := raw.lstrip()).partition(":")
         if not colon or name not in ("rule", *names):
             raise ParseError(f"unrecognized line {line!r}", line=lineno)
         if name == "rule":
-            rule_lines.append((lineno, value.strip()))
+            rule_lines.append((lineno, " " * (len(raw) - len(value)) + value))
         elif name in headers:
             raise ParseError(f"duplicate header {name!r}", line=lineno)
         else:
@@ -251,7 +252,7 @@ def _rules(rule_lines, machine, right_side):
             raise ParseError(f"unknown state {state!r}", line=lineno)
         if symbol != "*" and symbol not in alphabet:
             raise ParseError(f"unknown symbol {symbol!r}", line=lineno)
-        targets = right_side(rhs, state, machine, lineno)
+        targets = right_side(" " * (len(lhs) + 2) + rhs, state, machine, lineno)
         for sym in alphabet if symbol == "*" else (symbol,):
             if (state, sym) in seen:
                 raise ParseError(f"duplicate rule for ({state}, {sym})", line=lineno)
@@ -262,18 +263,19 @@ def _rules(rule_lines, machine, right_side):
 
 
 def _quantum_right_side(text: str, state: str, machine, lineno) -> list:
-    """``<amplitude> : <state> <write> <move>`` targets separated by ``|``."""
+    """``<amplitude> : <state> <write> <move>`` targets split by ``|``; offsets index ``text``."""
     usage = "target must be '<amplitude> : <state> <write> <move>'"
-    targets = []
+    targets, start = [], 0
     for chunk in text.split("|"):
         if ":" not in chunk:
             raise ParseError(usage, line=lineno)
         amp_text, rest = chunk.split(":", 1)
         try:
-            amplitude = parse_amplitude(amp_text.strip())
+            amplitude = _amplitude(text[: start + len(amp_text)], start)
         except ParseError as exc:
             raise ParseError(f"bad amplitude: {exc}", line=lineno) from None
         targets.append((amplitude, *_target(rest, usage, machine, lineno)))
+        start += len(chunk) + 1
     return targets
 
 

@@ -19,8 +19,8 @@ pattern is expanded into its canonical window pairs, each generated once,
 with every key coded as it is built as an integer in canonical order and
 made a ``Configuration`` once; one sort of integers orders the witnesses.
 A rule row's squared norm is the same computation, the row's pattern with
-itself at offset 0, which ``validate_structure``, ``check_wellformed`` and
-the parser all read.
+itself at offset 0, which ``validate_structure`` and the parser read;
+``check_wellformed`` takes its row faults from ``validate_structure``.
 A witness is the pair ``(c1, c2)`` itself, with ``c1 < c2``; its image inner
 product is ``pair_image_inner(spec, c1, c2)``, so a report that shows a few
 witnesses steps only those.
@@ -76,15 +76,17 @@ BY_CONSTRUCTION = (
 
 @dataclass(frozen=True)
 class WellformednessReport:
+    """The verdict and evidence of ``check_wellformed``, which alone builds one."""
     verdict: str  # "well_formed" | "violation"
     norm_violations: tuple[tuple[tuple[str, str], float], ...]
+    halt_rule_keys: tuple[tuple[str, str], ...]  # halt rows that break the halt rule
     witnesses: tuple[tuple[Configuration, Configuration], ...]  # (c1, c2), c1 < c2
     missing_rule_keys: tuple[tuple[str, str], ...]
     core_count: int  # witnesses whose members are both running or both halted
 
 
 def core_well_formed(report: WellformednessReport) -> bool:
-    """True when the only failures are halting-scheme drift collisions.
+    """True when the only failures are drift collisions: no structure fault, no core witness.
 
     This is necessary, not sufficient, for an unmonitored run to keep its
     norm: a drift witness comes true when a newly halting branch lands on
@@ -92,7 +94,7 @@ def core_well_formed(report: WellformednessReport) -> bool:
     squared norm then changes by the two terms' cross term.  The ``every``
     schedule (Ozawa) retires each halted branch before that can happen.
     """
-    return not report.norm_violations and not report.core_count
+    return not (report.norm_violations or report.halt_rule_keys or report.core_count)
 
 
 def basis_image(spec: MachineSpec, config: Configuration) -> QuantumState:
@@ -229,9 +231,9 @@ def _failing_windows(spec: MachineSpec, keys, tol: float) -> list:
 
 
 def validate_structure(spec: MachineSpec, tol: float = DEFAULT_TOL):
-    """Check the statically checkable transition conditions.
+    """The one test of a rule row, which ``check_wellformed`` reads.
 
-    Returns a list of StructureViolation:
+    Returns a list of StructureViolation, in rule-table order:
 
     * ``halt_rule`` -- a rule whose source is the halt state must keep the
       machine halted: exactly one target, amplitude 1, same state, and the
@@ -256,29 +258,29 @@ def validate_structure(spec: MachineSpec, tol: float = DEFAULT_TOL):
     return violations
 
 
-def check_wellformed(
-    spec: MachineSpec, tol: float = DEFAULT_TOL
-) -> WellformednessReport:
-    """Verdict plus explicit evidence.
+def check_wellformed(spec: MachineSpec, tol: float = DEFAULT_TOL) -> WellformednessReport:
+    """Verdict plus explicit evidence; ``verdict`` is decided here alone.
 
-    * every rule row must have squared norm within ``tol`` of 1;
+    * every rule row must pass ``validate_structure``; its faults become
+      ``halt_rule_keys`` and ``norm_violations`` (with the squared norm),
+      in states x alphabet order;
     * every collision-candidate pair's images must have inner product of
       modulus <= ``tol``.
 
     Keys without rules are skipped and listed in ``missing_rule_keys``; the
     verdict covers the part of the operator the rule table defines.
-    Witnesses are the failing pairs ``(c1, c2)`` in canonical configuration
-    order.
+    Witnesses are the failing pairs ``(c1, c2)`` in canonical order.
     """
     all_keys = [(q, s) for q in spec.states for s in spec.alphabet]
     have = [k for k in all_keys if k in spec.rules]
     missing = tuple(sorted(k for k in all_keys if k not in spec.rules))
-    norms = ((key, row_norm2(spec.rules[key])) for key in have)
-    norm_violations = tuple((key, n) for key, n in norms if abs(n - 1.0) > tol)
+    bad = {(v.kind, (v.state, v.symbol)) for v in validate_structure(spec, tol)}
+    norm_violations = tuple((k, row_norm2(spec.rules[k])) for k in have if ("row_norm", k) in bad)
+    halt_keys = tuple(k for k in have if ("halt_rule", k) in bad)
     witnesses = tuple(_failing_windows(spec, have, tol))
     core_count = sum(c1.halted == c2.halted for c1, c2 in witnesses)
-    verdict = "violation" if norm_violations or witnesses else "well_formed"
-    return WellformednessReport(verdict, norm_violations, witnesses, missing, core_count)
+    verdict = "violation" if norm_violations or halt_keys or witnesses else "well_formed"
+    return WellformednessReport(verdict, norm_violations, halt_keys, witnesses, missing, core_count)
 
 
 def lift_to_qtm(spec: MachineSpec) -> MachineSpec:

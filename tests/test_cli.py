@@ -16,6 +16,7 @@ import oracles
 import pins
 from conftest import MACHINES, ROOT
 from test_evolution import DRIFT_COLLISION
+from test_wellformed import HALT_FLIPS_PHASE, HALT_LEAVES_ON_BLANK, HALT_REWRITES
 from pins import (
     CORPUS_OUTPUT_SHA256,
     ERROR_PINS,
@@ -659,6 +660,55 @@ class TestDriftCollision:
         ]
         assert result["maxNormDrift"] == 2.220446049250313e-16
         assert result["normFlag"] is False
+
+
+class TestHaltRule:
+    """``coreWellFormed`` counts the halt rule: a halt row that leaves the
+    halt state or changes the halted amplitude is no drift collision, and
+    the printed verdict is the report's own."""
+
+    @pytest.fixture
+    def write(self, tmp_path):
+        def write(text):
+            path = tmp_path / "machine.qtm"
+            path.write_text(text)
+            return str(path)
+        return write
+
+    @pytest.mark.parametrize(
+        "text, counts",
+        [(HALT_LEAVES_ON_BLANK, (0, 5346)), (HALT_FLIPS_PHASE, (0, 8019)),
+         (HALT_REWRITES, (0, 0))],
+        ids=["leaves_on_blank", "flips_phase", "rewrites"],
+    )
+    def test_check_is_a_violation_and_not_core_well_formed(self, write, capsys, text, counts):
+        assert cli.main(["check", write(text), "--max-witnesses", "0"]) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["verdict"] == "violation"
+        assert result["coreWellFormed"] is False
+        assert (result["coreWitnessCount"], result["driftWitnessCount"]) == counts
+        assert {v["kind"] for v in result["structureViolations"]} == {"halt_rule"}
+
+    def test_a_halted_branch_that_leaves_splits_the_schedules(self, write, capsys):
+        machine = write(HALT_LEAVES_ON_BLANK)
+        argv = ["compare", machine, "--input", "0", "--steps", "4", "--schedules", "every,end"]
+        assert cli.main(argv) == 2
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["tvDistance"], result["normFlag"]) == (1.0, False)
+        argv = ["run", machine, "--input", "0", "--steps", "4", "--schedule", "end"]
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["outcomes"], result["unhalted"]) == ([], 1.0)
+
+    def test_a_phase_only_breaker_is_refused_though_the_schedules_agree(self, write, capsys):
+        # a halted branch keeps its tape and its probability, so every and
+        # end agree on this run; the verdict follows the declared halt rule
+        # (one amplitude-1 target), not the runs it has been tried on
+        argv = ["compare", write(HALT_FLIPS_PHASE), "--input", "0", "--steps", "4",
+                "--schedules", "every,end"]
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["tvDistance"], result["equivalent"]) == (0.0, True)
 
 
 class TestToleranceEdges:

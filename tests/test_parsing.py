@@ -196,6 +196,30 @@ class TestParseMachine:
         with pytest.raises(ParseError, match=message):
             parse_machine(mangle(MINIMAL_QTM))
 
+    @pytest.mark.parametrize(
+        "line, error, offset",
+        [
+            ("rule: q0 0 -> 1/sqrt(y) : qH 0 R | 1/sqrt(2) : q0 0 R",
+             "expected an integer", 21),
+            ("rule: q0 0 -> 1/sqrt(2) : qH 0 R |   1/sqrt(x) : q0 0 R",
+             "expected an integer", 44),
+            ("rule: q0 0 ->   1/sqrt(2)   : qH 0 R |   -x   : q0 0 R",
+             "expected an integer", 42),
+            ("rule: q0 * -> 1/sqrt(2) : qH * R | 1/sqrt(2)z : q0 * R",
+             "trailing characters after amplitude", 44),
+            ("   rule: q0 0 -> 1/sqrt(2) : qH 0 R | 1/sqrt(2) - 1/sqrt(2)x : q0 0 R  # x",
+             "expected 'i' after imaginary part", 59),
+        ],
+        ids=["first_target", "later_target", "spaced", "star_rule", "indented_commented"],
+    )
+    def test_amplitude_error_offset_indexes_the_line(self, line, error, offset):
+        text = "qtm-spec v1\nstates: q0 qH\ninitial: q0\nhalt: qH\nalphabet: 0 1 _\n"
+        with pytest.raises(ParseError) as err:
+            parse_machine(text + line + "\nrule: qH * -> 1 : qH * R\n")
+        assert str(err.value) == f"bad amplitude: {error} (offset {offset}) (line 6)"
+        # the offset falls on the amplitude's first bad character
+        assert line[offset] in "xyz"
+
     def test_duplicate_via_star_expansion(self):
         text = MINIMAL_QTM + "rule: q0 * -> 1 : qH * R\n"
         with pytest.raises(ParseError, match="duplicate rule"):

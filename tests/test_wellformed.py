@@ -20,9 +20,13 @@ from qtmlab import (
     core_well_formed,
     lift_to_qtm,
     pair_image_inner,
+    parse_classical,
+    parse_machine,
     tape_cells,
     validate_structure,
 )
+from conftest import MACHINES
+from test_evolution import EXTRA
 
 R2 = 1 / math.sqrt(2)
 
@@ -159,3 +163,97 @@ def test_halted_image_is_pure_drift(hadamard_halt):
     assert cfg.head == 1
     assert cfg.cells == halted.cells
     assert cfg.halted
+
+
+# Three machines whose halt rows break the halt rule of ``validate_structure``
+# (a halted branch must stay halted on an unchanged tape, as the halt flag and
+# reading it at every step or only at the end need).  On the first, a halted
+# branch that reads a blank starts running again.
+HALT_LEAVES_ON_BLANK = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 * -> 1 : qH * R
+rule: qH 0 -> 1 : qH 0 R
+rule: qH 1 -> 1 : qH 1 R
+rule: qH _ -> 1 : q0 _ R
+"""
+
+# The same machine, whose halt row on 0 flips the sign of the halted
+# amplitude and whose halt row on a blank drifts: only the phase breaks it.
+HALT_FLIPS_PHASE = (
+    HALT_LEAVES_ON_BLANK.replace("qH 0 -> 1 : qH 0 R", "qH 0 -> -1 : qH 0 R")
+    .replace("qH _ -> 1 : q0 _ R", "qH _ -> 1 : qH _ R")
+)
+
+# Nothing enters the halt state and its rows swap 0 and 1: an isometry with
+# no witness at all, so the halt rule alone makes it a violation.
+HALT_REWRITES = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: 0 1 _
+rule: q0 * -> 1 : q0 * R
+rule: qH 0 -> 1 : qH 1 R
+rule: qH 1 -> 1 : qH 0 R
+rule: qH _ -> 1 : qH _ R
+"""
+
+# name -> (text, halt-rule keys, core witnesses, drift witnesses)
+HALT_RULE_BREAKERS = {
+    "leaves_on_blank": (HALT_LEAVES_ON_BLANK, (("qH", "_"),), 0, 5346),
+    "flips_phase": (HALT_FLIPS_PHASE, (("qH", "0"),), 0, 8019),
+    "rewrites": (HALT_REWRITES, (("qH", "0"), ("qH", "1")), 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALT_RULE_BREAKERS))
+def test_a_halt_rule_breaker_is_not_core_well_formed(name):
+    text, keys, core, drift = HALT_RULE_BREAKERS[name]
+    report = check_wellformed(parse_machine(text))
+    assert report.verdict == "violation"
+    assert report.halt_rule_keys == keys
+    assert report.norm_violations == ()
+    assert (report.core_count, len(report.witnesses) - report.core_count) == (core, drift)
+    assert core_well_formed(report) is False
+
+
+def test_norm_violations_follow_states_by_alphabet():
+    # rules declared out of order: the structure faults keep the file's
+    # order, the report's rows the order of states x alphabet
+    spec = parse_machine(
+        "qtm-spec v1\nstates: q0 qH\ninitial: q0\nhalt: qH\nalphabet: 0 1 _\n"
+        "rule: qH * -> 1 : qH * R\nrule: q0 1 -> 2 : q0 1 R\nrule: q0 0 -> 1/2 : q0 0 R\n"
+    )
+    assert [(v.state, v.symbol) for v in validate_structure(spec)] == [("q0", "1"), ("q0", "0")]
+    report = check_wellformed(spec)
+    assert report.norm_violations == ((("q0", "0"), 0.25), (("q0", "1"), 4.0))
+    assert report.halt_rule_keys == ()
+    assert not core_well_formed(report)
+
+
+def _verdict_machines():
+    for path in sorted(MACHINES.glob("*.qtm")):
+        yield path.name, parse_machine(path.read_text())
+    for path in sorted(MACHINES.glob("*.tm")):
+        yield path.name, parse_classical(path.read_text())  # the table lift checks
+    for name in sorted(EXTRA):
+        yield name, parse_machine(EXTRA[name])
+    for name, (text, *_) in sorted(HALT_RULE_BREAKERS.items()):
+        yield name, parse_machine(text)
+
+
+VERDICT_MACHINES = dict(_verdict_machines())
+
+
+@pytest.mark.parametrize("name", list(VERDICT_MACHINES))
+def test_verdict_is_the_rule_that_joined_structure_and_witnesses(name):
+    # ``check`` once printed a verdict joined from ``validate_structure``
+    # and the report's own; the report now decides it, by the same rule
+    spec = VERDICT_MACHINES[name]
+    report = check_wellformed(spec)
+    clean = not validate_structure(spec) and not report.norm_violations and not report.witnesses
+    assert (report.verdict == "well_formed") == clean
