@@ -15,9 +15,11 @@ depends only on the head offset, the two (state, read symbol) rule rows,
 and -- for offset >= 1 -- the two cells the members see under each other's
 head.  All window pairs sharing this local pattern have the same inner
 product, so the verdict needs only a sweep over patterns.  Each failing
-pattern is expanded into its canonical window pairs, each generated once,
-with every key coded as it is built as an integer in canonical order and
-made a ``Configuration`` once; one sort of integers orders the witnesses.
+pattern is expanded into its canonical window pairs, each generated once.
+Every key is coded as an integer in canonical order, composed by shifts
+from the codes of its tape pieces, and made a ``Configuration`` once; a
+pair is the shift-coded ``lo << wide | hi``, so one sort of integers
+orders the witnesses.
 A rule row's squared norm is the same computation, the row's pattern with
 itself at offset 0, which ``validate_structure`` and the parser read;
 ``check_wellformed`` takes its row faults from ``validate_structure``.
@@ -47,7 +49,7 @@ reversibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, product
 
 from .errors import NotReversibleError
@@ -155,34 +157,41 @@ def _windows(machine, patterns) -> list:
     every other window cell is shared.  Window translation x1 = -2 takes
     every tape and x1 > -2 only tapes whose cell -3 - x1 is not blank (the
     rest fit x1 - 1), so each pair is generated once.  A key is coded as the
-    rank of its (halted, state, head) above its ``_code`` and made a
-    ``Configuration`` once; a pair is coded ``lo * radix + hi``, so one sort
-    of integers orders all pairs.
+    rank of its (halted, state, head) above its ``_code``, which is composed
+    from codes already known: the left side's, the middle run's shifted
+    right past the left and the right side's shifted past both.  Each new
+    key is made a ``Configuration`` once; a pair is coded ``lo << wide |
+    hi``, ``wide`` the bit length of the largest key code, so one sort of
+    integers orders all pairs.
     """
     alphabet, bits = machine.alphabet, _digits(machine.alphabet)[1]
     ranked = sorted((q == machine.halt, q, h) for q in machine.states for h in range(3))
     top = {(q, h): r << bits * WIDTH for r, (_, q, h) in enumerate(ranked)}
-    radix, seen, codes, make = len(top) << bits * WIDTH, {}, [], Configuration._make
+    wide = max(top.values()).bit_length()  # the largest key code's: lower bits add none
+    mask, seen, codes, make = (1 << wide) - 1, {}, [], partial(tuple.__new__, Configuration)
     for d, (q1, s1), a, (q2, s2), b in patterns:
-        h1, h2 = q1 == machine.halt, q2 == machine.halt
+        h1, h2, t1, t2 = q1 == machine.halt, q2 == machine.halt, top[q1, 0], top[q2, d]
         m1, ma, mb, m2 = _cell(0, s1), _cell(d, a), _cell(0, b), _cell(d, s2)
         for x1 in range(-2, 3 - d):
             rights = _sides(alphabet, d + 1, 3 - x1)
             lefts = _sides(alphabet, -3 - x1, -1, x1 > -2)
-            for (left, _), (mid, _) in product(lefts, _sides(alphabet, 1, d - 1)):
-                l1, l2 = left + m1 + mid + ma, left + mb + mid + m2
-                k1 = top[q1, 0] | _code(alphabet, l1)
-                k2 = top[q2, d] | _code(alphabet, l2)
-                n1, n2 = bits * len(l1), bits * len(l2)
-                for right, code in rights:
-                    c1, c2 = k1 | code >> n1, k2 | code >> n2
-                    if c1 not in seen:
-                        seen[c1] = make((h1, q1, 0, l1 + right))
-                    if c2 not in seen:
-                        seen[c2] = make((h2, q2, d, l2 + right))
-                    codes.append(c1 * radix + c2 if c1 < c2 else c2 * radix + c1)
+            for mid, _ in _sides(alphabet, 1, d - 1):
+                r1, r2 = m1 + mid + ma, mb + mid + m2
+                p1, p2 = _code(alphabet, r1), _code(alphabet, r2)
+                for left, lcode in lefts:
+                    n = bits * len(left)
+                    l1, l2 = left + r1, left + r2
+                    k1, k2 = t1 | lcode | p1 >> n, t2 | lcode | p2 >> n
+                    n1, n2 = bits * len(l1), bits * len(l2)
+                    for right, code in rights:
+                        c1, c2 = k1 | code >> n1, k2 | code >> n2
+                        if c1 not in seen:
+                            seen[c1] = make((h1, q1, 0, l1 + right))
+                        if c2 not in seen:
+                            seen[c2] = make((h2, q2, d, l2 + right))
+                        codes.append(c1 << wide | c2 if c1 < c2 else c2 << wide | c1)
     codes.sort()
-    return [(seen[c // radix], seen[c % radix]) for c in codes]
+    return [(seen[c >> wide], seen[c & mask]) for c in codes]
 
 
 # ---------------------------------------------------------------------------

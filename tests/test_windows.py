@@ -4,15 +4,16 @@
 once and orders all pairs by integer codes.  It is checked here against
 ``oracles.reference_failing_windows`` (a set per pattern and one sort of
 nested key tuples): the same list, in the same order, with one
-``Configuration`` object per distinct key.  The number of pairs a pattern
-generates is checked against its closed form, which no duplicate survives.
+``Configuration`` object per distinct key, whatever order the patterns
+arrive in.  The number of pairs a pattern generates is checked against its
+closed form, which no duplicate survives.
 """
 
 import random
 
 import oracles
 import pytest
-from conftest import MACHINES, load_qtm, load_tm
+from conftest import HALT_ROWS_COLLIDE, MACHINES, load_qtm, load_tm
 
 from qtmlab import (
     BLANK,
@@ -22,7 +23,7 @@ from qtmlab import (
     RuleTarget,
     parse_machine,
 )
-from qtmlab.wellformed import _failing_windows, _windows
+from qtmlab.wellformed import _digits, _failing_windows, _windows
 
 QTM_NAMES = sorted(p.stem for p in MACHINES.glob("*.qtm"))
 TM_NAMES = ("collide", "flip_bits", "parity_mark", "seek_right", "unary_inc")
@@ -46,6 +47,9 @@ TOTALS = {
     ("seek_right", "check"): 2673,
     ("unary_inc", "check"): 2673,
     ("four_symbols", "check"): 2 * 3328 + 2560 + 16384,
+    ("blank_only", "check"): 1,
+    ("two_symbols", "check"): 2 * 192,
+    ("halt_rows_collide", "check"): 8991,
 }
 
 # Failing patterns at head offsets 0, 1, 1 and 2 over four symbols.
@@ -61,6 +65,20 @@ rule: q0 1 -> 1 : q1 2 L
 rule: q0 2 -> 1 : q1 2 N
 rule: q1 0 -> 1 : qH 0 R
 rule: q1 1 -> 1 : qH 0 R
+"""
+
+# The trivial halting machine over ``alphabet``: every running branch halts
+# at once, onto the drift of a halted one.  Over ``_`` a window cell takes 0
+# bits, over ``1 _`` 4 bits; the corpus has 5 (three symbols) and 6 (four).
+TRIVIAL_HALT = """\
+qtm-spec v1
+states: q0 qH
+initial: q0
+halt: qH
+alphabet: {}
+
+rule: q0 * -> 1 : qH * R
+rule: qH * -> 1 : qH * R
 """
 
 
@@ -117,7 +135,28 @@ def relabeled_cases():
     ]
 
 
-CASES = corpus_cases() + relabeled_cases()
+def text_cases():
+    """Machines the corpus lacks: window cells of 0 and 4 bits, and two halted
+    members at heads 0 and 1, whose higher key takes the top rank bit."""
+    texts = [
+        ("blank_only", TRIVIAL_HALT.format("_")),
+        ("two_symbols", TRIVIAL_HALT.format("1 _")),
+        ("halt_rows_collide", HALT_ROWS_COLLIDE),
+    ]
+    return [pytest.param(n, parse_machine(t), "check", id=n) for n, t in texts]
+
+
+CASES = corpus_cases() + relabeled_cases() + text_cases()
+
+
+def test_cases_cover_every_cell_width_up_to_four_symbols():
+    assert {_digits(c.values[1].alphabet)[1] for c in CASES} == {0, 4, 5, 6}
+
+
+def assert_one_object_per_key(pairs):
+    members = [c for pair in pairs for c in pair]
+    assert all(type(c) is Configuration for c in members)
+    assert len({id(c) for c in members}) == len(set(members))
 
 
 @pytest.mark.parametrize("name, spec, mode", CASES)
@@ -125,9 +164,27 @@ def test_failing_windows_match_reference(name, spec, mode):
     keys = sweep_keys(spec, mode)
     got = _failing_windows(spec, keys, DEFAULT_TOL)
     assert got == oracles.reference_failing_windows(spec, keys, DEFAULT_TOL)
-    members = [c for pair in got for c in pair]
-    assert all(type(c) is Configuration for c in members)
-    assert len({id(c) for c in members}) == len(set(members))
+    assert_one_object_per_key(got)
+
+
+def failing_patterns(spec, mode):
+    return oracles.failing_patterns(spec, sweep_keys(spec, mode), DEFAULT_TOL)
+
+
+MULTI_PATTERN_CASES = [c for c in CASES if len(failing_patterns(*c.values[1:])) > 1]
+
+
+@pytest.mark.parametrize("name, spec, mode", MULTI_PATTERN_CASES)
+def test_pattern_order_does_not_matter(name, spec, mode):
+    patterns = failing_patterns(spec, mode)
+    shuffled = random.Random(7).sample(patterns, len(patterns))
+    assert shuffled != patterns
+    got = _windows(spec, patterns)
+    assert_one_object_per_key(got)
+    for order in (patterns[::-1], shuffled):
+        again = _windows(spec, order)
+        assert again == got
+        assert_one_object_per_key(again)
 
 
 def closed_form(d, n):
@@ -138,7 +195,7 @@ def closed_form(d, n):
 @pytest.mark.parametrize("name, spec, mode", CASES)
 def test_pairs_per_pattern_follow_closed_form(name, spec, mode):
     total, offsets = 0, set()
-    for pattern in oracles.failing_patterns(spec, sweep_keys(spec, mode), DEFAULT_TOL):
+    for pattern in failing_patterns(spec, mode):
         pairs = _windows(spec, [pattern])
         assert len(set(pairs)) == len(pairs) == closed_form(pattern[0], len(spec.alphabet))
         total += len(pairs)
